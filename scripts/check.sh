@@ -10,30 +10,19 @@
 #      Runs with JSON_OUT_DIR set, so it also proves the structured export
 #      leaves stdout untouched, and with JOBS-way cell parallelism, so it
 #      also proves the parallel harness preserves the golden bytes.
+#      Benches with self-checks (bench_placement's dominance gate,
+#      bench_storage's checksum and recovery gates) exit 1 and fail it.
 #   6. fault-injection pass: the whole bench suite plus the faultlab grid
 #      under the canned memory-pressure plan (FAULTLAB=1) must exit 0
 #   7. structured-export gate: schema-validate the per-bench JSON and the
 #      merged BENCH_results.json from stage 5, then re-run the suite once
 #      and assert the two same-seed merged documents are byte-identical
-#   8. serving gate: REUSES the stage-5/7 exports instead of re-running —
-#      bench_serving's per-bench stdout spool vs its committed golden, its
-#      "serving" JSON sections schema-validated, and the stage-5 vs stage-7
-#      same-seed documents byte-identical (serving determinism contract)
-#   9. placement gate: same reuse for bench_placement (the bench itself
-#      exits 1 — failing stage 5 — unless the adaptive cell dominates every
-#      static policy and stock AutoNUMA on p99 AND local-access ratio)
-#  10. static determinism + lock-contract gate: detlint must scan the whole
+#   8. static determinism + lock-contract gate: detlint must scan the whole
 #      tree clean (modulo tools/detlint/baseline.txt), must reject every
 #      bad fixture in tools/detlint/testdata/ (proving the gate can fail),
 #      and — when clang++ is on PATH — src/sanity/thread_safety_check.cc
 #      must compile under -Wthread-safety -Werror=thread-safety, machine-
 #      checking the SimMutex/VirtualLock capability annotations
-#  11. storage gate: same stage-5/7 reuse for bench_storage (whose own
-#      self-checks — per-mix checksum agreement across placement/policy/
-#      allocator, the checkpoint-interval redo curve, and the kill-a-node
-#      ARIES-lite recovery gate — already failed stage 5 if violated):
-#      stdout spool vs the committed golden, "storage" JSON sections
-#      schema-valid, and the two same-seed exports byte-identical
 #
 # Stages 1 and 3 build with -DNUMALAB_WERROR=ON: compiler warnings are
 # errors in the gate (but not in a developer's plain ./build).
@@ -62,18 +51,18 @@ run() {
   fi
 }
 
-echo "==== stage 1/11: plain build + ctest ===="
+echo "==== stage 1/8: plain build + ctest ===="
 run cmake -B build-check -S . -G Ninja -DNUMALAB_WERROR=ON
 run cmake --build build-check
 run ctest --test-dir build-check --output-on-failure
 
-echo "==== stage 2/11: address,undefined sanitizers + ctest ===="
+echo "==== stage 2/8: address,undefined sanitizers + ctest ===="
 run cmake -B build-check-asan -S . -G Ninja \
     -DNUMALAB_SANITIZE=address,undefined
 run cmake --build build-check-asan
 run ctest --test-dir build-check-asan --output-on-failure
 
-echo "==== stage 3/11: clang-tidy build ===="
+echo "==== stage 3/8: clang-tidy build ===="
 if command -v clang-tidy >/dev/null 2>&1; then
   run cmake -B build-check-tidy -S . -G Ninja -DNUMALAB_CLANG_TIDY=ON \
       -DNUMALAB_WERROR=ON
@@ -84,18 +73,18 @@ else
        "full gate."
 fi
 
-echo "==== stage 4/11: race-detector clean bench run ===="
+echo "==== stage 4/8: race-detector clean bench run ===="
 # Reuses the plain stage-1 build; every bench runs with --race-detect=1 and
 # any report makes the binary (and therefore run_benches.sh) exit non-zero.
 run env BUILD_DIR=build-check RACE_DETECT=1 ./run_benches.sh
 
-echo "==== stage 5/11: no-fault bench stdout vs committed golden ===="
+echo "==== stage 5/8: no-fault bench stdout vs committed golden ===="
 # The faultlab zero-cost contract: with no fault plan installed, the whole
 # bench suite must produce byte-identical stdout to the committed golden.
 # Any drift means the no-fault path changed behaviour. Runs at JOBS-way
 # cell parallelism, so the cmp below also pins the parallel-merge bytes.
-# The export (json-a) and the per-bench stdout spools kept beside it are
-# reused by stages 7-9; timing lands in build-check/timing-a.json.
+# The export (json-a) is reused by stage 7; timing lands in
+# build-check/timing-a.json.
 echo "check.sh: env BUILD_DIR=build-check JSON_OUT_DIR=build-check/json-a JOBS=$JOBS ./run_benches.sh > build-check/run_benches.stdout"
 env BUILD_DIR=build-check JSON_OUT_DIR=build-check/json-a \
     BENCH_TIMING_OUT=build-check/timing-a.json \
@@ -107,18 +96,19 @@ if [[ $rc -ne 0 ]]; then
 fi
 run cmp bench/golden/run_benches.stdout build-check/run_benches.stdout
 
-echo "==== stage 6/11: fault-injection bench run (FAULTLAB=1) ===="
+echo "==== stage 6/8: fault-injection bench run (FAULTLAB=1) ===="
 # Every bench plus the faultlab pressure grid runs under the canned
 # per-node memory-pressure plan; every cell must degrade gracefully
 # (spill, not crash) and the suite must exit 0.
 run env BUILD_DIR=build-check FAULTLAB=1 ./run_benches.sh
 
-echo "==== stage 7/11: structured-export schema + determinism ===="
+echo "==== stage 7/8: structured-export schema + determinism ===="
 # Schema-validate everything stage 5 exported, then run the suite a second
 # (and final) time: same seeds, so the merged JSON must be byte-identical —
 # the export determinism contract (no wall time, no pointers, no hash
-# order). This json-b export also feeds the stage 8/9 per-bench diffs; no
-# later stage re-runs the suite or any bench binary.
+# order). The merged document is the per-bench documents concatenated, so
+# this one cmp covers every bench, serving and storage sections included.
+# No later stage re-runs the suite or any bench binary.
 if command -v python3 >/dev/null 2>&1; then
   run python3 scripts/validate_bench_json.py \
       build-check/json-a/BENCH_results.json build-check/json-a/bench_*.json
@@ -131,37 +121,7 @@ run env BUILD_DIR=build-check JSON_OUT_DIR=build-check/json-b \
 run cmp build-check/json-a/BENCH_results.json \
     build-check/json-b/BENCH_results.json
 
-echo "==== stage 8/11: serving determinism + schema (reusing stage-5 run) ===="
-# The serving layer's own contract, checked against the artifacts stages 5
-# and 7 already produced instead of fresh bench_serving runs: stdout spool
-# vs the committed golden, schema-valid "serving" JSON sections, and the
-# two same-seed exports byte-identical.
-run cmp bench/golden/bench_serving.stdout build-check/json-a/bench_serving.stdout
-if command -v python3 >/dev/null 2>&1; then
-  run python3 scripts/validate_bench_json.py build-check/json-a/bench_serving.json
-else
-  echo "check.sh: NOTICE: python3 not found on PATH; skipping serving JSON" \
-       "schema validation (determinism diff still runs)."
-fi
-run cmp build-check/json-a/bench_serving.json build-check/json-b/bench_serving.json
-
-echo "==== stage 9/11: placement dominance + determinism (reusing stage-5 run) ===="
-# The adaptive-placement contract: bench_placement's own self-check (exit 1
-# unless placement beats first-touch/interleave/preferred AND stock
-# AutoNUMA on both p99 sojourn and LAR, with replication actually firing)
-# already gated stage 5 — a failing cell fails the suite run. Here: stdout
-# spool pinned to the committed golden, JSON schema-valid, and the stage-5
-# vs stage-7 same-seed exports byte-identical.
-run cmp bench/golden/bench_placement.stdout build-check/json-a/bench_placement.stdout
-if command -v python3 >/dev/null 2>&1; then
-  run python3 scripts/validate_bench_json.py build-check/json-a/bench_placement.json
-else
-  echo "check.sh: NOTICE: python3 not found on PATH; skipping placement" \
-       "JSON schema validation (determinism diff still runs)."
-fi
-run cmp build-check/json-a/bench_placement.json build-check/json-b/bench_placement.json
-
-echo "==== stage 10/11: detlint + thread-safety analysis ===="
+echo "==== stage 8/8: detlint + thread-safety analysis ===="
 # Static half of the determinism contract (the dynamic half is the
 # same-seed byte-diffs above). detlint ships in the stage-1 build tree.
 DETLINT=build-check/tools/detlint/detlint
@@ -169,10 +129,10 @@ if [[ ! -x $DETLINT ]]; then
   echo "check.sh: FAIL: $DETLINT missing from the stage-1 build" >&2
   exit 1
 fi
-# 10a: the whole tree must scan clean, modulo the checked-in baseline.
+# 8a: the whole tree must scan clean, modulo the checked-in baseline.
 run "$DETLINT" --root=. --baseline=tools/detlint/baseline.txt \
     src bench tests examples
-# 10b: the gate must be able to fail — every bad fixture must be rejected.
+# 8b: the gate must be able to fail — every bad fixture must be rejected.
 for fixture in tools/detlint/testdata/bad_*.cc; do
   echo "check.sh: $DETLINT --root=. $fixture (expect nonzero)"
   if "$DETLINT" --root=. "$fixture" > /dev/null; then
@@ -180,11 +140,11 @@ for fixture in tools/detlint/testdata/bad_*.cc; do
     exit 1
   fi
 done
-# 10c: the compile_commands.json route (what clang-tidy shares) must agree
+# 8c: the compile_commands.json route (what clang-tidy shares) must agree
 # that the built TUs are clean.
 run "$DETLINT" --root=. --baseline=tools/detlint/baseline.txt \
     --compile-commands=build-check/compile_commands.json
-# 10d: clang thread-safety analysis over the annotated lock surfaces
+# 8d: clang thread-safety analysis over the annotated lock surfaces
 # (SimMutex, VirtualLock, Env::LockAcquired/LockReleased, the GUARDED_BY
 # probe members). GCC compiles the same macros as no-ops, so this is the
 # only place the annotations are actually checked.
@@ -198,22 +158,5 @@ else
        "no-op macros in stages 1-2). Install clang (or run in the" \
        "analysis container) for the full gate."
 fi
-
-echo "==== stage 11/11: storage determinism + schema (reusing stage-5 run) ===="
-# The storage-engine contract (DESIGN.md section 15), checked against the
-# stage-5/7 artifacts: bench_storage's recovery and checksum gates already
-# ran (and gated) inside stage 5; here its stdout spool is pinned to the
-# committed golden, its "storage" JSON sections are schema-validated
-# (present exactly when config.storage is true, shard hit counts summing
-# to pool totals, recovery section iff a crash happened), and the stage-5
-# vs stage-7 same-seed exports must be byte-identical.
-run cmp bench/golden/bench_storage.stdout build-check/json-a/bench_storage.stdout
-if command -v python3 >/dev/null 2>&1; then
-  run python3 scripts/validate_bench_json.py build-check/json-a/bench_storage.json
-else
-  echo "check.sh: NOTICE: python3 not found on PATH; skipping storage JSON" \
-       "schema validation (determinism diff still runs)."
-fi
-run cmp build-check/json-a/bench_storage.json build-check/json-b/bench_storage.json
 
 echo "check.sh: all stages passed"

@@ -177,21 +177,20 @@ def check_storage(s, where):
                 f"{where}.recovery", "replayed more records than scanned")
 
 
+# Optional per-run sections (trace::Section), by key. A run may carry any
+# subset of these after its fixed RUN_KEYS; any other key is rejected.
+SECTIONS = {"serving": check_serving, "storage": check_storage}
+
+
 def check_run(run, where):
-    keys = set(RUN_KEYS)
-    if "serving" in run:
-        keys.add("serving")
-    if "storage" in run:
-        keys.add("storage")
-    check_keys(run, keys, where)
-    if "serving" in run:
-        check_serving(run["serving"], f"{where}.serving")
+    sections = [k for k in run if k in SECTIONS]
+    check_keys(run, RUN_KEYS | set(sections), where)
+    for key in sections:
+        SECTIONS[key](run[key], f"{where}.{key}")
     # v4: the per-run storage section is present exactly when the config
     # recorded --storage=1, so a v4 doc can never silently drop it.
     require(("storage" in run) == (run["config"].get("storage") is True),
             where, "storage section present iff config.storage is true")
-    if "storage" in run:
-        check_storage(run["storage"], f"{where}.storage")
     check_keys(run["config"], CONFIG_KEYS, f"{where}.config")
     check_counters(run["counters"], f"{where}.counters")
     check_keys(run["system"], SYSTEM_KEYS, f"{where}.system")

@@ -7,16 +7,15 @@
 // queues) is only touched from worker coroutines under a VirtualLock or
 // from events, both of which the single-host-thread engine serializes in
 // virtual-time order. Two same-seed runs are therefore bit-identical,
-// which scripts/check.sh's serving stage enforces on bench_serving.
+// which scripts/check.sh's same-seed merged-JSON diff enforces.
 
 #include "src/serve/serve.h"
 
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
@@ -664,16 +663,7 @@ uint64_t PercentileU64(std::vector<uint64_t>* xs, double p) {
   return (*xs)[idx];
 }
 
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                                  ? static_cast<size_t>(n)
-                                  : sizeof(buf) - 1);
-}
+using trace::Appendf;
 
 }  // namespace
 
@@ -827,15 +817,16 @@ ServeResult RunServing(const workloads::RunConfig& rc,
   out.stats = st;
   if (s.store != nullptr) out.storage = s.store->stats();
 
-  // Exported config carries the storage flag so the validator can insist on
-  // the "storage" section exactly when the engine ran.
-  workloads::RunConfig rc_export = rc;
-  rc_export.storage = sc.storage.enabled;
-  trace::CollectRun(std::string("serve-") + ArrivalName(sc.arrival),
-                    rc_export, out.run, ServingJson(sc, out.stats),
-                    s.store != nullptr
-                        ? storage::StorageJson(s.store->config(), out.storage)
-                        : std::string());
+  if (trace::CollectEnabled()) {
+    std::vector<trace::Section> sections = {
+        {"serving", ServingJson(sc, out.stats)}};
+    if (s.store != nullptr) {
+      sections.push_back(
+          {"storage", storage::StorageJson(s.store->config(), out.storage)});
+    }
+    trace::CollectRun(std::string("serve-") + ArrivalName(sc.arrival), rc,
+                      out.run, std::move(sections));
+  }
   return out;
 }
 

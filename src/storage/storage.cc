@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 
 #include "src/common/logging.h"
+#include "src/trace/export.h"
 #include "src/trace/trace.h"
 
 namespace numalab {
@@ -578,18 +577,7 @@ StorageStats StorageEngine::stats() const {
   return out;
 }
 
-namespace {
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, std::min<size_t>(n, sizeof(buf) - 1));
-}
-
-}  // namespace
+using trace::Appendf;
 
 std::string StorageJson(const StorageConfig& cfg, const StorageStats& st) {
   std::string out;

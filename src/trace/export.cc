@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <utility>
 
 namespace numalab {
 namespace trace {
@@ -14,19 +15,6 @@ bool g_collect = false;
 std::vector<CollectedRun>& MutableRuns() {
   static std::vector<CollectedRun> runs;
   return runs;
-}
-
-// All appends go through here; buffer is sized for the longest single
-// fragment we ever format (a counters object line).
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                                  ? static_cast<size_t>(n)
-                                  : sizeof(buf) - 1);
 }
 
 void AppendQuoted(std::string* out, const std::string& s) {
@@ -70,7 +58,17 @@ void AppendCounters(std::string* out, const perf::ThreadCounters& c) {
           c.queue_delay_cycles);
 }
 
-void AppendConfig(std::string* out, const workloads::RunConfig& c) {
+bool HasSection(const CollectedRun& run, const char* key) {
+  for (const Section& sec : run.sections) {
+    if (sec.key == key) return true;
+  }
+  return false;
+}
+
+// `storage` is not a RunConfig field: the flag records whether the run
+// carries a "storage" section, so the two can never disagree.
+void AppendConfig(std::string* out, const workloads::RunConfig& c,
+                  bool storage) {
   out->append("{\"machine\":");
   AppendQuoted(out, c.machine);
   Appendf(out, ",\"threads\":%d,\"affinity\":\"%s\",\"policy\":\"%s\"",
@@ -92,7 +90,7 @@ void AppendConfig(std::string* out, const workloads::RunConfig& c) {
           c.seed, c.run_index, c.quantum,
           c.scalar_mem_path ? "true" : "false", c.deadline_cycles,
           c.placement.enabled ? "true" : "false",
-          c.storage ? "true" : "false");
+          storage ? "true" : "false");
 }
 
 void AppendRun(std::string* out, const CollectedRun& run, int id) {
@@ -100,7 +98,7 @@ void AppendRun(std::string* out, const CollectedRun& run, int id) {
   Appendf(out, "    {\"id\":%d,\"workload\":", id);
   AppendQuoted(out, run.workload);
   out->append(",\n     \"config\":");
-  AppendConfig(out, run.config);
+  AppendConfig(out, run.config, HasSection(run, "storage"));
   out->append(",\n     \"status\":");
   AppendQuoted(out, r.status.ToString());
   Appendf(out,
@@ -209,13 +207,11 @@ void AppendRun(std::string* out, const CollectedRun& run, int id) {
   }
   out->append("]");
 
-  if (!run.serving_json.empty()) {
-    out->append(",\n     \"serving\":");
-    out->append(run.serving_json);
-  }
-  if (!run.storage_json.empty()) {
-    out->append(",\n     \"storage\":");
-    out->append(run.storage_json);
+  for (const Section& sec : run.sections) {
+    out->append(",\n     ");
+    AppendQuoted(out, sec.key);
+    out->push_back(':');
+    out->append(sec.json);
   }
   out->append("}");
 }
@@ -227,28 +223,11 @@ void SetCollectEnabled(bool on) { g_collect = on; }
 
 void CollectRun(const std::string& workload,
                 const workloads::RunConfig& config,
-                const workloads::RunResult& result) {
-  if (!g_collect) return;
-  MutableRuns().push_back(CollectedRun{workload, config, result, "", ""});
-}
-
-void CollectRun(const std::string& workload,
-                const workloads::RunConfig& config,
                 const workloads::RunResult& result,
-                const std::string& serving_json) {
+                std::vector<Section> sections) {
   if (!g_collect) return;
-  MutableRuns().push_back(CollectedRun{workload, config, result,
-                                       serving_json, ""});
-}
-
-void CollectRun(const std::string& workload,
-                const workloads::RunConfig& config,
-                const workloads::RunResult& result,
-                const std::string& serving_json,
-                const std::string& storage_json) {
-  if (!g_collect) return;
-  MutableRuns().push_back(CollectedRun{workload, config, result,
-                                       serving_json, storage_json});
+  MutableRuns().push_back(
+      CollectedRun{workload, config, result, std::move(sections)});
 }
 
 const std::vector<CollectedRun>& CollectedRuns() { return MutableRuns(); }
@@ -318,6 +297,19 @@ std::string ChromeTraceJson(const std::vector<CollectedRun>& runs) {
   }
   out.append("]}\n");
   return out;
+}
+
+// Buffer is sized for the longest single fragment any emitter formats (a
+// counters object line).
+void Appendf(std::string* out, const char* fmt, ...) {
+  char buf[512];
+  va_list ap;
+  va_start(ap, fmt);
+  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  if (n > 0) out->append(buf, static_cast<size_t>(n) < sizeof(buf)
+                                  ? static_cast<size_t>(n)
+                                  : sizeof(buf) - 1);
 }
 
 }  // namespace trace

@@ -39,19 +39,25 @@ namespace trace {
 ///     section must be present exactly when the flag is true.
 inline constexpr int kJsonSchemaVersion = 4;
 
+/// \brief A named per-run JSON section, emitted after the run's fixed keys
+/// as `"<key>":<json>`. `json` is a pre-serialized JSON value (normally an
+/// object) produced by the owning subsystem, e.g. serve::ServingJson or
+/// storage::StorageJson; it must obey the same determinism contract as the
+/// rest of the document. Each key needs a checker in the SECTIONS registry
+/// of scripts/validate_bench_json.py.
+struct Section {
+  std::string key;
+  std::string json;
+};
+
 /// \brief One workload run as deposited by CollectRun.
 struct CollectedRun {
   std::string workload;  ///< "W1", "W3", "W4-art", "W5-q1-columnar-vec", ...
   workloads::RunConfig config;
   workloads::RunResult result;
-  /// Pre-serialized JSON object for the run's "serving" key, or empty for
-  /// non-serving runs (the key is omitted). Produced by serve::ServingJson;
-  /// must obey the same determinism contract as the rest of the document.
-  std::string serving_json;
-  /// Pre-serialized JSON object for the run's "storage" key, or empty when
-  /// the run had no storage engine (the key is omitted). Produced by
-  /// storage::StorageJson; same determinism contract.
-  std::string storage_json;
+  /// Optional sections, emitted in list order. A "storage" section also
+  /// sets the exported config.storage flag (schema v4).
+  std::vector<Section> sections;
 };
 
 /// Process-wide collection switch. When on, every SimContext attaches a
@@ -61,26 +67,13 @@ struct CollectedRun {
 bool CollectEnabled();
 void SetCollectEnabled(bool on);
 
-/// Appends a run to the process-global list iff collection is enabled.
-void CollectRun(const std::string& workload,
-                const workloads::RunConfig& config,
-                const workloads::RunResult& result);
-
-/// As above, with a pre-serialized "serving" JSON object attached to the run
-/// (see CollectedRun::serving_json).
+/// Appends a run, with its optional sections, to the process-global list
+/// iff collection is enabled. Callers that pay to serialize a section should
+/// check CollectEnabled() first.
 void CollectRun(const std::string& workload,
                 const workloads::RunConfig& config,
                 const workloads::RunResult& result,
-                const std::string& serving_json);
-
-/// As above, additionally attaching a pre-serialized "storage" JSON object
-/// (see CollectedRun::storage_json); either string may be empty to omit the
-/// corresponding key.
-void CollectRun(const std::string& workload,
-                const workloads::RunConfig& config,
-                const workloads::RunResult& result,
-                const std::string& serving_json,
-                const std::string& storage_json);
+                std::vector<Section> sections = {});
 
 const std::vector<CollectedRun>& CollectedRuns();
 void ClearCollectedRuns();
@@ -95,6 +88,12 @@ std::string BenchJson(const std::string& bench,
 /// one process per run, one track per virtual thread, one complete event
 /// per span; ts/dur are virtual cycles presented as microseconds.
 std::string ChromeTraceJson(const std::vector<CollectedRun>& runs);
+
+/// printf-style append used by every JSON emitter (this file's, ServingJson,
+/// StorageJson). One call formats at most 511 bytes; longer output is
+/// truncated.
+void Appendf(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 }  // namespace trace
 }  // namespace numalab

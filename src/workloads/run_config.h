@@ -95,13 +95,6 @@ struct RunConfig {
   /// passes this bound, the run is cut short and RunResult::status is
   /// DeadlineExceeded. 0 disables.
   uint64_t deadline_cycles = 0;
-
-  /// Export-only marker: true when the run served its stream through the
-  /// WAL-backed storage engine (serve::ServeConfig::storage.enabled). The
-  /// JSON validator requires a "storage" run section exactly when this flag
-  /// is recorded in the exported config. Not a behaviour switch — the
-  /// engine is configured through ServeConfig.
-  bool storage = false;
 };
 
 /// \brief Outcome of one simulated run.

@@ -229,8 +229,9 @@ const char kC2[] =
     "\"alloc_calls\":0,\"free_calls\":0,\"alloc_cycles\":0,"
     "\"lock_wait_cycles\":0,\"queue_delay_cycles\":0}";
 
-TEST(TraceJson, BenchJsonGolden) {
-  std::string expected = std::string() +
+// BenchJson("golden", {GoldenRun()}): every byte of a run with no sections.
+std::string GoldenDoc() {
+  return std::string() +
       "{\"schema_version\":4,\n"
       " \"bench\":\"golden\",\n"
       " \"runs\":[\n"
@@ -268,7 +269,10 @@ TEST(TraceJson, BenchJsonGolden) {
       "      {\"name\":\"build\",\"thread\":0,\"node\":0,\"depth\":1,"
       "\"parent\":0,\"start\":10,\"end\":60,\"counters\":" + kC2 +
       "}]}]}\n";
-  EXPECT_EQ(BenchJson("golden", {GoldenRun()}), expected);
+}
+
+TEST(TraceJson, BenchJsonGolden) {
+  EXPECT_EQ(BenchJson("golden", {GoldenRun()}), GoldenDoc());
 }
 
 TEST(TraceJson, EmptyRunListStillWellFormed) {
@@ -283,19 +287,44 @@ TEST(TraceJson, StringsAreEscaped) {
   EXPECT_NE(doc.find("\"workload\":\"W\\\"x\\\\y\\nz\""), std::string::npos);
 }
 
-// Schema v2: a run with serving_json set carries it verbatim under the
-// "serving" key; without it the key is absent (v1 documents stay stable
-// modulo the version bump).
-TEST(TraceJson, ServingSectionAttachedWhenPresent) {
-  CollectedRun plain = GoldenRun();
-  EXPECT_EQ(BenchJson("g", {plain}).find("\"serving\""), std::string::npos);
+// Per-run sections follow "spans" verbatim, in list order; config.storage
+// is true exactly when a "storage" section is attached. Every other byte is
+// GoldenDoc's.
+TEST(TraceJson, SectionsEmittedInListOrder) {
+  const Section serving{"serving", "{\"offered\":10,\"completed\":9}"};
+  const Section storage{"storage", "{\"enabled\":true}"};
+  const std::string serving_tail =
+      ",\n     \"serving\":{\"offered\":10,\"completed\":9}";
+  const std::string storage_tail = ",\n     \"storage\":{\"enabled\":true}";
+  struct Case {
+    const char* name;
+    std::vector<Section> sections;
+    bool storage_flag;
+    std::string tail;  // bytes between "spans" and the run's closing brace
+  };
+  const Case cases[] = {
+      {"none", {}, false, ""},
+      {"serving", {serving}, false, serving_tail},
+      {"storage", {storage}, true, storage_tail},
+      {"serving,storage", {serving, storage}, true,
+       serving_tail + storage_tail},
+      {"storage,serving", {storage, serving}, true,
+       storage_tail + serving_tail},
+  };
+  const std::string flag_off = "\"storage\":false}";
+  const std::string run_end = "}]}\n";  // run, "runs" and document close
+  for (const Case& tc : cases) {
+    std::string expected = GoldenDoc();
+    if (tc.storage_flag) {
+      expected.replace(expected.find(flag_off), flag_off.size(),
+                       "\"storage\":true}");
+    }
+    expected.insert(expected.size() - run_end.size(), tc.tail);
 
-  CollectedRun serving = GoldenRun();
-  serving.serving_json = "{\"offered\":10,\"completed\":9}";
-  std::string doc = BenchJson("g", {serving});
-  EXPECT_NE(
-      doc.find(",\n     \"serving\":{\"offered\":10,\"completed\":9}}"),
-      std::string::npos);
+    CollectedRun run = GoldenRun();
+    run.sections = tc.sections;
+    EXPECT_EQ(BenchJson("golden", {run}), expected) << tc.name;
+  }
 }
 
 TEST(TraceJson, ChromeTraceGolden) {
@@ -324,9 +353,9 @@ TEST(TraceJson, SameSeedSameBytesOnBothMemPaths) {
     workloads::RunConfig c = TracedConfig();
     c.scalar_mem_path = scalar;
     std::string a = BenchJson(
-        "b", {CollectedRun{"W3", c, workloads::RunW3HashJoin(c), ""}});
+        "b", {CollectedRun{"W3", c, workloads::RunW3HashJoin(c), {}}});
     std::string b = BenchJson(
-        "b", {CollectedRun{"W3", c, workloads::RunW3HashJoin(c), ""}});
+        "b", {CollectedRun{"W3", c, workloads::RunW3HashJoin(c), {}}});
     EXPECT_EQ(a, b) << "scalar=" << scalar;
   }
 }
