@@ -79,8 +79,10 @@ int main(int argc, char** argv) {
       std::printf("%-8s %-3s %-18s %12.3f %12llu %12llu %7d\n", w.c_str(),
                   m.c_str(), r.status.ok() ? "OK" : r.status.ToString().c_str(),
                   numalab::bench::GCycles(r.cycles),
-                  static_cast<unsigned long long>(r.pages_spilled),
-                  static_cast<unsigned long long>(r.oom_last_resort_pages),
+                  static_cast<unsigned long long>(
+                      r.report.system.pages_spilled),
+                  static_cast<unsigned long long>(
+                      r.report.system.oom_last_resort_pages),
                   retries);
     }
   }

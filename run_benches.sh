@@ -21,7 +21,11 @@
 #                          subset runs). Order is preserved.
 #   RACE_DETECT=1          pass --race-detect=1 to every bench: the
 #                          simulated-thread race detector runs and any
-#                          report makes that bench exit 1
+#                          report makes that bench exit 1. Detection costs
+#                          about 5x host time, so the heaviest benches
+#                          (fig5, fig6, fig7) also get reduced input sizes
+#                          (race_size_args below) to stay inside the
+#                          watchdog; every grid cell and phase still runs
 #   FAULTLAB=1             pass --faultlab=1 to every bench (canned per-node
 #                          memory-pressure plan; see src/faultlab) and also
 #                          run the bench_faultlab_grid robustness sweep
@@ -67,8 +71,17 @@ if ! [[ $jobs =~ ^[1-9][0-9]*$ ]]; then
   exit 2
 fi
 extra_args=()
+declare -A race_size_args=()
 if [[ ${RACE_DETECT:-0} != 0 ]]; then
   extra_args+=(--race-detect=1)
+  # Reduced input sizes for the benches whose race-detected run would
+  # overrun the default watchdog on a 4-core host. Only the sizes shrink:
+  # every cell, phase and code path of the full run still executes.
+  race_size_args=(
+    [bench_fig5_os_config]="--records=500000 --card=50000"
+    [bench_fig6_allocators]="--records=250000 --card=25000 --build=18750 --probe=300000"
+    [bench_fig7_indexes]="--build=25000 --probe=400000"
+  )
   echo "run_benches.sh: race detection enabled (--race-detect=1)"
 fi
 if [[ -n $json_dir ]]; then
@@ -245,6 +258,8 @@ for ((i = 0; i < n; ++i)); do
   fi
   cell_kind[i]=pending
   bench_args=(${extra_args[@]+"${extra_args[@]}"})
+  read -r -a size_args <<< "${race_size_args[$b]:-}"
+  bench_args+=(${size_args[@]+"${size_args[@]}"})
   if [[ -n $json_dir ]]; then
     bench_args+=("--json-out=$json_dir/$b.json")
   fi

@@ -145,7 +145,7 @@ done
 run "$DETLINT" --root=. --baseline=tools/detlint/baseline.txt \
     --compile-commands=build-check/compile_commands.json
 # 8d: clang thread-safety analysis over the annotated lock surfaces
-# (SimMutex, VirtualLock, Env::LockAcquired/LockReleased, the GUARDED_BY
+# (SimMutex, VirtualLock, Env::Lock/LockReleased, the GUARDED_BY
 # probe members). GCC compiles the same macros as no-ops, so this is the
 # only place the annotations are actually checked.
 if command -v clang++ >/dev/null 2>&1; then

@@ -11,9 +11,10 @@
 //    them is a real program contract (it is what the PR-2 race detector
 //    derives happens-before edges from), so it is annotated and checked
 //    statically too.
-//  * VirtualLock critical sections are marked by the Env::LockAcquired /
-//    Env::LockReleased pair (the same calls that feed the race detector);
-//    those carry NUMALAB_ACQUIRE/NUMALAB_RELEASE so clang verifies every
+//  * VirtualLock critical sections are delimited by the Env::Lock /
+//    Env::LockReleased pair (the same calls that feed the race detector;
+//    Env::Lock also charges the queueing wait); those carry
+//    NUMALAB_ACQUIRE/NUMALAB_RELEASE so clang verifies every
 //    path between them is balanced (e.g. the early-OOM return in
 //    ConcurrentHashTable::UpsertWith must release the stripe first).
 //  * Lock *implementations* (SimMutex::Unlock, the Env hooks) are annotated
@@ -24,7 +25,7 @@
 //    host-side bookkeeping) is documented at the declaration instead of
 //    annotated; see NodeQueue in src/serve/serve.cc for the worked example.
 //
-// scripts/check.sh stage 10 compiles src/sanity/thread_safety_check.cc with
+// scripts/check.sh stage 8 compiles src/sanity/thread_safety_check.cc with
 // clang and -Werror=thread-safety when clang is available; the plain GCC
 // build compiles the same file with the macros no-opped on every run.
 

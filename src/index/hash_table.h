@@ -9,11 +9,11 @@
 // allocation pressure and NUMA traffic.
 //
 // Lock contract (machine-checked): every mutation happens between
-// Env::LockAcquired(&stripe) and Env::LockReleased(&stripe) on the stripe
-// owning the bucket. Those hooks carry clang thread-safety annotations
+// Env::Lock(&stripe, hold) and Env::LockReleased(&stripe) on the stripe
+// owning the bucket. Those calls carry clang thread-safety annotations
 // (src/common/thread_annotations.h), so an unbalanced path — say an early
 // return that forgets the release — fails -Werror=thread-safety in
-// check.sh stage 10, and the same pair feeds the dynamic race detector its
+// check.sh stage 8, and the same pair feeds the dynamic race detector its
 // happens-before edge. Find()/ForEachInBuckets() are lock-free BY DESIGN:
 // they are only legal in probe/merge phases that a barrier separates from
 // all writers (the race detector checks that phase discipline dynamically;
@@ -78,10 +78,7 @@ class ConcurrentHashTable {
     env.Compute(kHashCycles);
     uint64_t b = HashKey(key) & mask_;
     sim::VirtualLock& stripe = stripes_[b & kStripeMask];
-    uint64_t wait = stripe.Acquire(env.self->clock, kLockHoldCycles);
-    env.self->Charge(wait);
-    env.self->counters.lock_wait_cycles += wait;
-    env.LockAcquired(&stripe);
+    env.Lock(&stripe, kLockHoldCycles);
 
     env.Read(&buckets_[b], sizeof(Entry*));
     Entry* e = buckets_[b];

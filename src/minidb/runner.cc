@@ -32,10 +32,8 @@ sim::Task QueryWorker(Env& env, const QueryPlan& cold, const QueryPlan& warm,
       if (phase.rows == 0) {
         if (env.worker_index == 0) phase.body(q, 0, 0);
       } else {
-        uint64_t per = phase.rows / static_cast<uint64_t>(env.num_workers);
-        uint64_t lo = per * static_cast<uint64_t>(env.worker_index);
-        uint64_t hi = env.worker_index == env.num_workers - 1 ? phase.rows
-                                                              : lo + per;
+        auto [lo, hi] = workloads::WorkerSlice(phase.rows, env.num_workers,
+                                               env.worker_index);
         for (uint64_t m = lo; m < hi; m += kMorselRows) {
           phase.body(q, m, std::min(m + kMorselRows, hi));
           co_await env.Checkpoint();

@@ -15,7 +15,7 @@
 //  * every VThread (plus the setup/root context, tid -1) carries a vector
 //    clock; Engine::Spawn forks it, thread completion joins it back;
 //  * SimMutex lock/unlock, SimBarrier arrive/release and VirtualLock
-//    critical sections (via Env::LockAcquired/LockReleased) are the
+//    critical sections (via Env::Lock/LockReleased) are the
 //    release/acquire edges;
 //  * every simulated memory touch funnels through MemSystem::Access /
 //    AccessSpan, which forward (thread, sim address range, is-write) here.
@@ -105,7 +105,7 @@ class RaceDetector {
 
   // -- synchronization edges -----------------------------------------------
   /// Acquire: the caller's clock joins the sync object's. Used by
-  /// SimMutex::Lock and Env::LockAcquired (VirtualLock critical sections).
+  /// SimMutex::Lock and Env::Lock (VirtualLock critical sections).
   void OnAcquire(int tid, const void* sync);
   /// Release: the sync object's clock becomes the caller's; the caller's
   /// own component is bumped so later work is concurrent with the release.

@@ -4,9 +4,9 @@
 //  * the plain GCC build proves the macros no-op cleanly on every compiler
 //    we support (this file is part of libnumalab and builds with
 //    -Wall -Wextra), and
-//  * check.sh stage 10 can compile this one TU with clang and
+//  * check.sh stage 8 can compile this one TU with clang and
 //    -Werror=thread-safety, machine-checking the acquire/release balance
-//    of the real lock surfaces it exercises: Env::LockAcquired/LockReleased
+//    of the real lock surfaces it exercises: Env::Lock/LockReleased
 //    around a VirtualLock (including an early-return path, the shape of
 //    ConcurrentHashTable::UpsertWith's OOM exit) and SimMutex Lock/Unlock
 //    with a GUARDED_BY member.
@@ -24,24 +24,23 @@
 namespace numalab {
 namespace sanity {
 
-/// The canonical VirtualLock critical section: Acquire models the timing,
-/// the LockAcquired/LockReleased pair marks the section for both the race
-/// detector (dynamic) and clang's analysis (static).
+/// The canonical VirtualLock critical section: Env::Lock models the timing
+/// and opens the section, LockReleased closes it; the pair marks the
+/// section for both the race detector (dynamic) and clang's analysis
+/// (static).
 uint64_t ThreadSafetyProbeVirtualLock(workloads::Env& env,
                                       sim::VirtualLock& lock) {
-  uint64_t wait = lock.Acquire(env.self->clock, /*hold=*/40);
-  env.self->Charge(wait);
-  env.LockAcquired(&lock);
+  env.Lock(&lock, /*hold=*/40);
   uint64_t acquires = lock.total_acquires;
   env.LockReleased(&lock);
-  return wait + acquires;
+  return acquires;
 }
 
 /// Balanced early-return path — the UpsertWith OOM-exit shape. Deleting
 /// either LockReleased call makes clang report an unbalanced capability.
 bool ThreadSafetyProbeEarlyReturn(workloads::Env& env,
                                   sim::VirtualLock& lock, bool fail) {
-  env.LockAcquired(&lock);
+  env.Lock(&lock, /*hold=*/40);
   if (fail) {
     env.LockReleased(&lock);
     return false;

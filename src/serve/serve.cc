@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -34,6 +33,7 @@ namespace {
 
 using workloads::Env;
 using workloads::SimContext;
+using workloads::WorkerSlice;
 
 // Server-side cost constants (virtual cycles). Dispatch covers request
 // parse + route + response marshalling; it is paid once per *batch*, which
@@ -66,7 +66,7 @@ struct Request {
 /// serialize on the VirtualLock and charge their slot reads/writes.
 ///
 /// Lock contract: `lock` guards the consumer side — a worker may pop
-/// (advance `head`, read `slots`) only between Env::LockAcquired(&lock)
+/// (advance `head`, read `slots`) only between Env::Lock(&lock, hold)
 /// and Env::LockReleased(&lock), which clang's thread-safety analysis
 /// checks for balance (see src/common/thread_annotations.h). Two accesses
 /// are intentionally outside the lock and are sound only because the
@@ -430,10 +430,8 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
   // under the stripe lock, exactly the W3 build idiom). ---
   {
     trace::ScopedSpan warm_span(env.self, "warmup");
-    uint64_t per = s.build_rows / static_cast<uint64_t>(env.num_workers);
-    uint64_t lo = per * static_cast<uint64_t>(env.worker_index);
-    uint64_t hi = env.worker_index == env.num_workers - 1 ? s.build_rows
-                                                          : lo + per;
+    auto [lo, hi] =
+        WorkerSlice(s.build_rows, env.num_workers, env.worker_index);
     for (uint64_t i = lo; i < hi && !env.Failed(); ++i) {
       env.Read(&s.build[i], sizeof(datagen::JoinTuple));
       s.probe_table->UpsertSet(env, s.build[i].key, s.build[i].payload);
@@ -478,10 +476,7 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
     // is a point lookup — every immediately-following point lookup up to
     // batch_max.
     auto drain = [&](Env& e) {
-      uint64_t wait = q.lock.Acquire(e.self->clock, kQueueOpCycles);
-      e.self->Charge(wait);
-      e.self->counters.lock_wait_cycles += wait;
-      e.LockAcquired(&q.lock);
+      e.Lock(&q.lock, kQueueOpCycles);
       while (q.depth() > 0 && nbatch < batch_max) {
         uint32_t id = q.slots[q.head % q.cap];
         e.Read(&q.slots[q.head % q.cap], sizeof(uint32_t));
@@ -738,18 +733,10 @@ ServeResult RunServing(const workloads::RunConfig& rc,
     std::vector<datagen::JoinTuple> host_build, host_probe;
     datagen::MakeJoinInput(s.build_rows, /*probe_rows=*/1, rc.seed,
                            &host_build, &host_probe);
-    s.build = ctx.AllocInput<datagen::JoinTuple>(host_build.size());
-    std::memcpy(s.build, host_build.data(),
-                host_build.size() * sizeof(datagen::JoinTuple));
-    ctx.PretouchInput(s.build,
-                      host_build.size() * sizeof(datagen::JoinTuple));
+    s.build = ctx.CopyInput(host_build);
   }
-  Env setup_env;
-  setup_env.engine = ctx.engine();
-  setup_env.mem = ctx.memsys();
-  setup_env.alloc = ctx.allocator();
-  setup_env.run_status = ctx.run_status();
-  ProbeTable probe_table(setup_env, s.build_rows * 2);
+  Env setup = ctx.MakeEnv();
+  ProbeTable probe_table(setup, s.build_rows * 2);
   s.probe_table = &probe_table;
 
   // minidb database for the analytic slice of the mix.

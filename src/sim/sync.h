@@ -170,9 +170,11 @@ class SimBarrier {
 /// only the *timing* model (it reserves the lock on the virtual time line
 /// and returns the queueing delay to charge); the critical section — the
 /// span other threads' conflicting accesses must be ordered against — is
-/// marked by the Env::LockAcquired / Env::LockReleased pair, which carry
-/// the NUMALAB_ACQUIRE/NUMALAB_RELEASE annotations and feed the dynamic
-/// race detector the same happens-before edge.
+/// delimited by the Env::Lock / Env::LockReleased pair (Env::Lock calls
+/// Acquire and charges the wait), which carry the
+/// NUMALAB_ACQUIRE/NUMALAB_RELEASE annotations and feed the dynamic race
+/// detector the same happens-before edge. The allocator models call
+/// Acquire directly: their locks have their own timing path.
 struct NUMALAB_CAPABILITY("VirtualLock") VirtualLock {
   uint64_t free_at = 0;
   uint64_t contended_acquires = 0;

@@ -31,17 +31,6 @@ uint64_t ReadU64(const uint8_t* p) {
 
 void WriteU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
 
-// Charges the queueing delay of an analytical lock acquire and opens the
-// race-detector / thread-safety critical section. Must be paired with
-// env.LockReleased(&lock).
-void AcquireLock(workloads::Env& env, sim::VirtualLock* lock, uint64_t hold)
-    NUMALAB_NO_THREAD_SAFETY_ANALYSIS {
-  uint64_t wait = lock->Acquire(env.self->clock, hold);
-  env.self->Charge(wait);
-  env.self->counters.lock_wait_cycles += wait;
-  env.LockAcquired(lock);
-}
-
 }  // namespace
 
 const char* ShardPlacementName(ShardPlacement p) {
@@ -153,10 +142,16 @@ void StorageEngine::FlushWal(workloads::Env& env) {
   wal_buf_.clear();
 }
 
+void StorageEngine::SyncWal(workloads::Env& env) {
+  env.Lock(&wal_lock_, kWalHoldCycles);
+  FlushWal(env);
+  env.LockReleased(&wal_lock_);
+}
+
 void StorageEngine::WalAppend(workloads::Env& env, uint64_t page,
                               uint32_t slot, uint64_t key, uint64_t value,
                               uint64_t* lsn_out) {
-  AcquireLock(env, &wal_lock_, kWalHoldCycles);
+  env.Lock(&wal_lock_, kWalHoldCycles);
   if (wal_buf_.empty()) buf_open_cycle_ = env.self->clock;
   WalRecord r;
   r.lsn = next_lsn_++;
@@ -183,9 +178,7 @@ void StorageEngine::WriteBack(workloads::Env& env, Shard& sh, Frame& f) {
   // WAL-before-data: the log must be durable through this page's LSN before
   // its image may overwrite the on-device version.
   if (f.page_lsn > flushed_lsn_) {
-    AcquireLock(env, &wal_lock_, kWalHoldCycles);
-    FlushWal(env);
-    env.LockReleased(&wal_lock_);
+    SyncWal(env);
   }
   env.ReadSpan(f.data, cfg_.page_bytes);
   std::memcpy(DiskImage(f.page), f.data, cfg_.page_bytes);
@@ -217,11 +210,7 @@ Frame* StorageEngine::FetchLocked(workloads::Env& env, int shard_idx,
     // fall back to evicting — so it must not poison the run status.
     void* p = env.alloc->TryAlloc(cfg_.page_bytes);
     if (p != nullptr) {
-      if (sanity::RaceDetector* rd = env.mem->race()) {
-        rd->OnAlloc(env.self->id,
-                    env.mem->os()->ToSimAddr(reinterpret_cast<uint64_t>(p)),
-                    cfg_.page_bytes, env.self->clock);
-      }
+      env.NoteAlloc(p, cfg_.page_bytes);
       int touch_node = shard_idx;
       if (cfg_.placement == ShardPlacement::kNode0) {
         touch_node = 0;
@@ -306,16 +295,37 @@ Frame* StorageEngine::FetchLocked(workloads::Env& env, int shard_idx,
   return victim;
 }
 
-Frame* StorageEngine::FetchPage(workloads::Env& env, uint64_t page) {
-  NUMALAB_CHECK(page < npages_);
-  MaybeCrash(env);
+int StorageEngine::RouteOrFail(workloads::Env& env, uint64_t page) {
   int si = shard_of(page);
   if (si < 0) {
     env.ReportFailure(Status::Unavailable("storage: all shards offline"));
-    return nullptr;
   }
+  return si;
+}
+
+template <typename F>
+StorageEngine::Pinned StorageEngine::WithPage(workloads::Env& env,
+                                              uint64_t page, F&& body) {
+  int si = RouteOrFail(env, page);
+  if (si < 0) return Pinned::kNoShard;
   Shard& sh = shards_[si];
-  AcquireLock(env, &sh.lock, kShardHoldCycles);
+  env.Lock(&sh.lock, kShardHoldCycles);
+  Frame* f = FetchLocked(env, si, page);
+  if (f != nullptr) {
+    body(*f);
+    UnpinPage(f);
+  }
+  env.LockReleased(&sh.lock);
+  return f != nullptr ? Pinned::kDone : Pinned::kNoFrame;
+}
+
+Frame* StorageEngine::FetchPage(workloads::Env& env, uint64_t page) {
+  NUMALAB_CHECK(page < npages_);
+  MaybeCrash(env);
+  int si = RouteOrFail(env, page);
+  if (si < 0) return nullptr;
+  Shard& sh = shards_[si];
+  env.Lock(&sh.lock, kShardHoldCycles);
   Frame* f = FetchLocked(env, si, page);
   env.LockReleased(&sh.lock);
   return f;
@@ -338,29 +348,19 @@ bool StorageEngine::Upsert(workloads::Env& env, uint64_t key,
   uint64_t lsn = 0;
   WalAppend(env, page, slot, key, value, &lsn);
 
-  int si = shard_of(page);
-  if (si < 0) {
-    env.ReportFailure(Status::Unavailable("storage: all shards offline"));
-    return false;
-  }
-  Shard& sh = shards_[si];
-  AcquireLock(env, &sh.lock, kShardHoldCycles);
-  Frame* f = FetchLocked(env, si, page);
-  bool ok = f != nullptr;
-  if (ok) {
-    ApplySlot(f->data, lsn, slot, key, value);
+  Pinned r = WithPage(env, page, [&](Frame& f) {
+    ApplySlot(f.data, lsn, slot, key, value);
     // Charge the in-frame writes: header LSN + bitmap word + the slot.
-    env.Write(f->data, 8);
-    env.Write(f->data + 8 + 8 * (slot / 64), 8);
-    env.Write(f->data + 8 + 8 * bitmap_words_ + 16 * slot, 16);
-    f->page_lsn = lsn;
-    f->dirty = true;
-    --f->pins;
-  }
-  env.LockReleased(&sh.lock);
-  if (ok) ++st_.upserts;
+    env.Write(f.data, 8);
+    env.Write(f.data + 8 + 8 * (slot / 64), 8);
+    env.Write(f.data + 8 + 8 * bitmap_words_ + 16 * slot, 16);
+    f.page_lsn = lsn;
+    f.dirty = true;
+  });
+  if (r == Pinned::kNoShard) return false;
+  if (r == Pinned::kDone) ++st_.upserts;
   MaybeCheckpoint(env);
-  return ok;
+  return r == Pinned::kDone;
 }
 
 bool StorageEngine::Get(workloads::Env& env, uint64_t key, uint64_t* value) {
@@ -369,27 +369,18 @@ bool StorageEngine::Get(workloads::Env& env, uint64_t key, uint64_t* value) {
   *value = 0;
   uint64_t page = key / slots_per_page_;
   uint32_t slot = static_cast<uint32_t>(key % slots_per_page_);
-  int si = shard_of(page);
-  if (si < 0) {
-    env.ReportFailure(Status::Unavailable("storage: all shards offline"));
-    return false;
-  }
-  Shard& sh = shards_[si];
-  AcquireLock(env, &sh.lock, kShardHoldCycles);
-  Frame* f = FetchLocked(env, si, page);
   bool found = false;
-  if (f != nullptr) {
-    env.Read(f->data + 8 + 8 * (slot / 64), 8);
-    uint64_t word = ReadU64(f->data + 8 + 8 * (slot / 64));
+  Pinned r = WithPage(env, page, [&](Frame& f) {
+    env.Read(f.data + 8 + 8 * (slot / 64), 8);
+    uint64_t word = ReadU64(f.data + 8 + 8 * (slot / 64));
     if ((word >> (slot % 64)) & 1ULL) {
-      const uint8_t* s = f->data + 8 + 8 * bitmap_words_ + 16 * slot;
+      const uint8_t* s = f.data + 8 + 8 * bitmap_words_ + 16 * slot;
       env.Read(s, 16);
       *value = ReadU64(s + 8);
       found = true;
     }
-    --f->pins;
-  }
-  env.LockReleased(&sh.lock);
+  });
+  if (r == Pinned::kNoShard) return false;
   ++st_.gets;
   return found;
 }
@@ -407,28 +398,18 @@ uint64_t StorageEngine::ScanSum(workloads::Env& env, uint64_t key,
     uint32_t first = static_cast<uint32_t>(k % slots_per_page_);
     uint64_t last = std::min(end, (page + 1) * slots_per_page_);
     uint32_t count = static_cast<uint32_t>(last - k);
-    int si = shard_of(page);
-    if (si < 0) {
-      env.ReportFailure(Status::Unavailable("storage: all shards offline"));
-      return sum;
-    }
-    Shard& sh = shards_[si];
-    AcquireLock(env, &sh.lock, kShardHoldCycles);
-    Frame* f = FetchLocked(env, si, page);
-    if (f != nullptr) {
-      const uint8_t* base = f->data + 8 + 8 * bitmap_words_ + 16 * first;
+    Pinned r = WithPage(env, page, [&](Frame& f) {
+      const uint8_t* base = f.data + 8 + 8 * bitmap_words_ + 16 * first;
       env.ReadSpan(base, 16ULL * count, 16);
       for (uint32_t i = 0; i < count; ++i) {
-        uint64_t word = ReadU64(f->data + 8 + 8 * ((first + i) / 64));
+        uint64_t word = ReadU64(f.data + 8 + 8 * ((first + i) / 64));
         if ((word >> ((first + i) % 64)) & 1ULL) {
           sum += ReadU64(base + 16ULL * i + 8);
         }
       }
       st_.scan_rows += count;
-      --f->pins;
-    }
-    env.LockReleased(&sh.lock);
-    if (f == nullptr) break;
+    });
+    if (r != Pinned::kDone) break;
     k = last;
   }
   return sum;
@@ -441,39 +422,28 @@ void StorageEngine::MaybeCheckpoint(workloads::Env& env) {
   trace::ScopedSpan span(env.self, "storage-checkpoint");
   // Sharp checkpoint: durable log, then every dirty frame written back, then
   // the log is truncated — recovery never needs to look behind it.
-  AcquireLock(env, &wal_lock_, kWalHoldCycles);
-  FlushWal(env);
-  env.LockReleased(&wal_lock_);
-  for (int si = 0; si < nodes_; ++si) {
-    Shard& sh = shards_[si];
-    if (shard_dead_[si] || sh.frames.empty()) continue;
-    AcquireLock(env, &sh.lock, kShardHoldCycles);
-    for (Frame& f : sh.frames) {
-      if (f.page != kNoPage && f.dirty) {
-        WriteBack(env, sh, f);
-        ++st_.checkpoint_pages;
-      }
-    }
-    env.LockReleased(&sh.lock);
-  }
+  st_.checkpoint_pages += FlushAll(env);
   st_.wal_truncated_records += wal_.size();
   wal_.clear();
   ++st_.checkpoints;
 }
 
-void StorageEngine::FlushAll(workloads::Env& env) {
-  AcquireLock(env, &wal_lock_, kWalHoldCycles);
-  FlushWal(env);
-  env.LockReleased(&wal_lock_);
+uint64_t StorageEngine::FlushAll(workloads::Env& env) {
+  SyncWal(env);
+  uint64_t written = 0;
   for (int si = 0; si < nodes_; ++si) {
     Shard& sh = shards_[si];
     if (shard_dead_[si] || sh.frames.empty()) continue;
-    AcquireLock(env, &sh.lock, kShardHoldCycles);
+    env.Lock(&sh.lock, kShardHoldCycles);
     for (Frame& f : sh.frames) {
-      if (f.page != kNoPage && f.dirty) WriteBack(env, sh, f);
+      if (f.page != kNoPage && f.dirty) {
+        WriteBack(env, sh, f);
+        ++written;
+      }
     }
     env.LockReleased(&sh.lock);
   }
+  return written;
 }
 
 void StorageEngine::RecoverAfterCrash(workloads::Env& env, int node) {
@@ -487,9 +457,7 @@ void StorageEngine::RecoverAfterCrash(workloads::Env& env, int node) {
   // The log device survives a node loss (the WAL buffer lives with the log
   // manager, not on the dead node's DRAM): force it durable, so every
   // acknowledged update is replayable.
-  AcquireLock(env, &wal_lock_, kWalHoldCycles);
-  FlushWal(env);
-  env.LockReleased(&wal_lock_);
+  SyncWal(env);
 
   // Crash the shard: every cached frame is gone, including dirty pages
   // whose only up-to-date copy they were.

@@ -34,8 +34,8 @@
 // Determinism: no wall clock, no host RNG (the I/O jitter comes from a
 // seeded Rng), no unordered containers; all shared frame/WAL state is
 // mutated under per-shard and WAL VirtualLocks whose critical sections are
-// marked via Env::LockAcquired/LockReleased, so race-detected runs are
-// clean and two same-seed runs are bit-identical.
+// delimited by Env::Lock/LockReleased, so race-detected runs are clean and
+// two same-seed runs are bit-identical.
 
 #ifndef NUMALAB_STORAGE_STORAGE_H_
 #define NUMALAB_STORAGE_STORAGE_H_
@@ -211,11 +211,13 @@ class StorageEngine {
   /// pool, page by page. Returns the sum (wrapping uint64 arithmetic).
   uint64_t ScanSum(workloads::Env& env, uint64_t key, uint64_t rows);
 
-  /// Flushes the WAL and writes back every dirty frame (no truncation —
-  /// use for a clean shutdown in tests; checkpoints do truncate).
-  void FlushAll(workloads::Env& env);
+  /// Flushes the WAL and writes back every dirty frame on the online
+  /// shards; returns how many frames it wrote back. No truncation — use for
+  /// a clean shutdown in tests; checkpoints (which call it) do truncate.
+  uint64_t FlushAll(workloads::Env& env);
 
-  // --- Lower-level pool interface (tests; Upsert/Get use it internally).
+  // --- Lower-level pool interface (tests). Upsert/Get/ScanSum do not pin
+  // across calls; they use the private WithPage critical section instead.
   /// Pins and returns the frame caching `page`, faulting it in (and
   /// evicting, if needed) on a miss. Null when no frame can be obtained.
   /// The caller must UnpinPage exactly once per successful FetchPage.
@@ -276,9 +278,24 @@ class StorageEngine {
   const uint8_t* DiskImage(uint64_t page) const {
     return &disk_[page * cfg_.page_bytes];
   }
+  /// What WithPage got to: no online shard for the page (Unavailable
+  /// reported), no frame for it (failure reported), or the body ran.
+  enum class Pinned { kNoShard, kNoFrame, kDone };
+
   uint64_t ChargeIo(workloads::Env& env, uint64_t base);
   void MaybeCrash(workloads::Env& env);
+  /// Owning shard of `page`, or -1 after reporting Unavailable when every
+  /// shard is offline.
+  int RouteOrFail(workloads::Env& env, uint64_t page);
+  /// The pinned-page critical section of Upsert/Get/ScanSum: route `page`
+  /// to its shard, take the shard lock, fetch the frame, run body(frame),
+  /// unpin, release. The body runs only when a frame was obtained.
+  template <typename F>
+  Pinned WithPage(workloads::Env& env, uint64_t page, F&& body);
+  /// Group-commit flush; the caller holds wal_lock_.
   void FlushWal(workloads::Env& env);
+  /// FlushWal under its own wal_lock_ section.
+  void SyncWal(workloads::Env& env);
   void WalAppend(workloads::Env& env, uint64_t page, uint32_t slot,
                  uint64_t key, uint64_t value, uint64_t* lsn_out);
   void MaybeCheckpoint(workloads::Env& env);

@@ -136,9 +136,9 @@ void AppendRun(std::string* out, const CollectedRun& run, int id) {
           ",\"all_offline_binds\":%" PRIu64
           ",\"alloc_failures_injected\":%" PRIu64
           ",\"migration_failures_injected\":%" PRIu64 "}",
-          r.pages_spilled, r.oom_last_resort_pages, r.offline_redirects,
-          r.all_offline_binds, r.alloc_failures_injected,
-          r.migration_failures_injected);
+          s.pages_spilled, s.oom_last_resort_pages, s.offline_redirects,
+          s.all_offline_binds, s.alloc_failures_injected,
+          s.migration_failures_injected);
 
   out->append(",\n     \"threads\":[");
   for (size_t i = 0; i < r.trace.threads.size(); ++i) {

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "src/alloc/allocator.h"
 #include "src/common/status.h"
@@ -48,13 +49,7 @@ struct Env {
 
   void* Alloc(size_t n) {
     void* p = alloc->Alloc(n);
-    if (sanity::RaceDetector* rd = mem->race()) {
-      // Allocator reuse is not a happens-before edge: a freshly returned
-      // block carries no shadow history (exactly how TSan treats malloc).
-      rd->OnAlloc(self != nullptr ? self->id : -1,
-                  mem->os()->ToSimAddr(reinterpret_cast<uint64_t>(p)), n,
-                  self != nullptr ? self->clock : 0);
-    }
+    NoteAlloc(p, n);
     return p;
   }
   void Free(void* p) { alloc->Free(p); }
@@ -69,12 +64,20 @@ struct Env {
       ReportFailure(Status::OutOfMemory("allocation failed"));
       return nullptr;
     }
+    NoteAlloc(p, n);
+    return p;
+  }
+
+  /// Tells the race detector (if attached) that [p, p+n) is a fresh block.
+  /// Allocator reuse is not a happens-before edge: a freshly returned block
+  /// carries no shadow history (exactly how TSan treats malloc). Call it
+  /// after any allocation that bypasses Alloc/TryAlloc.
+  void NoteAlloc(const void* p, size_t n) {
     if (sanity::RaceDetector* rd = mem->race()) {
       rd->OnAlloc(self != nullptr ? self->id : -1,
                   mem->os()->ToSimAddr(reinterpret_cast<uint64_t>(p)), n,
                   self != nullptr ? self->clock : 0);
     }
-    return p;
   }
 
   /// True once any worker of this run has reported a failure.
@@ -88,22 +91,26 @@ struct Env {
     }
   }
 
-  /// Happens-before hooks for VirtualLock critical sections. VirtualLock is
-  /// analytical (no suspension, no engine pointer), so the *user* marks the
-  /// section: call LockAcquired right after VirtualLock::Acquire and
-  /// LockReleased once the protected writes are done. No-ops (one branch)
-  /// when the race detector is off.
+  /// Enters the critical section of an analytical VirtualLock held for
+  /// `hold` cycles: reserves the lock on the virtual time line, charges the
+  /// queueing delay (also counted as lock_wait_cycles) and gives the race
+  /// detector its acquire edge. LockReleased closes the section once the
+  /// protected writes are done; the detector hooks are one branch when it
+  /// is off.
   ///
   /// The pair doubles as the *static* lock contract: under clang's
-  /// thread-safety analysis LockAcquired acquires the capability and
-  /// LockReleased releases it, so every path between them must balance
-  /// (-Werror=thread-safety in check.sh stage 10). The bodies opt out of
-  /// body analysis — they only forward to the race detector, which is the
-  /// dynamic half of the same contract.
-  void LockAcquired(const sim::VirtualLock* lock) NUMALAB_ACQUIRE(lock)
+  /// thread-safety analysis Lock acquires the capability and LockReleased
+  /// releases it, so every path between them must balance
+  /// (-Werror=thread-safety in check.sh stage 8). The bodies opt out of
+  /// body analysis — they model timing and forward to the race detector,
+  /// which is the dynamic half of the same contract.
+  void Lock(sim::VirtualLock* lock, uint64_t hold) NUMALAB_ACQUIRE(lock)
       NUMALAB_NO_THREAD_SAFETY_ANALYSIS {
+    uint64_t wait = lock->Acquire(self->clock, hold);
+    self->Charge(wait);
+    self->counters.lock_wait_cycles += wait;
     if (sanity::RaceDetector* rd = mem->race()) {
-      rd->OnAcquire(self != nullptr ? self->id : -1, lock);
+      rd->OnAcquire(self->id, lock);
     }
   }
   void LockReleased(const sim::VirtualLock* lock) NUMALAB_RELEASE(lock)
@@ -112,30 +119,6 @@ struct Env {
       rd->OnRelease(self != nullptr ? self->id : -1, lock);
     }
   }
-};
-
-/// \brief STL allocator adapter so containers used by workloads (group
-/// value vectors, output buffers) allocate through the simulated allocator.
-template <typename T>
-class SimStlAlloc {
- public:
-  using value_type = T;
-
-  explicit SimStlAlloc(alloc::SimAllocator* a) : a_(a) {}
-  template <typename U>
-  SimStlAlloc(const SimStlAlloc<U>& o) : a_(o.raw()) {}  // NOLINT implicit
-
-  T* allocate(size_t n) {
-    return static_cast<T*>(a_->Alloc(n * sizeof(T)));
-  }
-  void deallocate(T* p, size_t) { a_->Free(p); }
-
-  alloc::SimAllocator* raw() const { return a_; }
-
-  bool operator==(const SimStlAlloc& o) const { return a_ == o.a_; }
-
- private:
-  alloc::SimAllocator* a_;
 };
 
 /// Marks every page backing [p, p+len) as touched by `node` — used after
@@ -155,6 +138,62 @@ inline void PretouchAsNode(mem::MemSystem* mem, const void* p, size_t len,
     mem->os()->Touch(region, idx, node);
   }
 }
+
+/// \brief A half-open index range [lo, hi).
+struct Slice {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+};
+
+/// Part `me` of [0, n) cut into `parts` equal slices, the remainder going
+/// to the last part (so with n < parts only the last part is non-empty).
+/// The one work split every multi-worker phase uses; W4's probers pass
+/// parts = num_workers - 1, me = worker_index - 1 to skip the builder.
+inline Slice WorkerSlice(uint64_t n, int parts, int me) {
+  uint64_t per = n / static_cast<uint64_t>(parts);
+  uint64_t lo = per * static_cast<uint64_t>(me);
+  return {lo, me == parts - 1 ? n : lo + per};
+}
+
+/// \brief Growable array in simulated memory, grown through the run's
+/// allocator so growth and copy costs are measured — the way a query
+/// operator grows its buffers through malloc. T must be trivially
+/// copyable. The layout is just the pointer and two SizeT counters, so
+/// SimVec<int64_t, uint32_t> is 16 bytes and fits W1's 32-byte hash-table
+/// entry; that is why the first capacity is an Append argument rather than
+/// a member. The buffer is never freed (it lives to the end of the run).
+template <typename T, typename SizeT = uint64_t>
+struct SimVec {
+  T* data = nullptr;
+  SizeT size = 0;
+  SizeT cap = 0;
+
+  /// Appends xs[0, n). When they do not fit, the capacity doubles
+  /// (`first_cap` on the first growth): TryAlloc the new block, charge the
+  /// copy as a span read of the old block and a span write of the new one,
+  /// free the old block. Then one charged write covers the n new elements.
+  /// Fallible under a faultlab plan: a failed growth drops the elements,
+  /// marks the run failed (env.Failed()) and returns false.
+  bool Append(Env& env, const T* xs, SizeT n, SizeT first_cap) {
+    if (size + n > cap) {
+      SizeT new_cap = cap == 0 ? first_cap : cap * 2;
+      auto* nd = static_cast<T*>(env.TryAlloc(new_cap * sizeof(T)));
+      if (nd == nullptr) return false;
+      if (size > 0) {
+        env.ReadSpan(data, size * sizeof(T));
+        env.WriteSpan(nd, size * sizeof(T));
+        std::memcpy(nd, data, size * sizeof(T));
+        env.Free(data);
+      }
+      data = nd;
+      cap = new_cap;
+    }
+    std::memcpy(data + size, xs, n * sizeof(T));
+    env.Write(data + size, n * sizeof(T));
+    size += n;
+    return true;
+  }
+};
 
 }  // namespace workloads
 }  // namespace numalab

@@ -102,7 +102,8 @@ struct RunResult {
   /// OK for a clean run; OutOfMemory when a worker hit (injected or real)
   /// allocation failure and wound down; DeadlineExceeded when the watchdog
   /// cut the run short. A degraded-but-complete run (spill, offline
-  /// redirects, failed migrations) stays OK — see the counters below.
+  /// redirects, failed migrations) stays OK — see the degradation
+  /// counters in report.system.
   Status status;
   uint64_t cycles = 0;           ///< virtual makespan
   perf::PerfReport report;
@@ -117,15 +118,6 @@ struct RunResult {
   /// had a trace recorder attached — RunConfig::trace or --json-out /
   /// --trace-out collection).
   trace::RunTrace trace;
-
-  // Degradation counters (copies of the SystemCounters fields; all zero in
-  // a no-fault run).
-  uint64_t pages_spilled = 0;
-  uint64_t oom_last_resort_pages = 0;
-  uint64_t offline_redirects = 0;
-  uint64_t all_offline_binds = 0;
-  uint64_t alloc_failures_injected = 0;
-  uint64_t migration_failures_injected = 0;
 
   double MemoryOverhead() const {
     if (requested_peak == 0) return 0.0;

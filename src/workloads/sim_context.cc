@@ -95,15 +95,20 @@ SimContext::SimContext(const RunConfig& config)
   sched_.Start();
 }
 
+Env SimContext::MakeEnv() {
+  Env env;
+  env.engine = &engine_;
+  env.mem = memsys_.get();
+  env.alloc = allocator_.get();
+  env.run_status = &run_status_;
+  return env;
+}
+
 void SimContext::SpawnWorkers(const std::function<sim::Task(Env&)>& body) {
   for (int i = 0; i < config_.threads; ++i) {
-    auto env = std::make_unique<Env>();
-    env->engine = &engine_;
-    env->mem = memsys_.get();
-    env->alloc = allocator_.get();
+    auto env = std::make_unique<Env>(MakeEnv());
     env->worker_index = i;
     env->num_workers = config_.threads;
-    env->run_status = &run_status_;
     Env* raw = env.get();
     envs_.push_back(std::move(env));
 
@@ -141,13 +146,6 @@ void SimContext::Finish(RunResult* result) {
       result->trace.threads.push_back(std::move(ts));
     }
   }
-
-  result->pages_spilled = sys_.pages_spilled;
-  result->oom_last_resort_pages = sys_.oom_last_resort_pages;
-  result->offline_redirects = sys_.offline_redirects;
-  result->all_offline_binds = sys_.all_offline_binds;
-  result->alloc_failures_injected = sys_.alloc_failures_injected;
-  result->migration_failures_injected = sys_.migration_failures_injected;
 
   if (race_ != nullptr) {
     result->races = race_->races_observed();

@@ -5,8 +5,10 @@
 #ifndef NUMALAB_WORKLOADS_SIM_CONTEXT_H_
 #define NUMALAB_WORKLOADS_SIM_CONTEXT_H_
 
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "src/alloc/allocator.h"
 #include "src/faultlab/faultlab.h"
@@ -54,15 +56,30 @@ class SimContext {
   /// Run-wide status the workers' Envs report failures into.
   Status* run_status() { return &run_status_; }
 
-  /// Allocates + pretouches an input array as if a single producer thread
-  /// on node 0 generated it (see PretouchAsNode).
+  /// An Env bound to this run's engine, memory system, allocator and run
+  /// status, with no thread (`self` is null) and worker 0 of 1: what setup
+  /// code uses outside any coroutine. SpawnWorkers builds each worker's Env
+  /// from it. Structures that keep a reference to their setup Env (such as
+  /// ConcurrentHashTable) need the result bound to a named local that
+  /// outlives them.
+  Env MakeEnv();
+
+  /// Allocates an uninitialised array of `count` T through the run's
+  /// allocator. Setup code calls it outside any worker, so nothing is
+  /// charged; unlike CopyInput it does not pretouch.
   template <typename T>
   T* AllocInput(size_t count) {
-    T* p = static_cast<T*>(allocator_->Alloc(count * sizeof(T)));
-    return p;
+    return static_cast<T*>(allocator_->Alloc(count * sizeof(T)));
   }
-  void PretouchInput(const void* p, size_t len) {
-    PretouchAsNode(memsys_.get(), p, len, /*node=*/0);
+  /// Stages a host-generated input in simulated memory: AllocInput, copy
+  /// `host` in, then pretouch it on node 0 as if a single producer thread
+  /// there had generated it (see PretouchAsNode).
+  template <typename T>
+  T* CopyInput(const std::vector<T>& host) {
+    T* p = AllocInput<T>(host.size());
+    std::memcpy(p, host.data(), host.size() * sizeof(T));
+    PretouchAsNode(memsys_.get(), p, host.size() * sizeof(T), /*node=*/0);
+    return p;
   }
 
  private:

@@ -6,7 +6,7 @@
 // behaviour the paper's Fig. 6a-c exploits. W2 keeps one counter per group
 // and is placement-bound rather than allocator-bound (Fig. 6d-f).
 
-#include <cstring>
+#include <algorithm>
 
 #include "src/common/logging.h"
 #include "src/datagen/datagen.h"
@@ -20,36 +20,6 @@ namespace numalab {
 namespace workloads {
 namespace {
 
-/// Growable per-group value array, managed through the simulated allocator
-/// so growth and copy costs are measured.
-struct GroupVec {
-  int64_t* data = nullptr;
-  uint32_t size = 0;
-  uint32_t cap = 0;
-};
-
-// Fallible under a faultlab plan: a failed growth allocation drops the
-// value, marks the run failed (env.Failed()), and returns false.
-bool Append(Env& env, GroupVec* v, int64_t x) {
-  if (v->size == v->cap) {
-    uint32_t new_cap = v->cap == 0 ? 8 : v->cap * 2;
-    auto* nd = static_cast<int64_t*>(env.TryAlloc(new_cap * sizeof(int64_t)));
-    if (nd == nullptr) return false;
-    if (v->size > 0) {
-      env.ReadSpan(v->data, v->size * sizeof(int64_t));
-      env.WriteSpan(nd, v->size * sizeof(int64_t));
-      std::memcpy(nd, v->data, v->size * sizeof(int64_t));
-      env.Free(v->data);
-    }
-    v->data = nd;
-    v->cap = new_cap;
-  }
-  v->data[v->size] = x;
-  env.Write(&v->data[v->size], sizeof(int64_t));
-  ++v->size;
-  return true;
-}
-
 struct AggShared {
   const datagen::Record* input = nullptr;
   uint64_t n = 0;
@@ -57,16 +27,20 @@ struct AggShared {
   std::vector<uint64_t> checksums;  // per worker
 };
 
+/// Per-group value array. It lives inside the hash-table entry, so its
+/// 16-byte layout fixes the 32-byte entry, its size class and the simulated
+/// address stream.
+using GroupVec = SimVec<int64_t, uint32_t>;
+static_assert(sizeof(GroupVec) == 16, "W1 entries must stay 32 bytes");
+// First capacity of a group's value array.
+constexpr uint32_t kGroupFirstCap = 8;
+
 using W1Table = index::ConcurrentHashTable<GroupVec>;
 using W2Table = index::ConcurrentHashTable<uint64_t>;
 
 sim::Task W1Worker(Env& env, AggShared& shared, W1Table& table) {
   trace::ScopedSpan worker_span(env.self, "worker");
-  uint64_t per = shared.n / static_cast<uint64_t>(env.num_workers);
-  uint64_t lo = per * static_cast<uint64_t>(env.worker_index);
-  uint64_t hi = env.worker_index == env.num_workers - 1
-                    ? shared.n
-                    : lo + per;
+  auto [lo, hi] = WorkerSlice(shared.n, env.num_workers, env.worker_index);
 
   // Phase 1: build the shared table, appending every value to its group.
   // The append mutates the shared entry, so it runs inside the stripe's
@@ -78,7 +52,7 @@ sim::Task W1Worker(Env& env, AggShared& shared, W1Table& table) {
     for (uint64_t i = lo; i < hi && !env.Failed(); ++i) {
       env.Read(&shared.input[i], sizeof(datagen::Record));
       table.UpsertWith(env, shared.input[i].key, [&](W1Table::Entry* entry) {
-        Append(env, &entry->value, shared.input[i].val);
+        entry->value.Append(env, &shared.input[i].val, 1, kGroupFirstCap);
       });
       co_await env.Checkpoint();
     }
@@ -87,12 +61,8 @@ sim::Task W1Worker(Env& env, AggShared& shared, W1Table& table) {
 
   // Phase 2: compute MEDIAN per group; groups partitioned by bucket range.
   trace::ScopedSpan agg_span(env.self, "aggregate");
-  uint64_t buckets = table.nbuckets();
-  uint64_t bper = buckets / static_cast<uint64_t>(env.num_workers);
-  uint64_t blo = bper * static_cast<uint64_t>(env.worker_index);
-  uint64_t bhi = env.worker_index == env.num_workers - 1
-                     ? buckets
-                     : blo + bper;
+  auto [blo, bhi] =
+      WorkerSlice(table.nbuckets(), env.num_workers, env.worker_index);
   uint64_t checksum = 0;
   uint64_t visited = 0;
   if (!env.Failed()) {
@@ -115,11 +85,7 @@ sim::Task W1Worker(Env& env, AggShared& shared, W1Table& table) {
 
 sim::Task W2Worker(Env& env, AggShared& shared, W2Table& table) {
   trace::ScopedSpan worker_span(env.self, "worker");
-  uint64_t per = shared.n / static_cast<uint64_t>(env.num_workers);
-  uint64_t lo = per * static_cast<uint64_t>(env.worker_index);
-  uint64_t hi = env.worker_index == env.num_workers - 1
-                    ? shared.n
-                    : lo + per;
+  auto [lo, hi] = WorkerSlice(shared.n, env.num_workers, env.worker_index);
 
   {
     trace::ScopedSpan build_span(env.self, "build");
@@ -135,12 +101,8 @@ sim::Task W2Worker(Env& env, AggShared& shared, W2Table& table) {
   }
 
   trace::ScopedSpan agg_span(env.self, "aggregate");
-  uint64_t buckets = table.nbuckets();
-  uint64_t bper = buckets / static_cast<uint64_t>(env.num_workers);
-  uint64_t blo = bper * static_cast<uint64_t>(env.worker_index);
-  uint64_t bhi = env.worker_index == env.num_workers - 1
-                     ? buckets
-                     : blo + bper;
+  auto [blo, bhi] =
+      WorkerSlice(table.nbuckets(), env.num_workers, env.worker_index);
   uint64_t checksum = 0;
   if (!env.Failed()) {
     table.ForEachInBuckets(env, blo, bhi,
@@ -157,17 +119,9 @@ RunResult RunAggregation(const RunConfig& config, WorkerFn&& worker) {
   std::vector<datagen::Record> host_input = datagen::MakeAggregationInput(
       config.dataset, config.num_records, config.cardinality, config.seed);
 
-  auto* input = ctx.AllocInput<datagen::Record>(host_input.size());
-  std::memcpy(input, host_input.data(),
-              host_input.size() * sizeof(datagen::Record));
-  ctx.PretouchInput(input, host_input.size() * sizeof(datagen::Record));
-
-  Env setup_env;
-  setup_env.engine = ctx.engine();
-  setup_env.mem = ctx.memsys();
-  setup_env.alloc = ctx.allocator();
-  setup_env.run_status = ctx.run_status();
-  Table table(setup_env, config.cardinality * 2);
+  const datagen::Record* input = ctx.CopyInput(host_input);
+  Env setup = ctx.MakeEnv();
+  Table table(setup, config.cardinality * 2);
 
   AggShared shared;
   shared.input = input;

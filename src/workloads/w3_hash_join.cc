@@ -7,8 +7,6 @@
 // per build tuple, growing output buffers), which is why it shows the
 // paper's largest allocator speedups (Fig. 6g-i).
 
-#include <cstring>
-
 #include "src/datagen/datagen.h"
 #include "src/index/hash_table.h"
 #include "src/trace/export.h"
@@ -22,36 +20,8 @@ namespace {
 
 using JoinTable = index::ConcurrentHashTable<uint64_t>;
 
-struct OutBuf {
-  uint64_t* data = nullptr;
-  uint64_t size = 0;
-  uint64_t cap = 0;
-};
-
-// Fallible under a faultlab plan: a failed growth allocation drops the
-// match, marks the run failed (env.Failed()), and returns false.
-bool Emit(Env& env, OutBuf* out, uint64_t a, uint64_t b, uint64_t c) {
-  if (out->size + 3 > out->cap) {
-    uint64_t new_cap = out->cap == 0 ? 1024 : out->cap * 2;
-    auto* nd =
-        static_cast<uint64_t*>(env.TryAlloc(new_cap * sizeof(uint64_t)));
-    if (nd == nullptr) return false;
-    if (out->size > 0) {
-      env.ReadSpan(out->data, out->size * sizeof(uint64_t));
-      env.WriteSpan(nd, out->size * sizeof(uint64_t));
-      std::memcpy(nd, out->data, out->size * sizeof(uint64_t));
-      env.Free(out->data);
-    }
-    out->data = nd;
-    out->cap = new_cap;
-  }
-  out->data[out->size] = a;
-  out->data[out->size + 1] = b;
-  out->data[out->size + 2] = c;
-  env.Write(&out->data[out->size], 3 * sizeof(uint64_t));
-  out->size += 3;
-  return true;
-}
+// First capacity (in uint64s) of a worker's match buffer.
+constexpr uint64_t kOutFirstCap = 1024;
 
 struct JoinShared {
   const datagen::JoinTuple* build = nullptr;
@@ -65,12 +35,10 @@ struct JoinShared {
 sim::Task W3Worker(Env& env, JoinShared& shared, JoinTable& table) {
   trace::ScopedSpan worker_span(env.self, "worker");
   // Build phase over the small relation.
-  uint64_t per = shared.build_n / static_cast<uint64_t>(env.num_workers);
-  uint64_t lo = per * static_cast<uint64_t>(env.worker_index);
-  uint64_t hi = env.worker_index == env.num_workers - 1 ? shared.build_n
-                                                        : lo + per;
   {
     trace::ScopedSpan build_span(env.self, "build");
+    auto [lo, hi] =
+        WorkerSlice(shared.build_n, env.num_workers, env.worker_index);
     for (uint64_t i = lo; i < hi && !env.Failed(); ++i) {
       env.Read(&shared.build[i], sizeof(datagen::JoinTuple));
       table.UpsertWith(env, shared.build[i].key, [&](JoinTable::Entry* e) {
@@ -84,18 +52,16 @@ sim::Task W3Worker(Env& env, JoinShared& shared, JoinTable& table) {
 
   // Probe phase over the large relation.
   trace::ScopedSpan probe_span(env.self, "probe");
-  per = shared.probe_n / static_cast<uint64_t>(env.num_workers);
-  lo = per * static_cast<uint64_t>(env.worker_index);
-  hi = env.worker_index == env.num_workers - 1 ? shared.probe_n : lo + per;
-  OutBuf out;
+  auto [lo, hi] =
+      WorkerSlice(shared.probe_n, env.num_workers, env.worker_index);
+  SimVec<uint64_t> out;
   uint64_t found = 0;
   for (uint64_t i = lo; i < hi && !env.Failed(); ++i) {
     env.Read(&shared.probe[i], sizeof(datagen::JoinTuple));
     if (auto* e = table.Find(env, shared.probe[i].key)) {
-      if (!Emit(env, &out, shared.probe[i].key, e->value,
-                shared.probe[i].payload)) {
-        break;
-      }
+      uint64_t row[3] = {shared.probe[i].key, e->value,
+                         shared.probe[i].payload};
+      if (!out.Append(env, row, 3, kOutFirstCap)) break;
       ++found;
     }
     co_await env.Checkpoint();
@@ -112,21 +78,10 @@ RunResult RunW3HashJoin(const RunConfig& config) {
   datagen::MakeJoinInput(config.build_rows, config.probe_rows, config.seed,
                          &host_build, &host_probe);
 
-  auto* build = ctx.AllocInput<datagen::JoinTuple>(host_build.size());
-  auto* probe = ctx.AllocInput<datagen::JoinTuple>(host_probe.size());
-  std::memcpy(build, host_build.data(),
-              host_build.size() * sizeof(datagen::JoinTuple));
-  std::memcpy(probe, host_probe.data(),
-              host_probe.size() * sizeof(datagen::JoinTuple));
-  ctx.PretouchInput(build, host_build.size() * sizeof(datagen::JoinTuple));
-  ctx.PretouchInput(probe, host_probe.size() * sizeof(datagen::JoinTuple));
-
-  Env setup_env;
-  setup_env.engine = ctx.engine();
-  setup_env.mem = ctx.memsys();
-  setup_env.alloc = ctx.allocator();
-  setup_env.run_status = ctx.run_status();
-  JoinTable table(setup_env, config.build_rows * 2);
+  const datagen::JoinTuple* build = ctx.CopyInput(host_build);
+  const datagen::JoinTuple* probe = ctx.CopyInput(host_probe);
+  Env setup = ctx.MakeEnv();
+  JoinTable table(setup, config.build_rows * 2);
 
   JoinShared shared;
   shared.build = build;

@@ -7,8 +7,6 @@
 // allocations (only output growth), so — as the paper observes — placement
 // and lookup locality dominate and allocator gains are smaller than W3's.
 
-#include <cstring>
-
 #include "src/datagen/datagen.h"
 #include "src/index/index.h"
 #include "src/trace/export.h"
@@ -32,36 +30,8 @@ struct W4Shared {
   std::vector<uint64_t> matches;
 };
 
-struct W4Out {
-  uint64_t* data = nullptr;
-  uint64_t size = 0;
-  uint64_t cap = 0;
-};
-
-// Fallible under a faultlab plan: a failed growth allocation drops the
-// match, marks the run failed (env.Failed()), and returns false.
-bool EmitW4(Env& env, W4Out* out, uint64_t a, uint64_t b, uint64_t c) {
-  if (out->size + 3 > out->cap) {
-    uint64_t new_cap = out->cap == 0 ? 1024 : out->cap * 2;
-    auto* nd =
-        static_cast<uint64_t*>(env.TryAlloc(new_cap * sizeof(uint64_t)));
-    if (nd == nullptr) return false;
-    if (out->size > 0) {
-      env.ReadSpan(out->data, out->size * sizeof(uint64_t));
-      env.WriteSpan(nd, out->size * sizeof(uint64_t));
-      std::memcpy(nd, out->data, out->size * sizeof(uint64_t));
-      env.Free(out->data);
-    }
-    out->data = nd;
-    out->cap = new_cap;
-  }
-  out->data[out->size] = a;
-  out->data[out->size + 1] = b;
-  out->data[out->size + 2] = c;
-  env.Write(&out->data[out->size], 3 * sizeof(uint64_t));
-  out->size += 3;
-  return true;
-}
+// First capacity (in uint64s) of a prober's match buffer.
+constexpr uint64_t kOutFirstCap = 1024;
 
 sim::Task W4Builder(Env& env, W4Shared& shared) {
   trace::ScopedSpan worker_span(env.self, "worker");
@@ -84,22 +54,18 @@ sim::Task W4Prober(Env& env, W4Shared& shared) {
 
   trace::ScopedSpan probe_span(env.self, "probe");
   // worker_index 0 is the builder; probers are 1..num_workers-1.
-  int probers = env.num_workers - 1;
-  int me = env.worker_index - 1;
-  uint64_t per = shared.probe_n / static_cast<uint64_t>(probers);
-  uint64_t lo = per * static_cast<uint64_t>(me);
-  uint64_t hi = me == probers - 1 ? shared.probe_n : lo + per;
+  auto [lo, hi] = WorkerSlice(shared.probe_n, env.num_workers - 1,
+                              env.worker_index - 1);
 
-  W4Out out;
+  SimVec<uint64_t> out;
   uint64_t found = 0;
   for (uint64_t i = lo; i < hi && !env.Failed(); ++i) {
     env.Read(&shared.probe[i], sizeof(datagen::JoinTuple));
     uint64_t payload = 0;
     if (shared.index->Lookup(env, shared.probe[i].key, &payload)) {
-      if (!EmitW4(env, &out, shared.probe[i].key, payload,
-                  shared.probe[i].payload)) {
-        break;
-      }
+      uint64_t row[3] = {shared.probe[i].key, payload,
+                         shared.probe[i].payload};
+      if (!out.Append(env, row, 3, kOutFirstCap)) break;
       ++found;
     }
     co_await env.Checkpoint();
@@ -121,14 +87,8 @@ RunResult RunW4IndexJoin(const RunConfig& config,
   datagen::MakeJoinInput(config.build_rows, config.probe_rows, config.seed,
                          &host_build, &host_probe);
 
-  auto* build = ctx.AllocInput<datagen::JoinTuple>(host_build.size());
-  auto* probe = ctx.AllocInput<datagen::JoinTuple>(host_probe.size());
-  std::memcpy(build, host_build.data(),
-              host_build.size() * sizeof(datagen::JoinTuple));
-  std::memcpy(probe, host_probe.data(),
-              host_probe.size() * sizeof(datagen::JoinTuple));
-  ctx.PretouchInput(build, host_build.size() * sizeof(datagen::JoinTuple));
-  ctx.PretouchInput(probe, host_probe.size() * sizeof(datagen::JoinTuple));
+  const datagen::JoinTuple* build = ctx.CopyInput(host_build);
+  const datagen::JoinTuple* probe = ctx.CopyInput(host_probe);
 
   auto idx = index::MakeIndex(index_name, config.seed);
 

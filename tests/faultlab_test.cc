@@ -300,7 +300,7 @@ TEST(FaultlabWorkload, PressureRunDegradesGracefully) {
   workloads::RunResult r = workloads::RunW3HashJoin(c);
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.checksum, c.probe_rows);  // answers stay correct under spill
-  EXPECT_GT(r.pages_spilled, 0u);
+  EXPECT_GT(r.report.system.pages_spilled, 0u);
 }
 
 TEST(FaultlabWorkload, SameSeedSamePlanIsBitReproducible) {
@@ -309,8 +309,9 @@ TEST(FaultlabWorkload, SameSeedSamePlanIsBitReproducible) {
   workloads::RunResult b = workloads::RunW3HashJoin(c);
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.checksum, b.checksum);
-  EXPECT_EQ(a.pages_spilled, b.pages_spilled);
-  EXPECT_EQ(a.oom_last_resort_pages, b.oom_last_resort_pages);
+  EXPECT_EQ(a.report.system.pages_spilled, b.report.system.pages_spilled);
+  EXPECT_EQ(a.report.system.oom_last_resort_pages,
+            b.report.system.oom_last_resort_pages);
   EXPECT_EQ(a.report.threads.mem_accesses, b.report.threads.mem_accesses);
   EXPECT_EQ(a.report.threads.llc_misses, b.report.threads.llc_misses);
 }
@@ -324,8 +325,10 @@ TEST(FaultlabWorkload, ScalarAndSpanPathsAgreeUnderFaults) {
   workloads::RunResult scalar = workloads::RunW3HashJoin(c);
   EXPECT_EQ(span.cycles, scalar.cycles);
   EXPECT_EQ(span.checksum, scalar.checksum);
-  EXPECT_EQ(span.pages_spilled, scalar.pages_spilled);
-  EXPECT_EQ(span.oom_last_resort_pages, scalar.oom_last_resort_pages);
+  EXPECT_EQ(span.report.system.pages_spilled,
+            scalar.report.system.pages_spilled);
+  EXPECT_EQ(span.report.system.oom_last_resort_pages,
+            scalar.report.system.oom_last_resort_pages);
 }
 
 TEST(FaultlabWorkload, InjectedAllocFailureBecomesStatusNotAbort) {
@@ -336,7 +339,7 @@ TEST(FaultlabWorkload, InjectedAllocFailureBecomesStatusNotAbort) {
   EXPECT_FALSE(r.status.ok());
   EXPECT_EQ(r.status.code(), Status::Code::kOutOfMemory)
       << r.status.ToString();
-  EXPECT_GT(r.alloc_failures_injected, 0u);
+  EXPECT_GT(r.report.system.alloc_failures_injected, 0u);
 }
 
 TEST(FaultlabWorkload, DegradedLinksSlowTheRunButKeepItCorrect) {
@@ -369,9 +372,9 @@ TEST(FaultlabWorkload, DefaultPlanMatchesNoFaultRun) {
   workloads::RunResult b = workloads::RunW3HashJoin(c);
   EXPECT_TRUE(a.status.ok());
   EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.pages_spilled, 0u);
-  EXPECT_EQ(a.oom_last_resort_pages, 0u);
-  EXPECT_EQ(a.alloc_failures_injected, 0u);
+  EXPECT_EQ(a.report.system.pages_spilled, 0u);
+  EXPECT_EQ(a.report.system.oom_last_resort_pages, 0u);
+  EXPECT_EQ(a.report.system.alloc_failures_injected, 0u);
 }
 
 }  // namespace

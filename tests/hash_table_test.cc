@@ -18,11 +18,7 @@ using workloads::SimContext;
 
 class HashTableTest : public ::testing::Test {
  protected:
-  HashTableTest() : ctx_(Config()) {
-    env_.engine = ctx_.engine();
-    env_.mem = ctx_.memsys();
-    env_.alloc = ctx_.allocator();
-  }
+  HashTableTest() : ctx_(Config()), env_(ctx_.MakeEnv()) {}
   static RunConfig Config() {
     RunConfig c;
     c.machine = "B";

@@ -249,7 +249,7 @@ TEST(RaceDetectorSimTest, StorageUpsertScanStreamRunsClean) {
   // slot writes), point gets, and multi-page scans, with evictions and
   // dirty writebacks moving whole page images under the shard locks. The
   // happens-before detector must see every frame/WAL access ordered by the
-  // Env::LockAcquired/LockReleased edges.
+  // Env::Lock/LockReleased edges.
   workloads::RunConfig cfg;
   cfg.machine = "A";
   cfg.threads = 4;

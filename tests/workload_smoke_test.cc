@@ -1,12 +1,17 @@
 // End-to-end smoke tests: the W1-W3 workloads run to completion under a few
 // representative configurations, produce correct query answers (checksums
-// match a host-side reference), and the simulation is deterministic.
+// match a host-side reference), and the simulation is deterministic. Also
+// pins the run-scaffold helpers the workloads share (WorkerSlice, SimVec).
 
+#include <cstring>
+#include <functional>
 #include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/datagen/datagen.h"
+#include "src/workloads/sim_context.h"
 #include "src/workloads/workloads.h"
 
 namespace numalab {
@@ -132,6 +137,158 @@ TEST(W1Smoke, OsDefaultsRunToCompletion) {
   RunResult r = RunW1HolisticAggregation(c);
   EXPECT_EQ(r.checksum, ReferenceW1(c));
   EXPECT_GT(r.report.threads.thread_migrations, 0u);
+}
+
+// --- Run scaffold: WorkerSlice. ---
+
+TEST(WorkerSlice, TilesTheRangeWithTheRemainderOnTheLastPart) {
+  for (uint64_t n : {0, 1, 7, 100, 1003}) {
+    for (int parts : {1, 3, 8}) {
+      uint64_t next = 0;
+      for (int me = 0; me < parts; ++me) {
+        Slice s = WorkerSlice(n, parts, me);
+        EXPECT_EQ(s.lo, next) << n << "/" << parts << " part " << me;
+        if (me < parts - 1) {
+          EXPECT_EQ(s.hi - s.lo, n / parts);
+        }
+        next = s.hi;
+      }
+      EXPECT_EQ(next, n) << n << "/" << parts;
+    }
+  }
+  Slice last = WorkerSlice(10, 3, 2);
+  EXPECT_EQ(last.lo, 6u);
+  EXPECT_EQ(last.hi, 10u);
+}
+
+TEST(WorkerSlice, FewerItemsThanPartsLeavesAllButTheLastEmpty) {
+  for (int me = 0; me < 7; ++me) {
+    Slice s = WorkerSlice(3, 8, me);
+    EXPECT_EQ(s.lo, 0u);
+    EXPECT_EQ(s.hi, 0u);
+  }
+  Slice last = WorkerSlice(3, 8, 7);
+  EXPECT_EQ(last.lo, 0u);
+  EXPECT_EQ(last.hi, 3u);
+}
+
+TEST(WorkerSlice, W4ProberFormSkipsTheBuilder) {
+  // W4 runs a builder (worker 0) plus probers 1..num_workers-1, which split
+  // the probe relation as WorkerSlice(n, num_workers - 1, worker_index - 1).
+  const int num_workers = 5;
+  const uint64_t n = 1001;
+  uint64_t next = 0;
+  for (int w = 1; w < num_workers; ++w) {
+    Slice s = WorkerSlice(n, num_workers - 1, w - 1);
+    EXPECT_EQ(s.lo, next);
+    EXPECT_EQ(s.hi, w == num_workers - 1 ? n : next + 250);
+    next = s.hi;
+  }
+  EXPECT_EQ(next, n);
+}
+
+// --- Run scaffold: SimVec growth charges. ---
+
+/// Clock, counters and final contents of a one-worker run.
+struct AppendTrace {
+  uint64_t clock = 0;
+  perf::ThreadCounters counters;
+  std::vector<int64_t> contents;
+};
+
+using AppendBody = std::function<std::vector<int64_t>(Env&)>;
+
+sim::Task RecordAppends(Env& env, const AppendBody& body, AppendTrace* out) {
+  out->contents = body(env);
+  out->clock = env.self->clock;
+  out->counters = env.self->counters;
+  co_return;
+}
+
+/// Runs `body` as the only worker of a fresh one-thread run and records
+/// what it left behind.
+AppendTrace RunOneWorker(const AppendBody& body) {
+  RunConfig c;
+  c.machine = "A";
+  c.threads = 1;
+  c.affinity = osmodel::Affinity::kSparse;
+  c.autonuma = false;
+  c.thp = false;
+  SimContext ctx(c);
+  AppendTrace out;
+  ctx.SpawnWorkers(
+      [&](Env& env) { return RecordAppends(env, body, &out); });
+  RunResult r;
+  ctx.Finish(&r);
+  return out;
+}
+
+void ExpectSameCharges(const AppendTrace& a, const AppendTrace& b) {
+  EXPECT_EQ(a.clock, b.clock);
+  EXPECT_EQ(a.counters.mem_accesses, b.counters.mem_accesses);
+  EXPECT_EQ(a.counters.alloc_calls, b.counters.alloc_calls);
+  EXPECT_EQ(a.counters.free_calls, b.counters.free_calls);
+  EXPECT_EQ(0, std::memcmp(&a.counters, &b.counters, sizeof(a.counters)));
+  EXPECT_EQ(a.contents, b.contents);
+}
+
+TEST(SimVec, W1AppendAcrossAGrowthChargesTheHandWrittenSequence) {
+  const int64_t xs[3] = {11, 22, 33};
+  AppendTrace vec = RunOneWorker([&](Env& env) {
+    SimVec<int64_t, uint32_t> v;
+    for (int64_t x : xs) EXPECT_TRUE(v.Append(env, &x, 1, /*first_cap=*/2));
+    EXPECT_EQ(v.cap, 4u);
+    return std::vector<int64_t>(v.data, v.data + v.size);
+  });
+  AppendTrace hand = RunOneWorker([&](Env& env) {
+    auto* d = static_cast<int64_t*>(env.TryAlloc(2 * sizeof(int64_t)));
+    d[0] = xs[0];
+    env.Write(&d[0], sizeof(int64_t));
+    d[1] = xs[1];
+    env.Write(&d[1], sizeof(int64_t));
+    auto* nd = static_cast<int64_t*>(env.TryAlloc(4 * sizeof(int64_t)));
+    env.ReadSpan(d, 2 * sizeof(int64_t));
+    env.WriteSpan(nd, 2 * sizeof(int64_t));
+    std::memcpy(nd, d, 2 * sizeof(int64_t));
+    env.Free(d);
+    nd[2] = xs[2];
+    env.Write(&nd[2], sizeof(int64_t));
+    return std::vector<int64_t>(nd, nd + 3);
+  });
+  EXPECT_GT(vec.counters.mem_accesses, 0u);
+  EXPECT_EQ(vec.counters.alloc_calls, 2u);
+  EXPECT_EQ(vec.counters.free_calls, 1u);
+  ExpectSameCharges(vec, hand);
+}
+
+TEST(SimVec, JoinRowAppendAcrossAGrowthChargesTheHandWrittenSequence) {
+  // W3/W4 emit 3-word rows; first_cap 4 forces a growth on the second row.
+  const uint64_t rows[2][3] = {{1, 2, 3}, {4, 5, 6}};
+  auto as_i64 = [](const uint64_t* p, uint64_t n) {
+    return std::vector<int64_t>(p, p + n);
+  };
+  AppendTrace vec = RunOneWorker([&](Env& env) {
+    SimVec<uint64_t> v;
+    for (const auto& row : rows) {
+      EXPECT_TRUE(v.Append(env, row, 3, /*first_cap=*/4));
+    }
+    EXPECT_EQ(v.cap, 8u);
+    return as_i64(v.data, v.size);
+  });
+  AppendTrace hand = RunOneWorker([&](Env& env) {
+    auto* d = static_cast<uint64_t*>(env.TryAlloc(4 * sizeof(uint64_t)));
+    std::memcpy(d, rows[0], 3 * sizeof(uint64_t));
+    env.Write(d, 3 * sizeof(uint64_t));
+    auto* nd = static_cast<uint64_t*>(env.TryAlloc(8 * sizeof(uint64_t)));
+    env.ReadSpan(d, 3 * sizeof(uint64_t));
+    env.WriteSpan(nd, 3 * sizeof(uint64_t));
+    std::memcpy(nd, d, 3 * sizeof(uint64_t));
+    env.Free(d);
+    std::memcpy(nd + 3, rows[1], 3 * sizeof(uint64_t));
+    env.Write(nd + 3, 3 * sizeof(uint64_t));
+    return as_i64(nd, 6);
+  });
+  ExpectSameCharges(vec, hand);
 }
 
 }  // namespace
