@@ -20,19 +20,6 @@ constexpr uint64_t kMigrationCooldownCycles = 600'000;
 constexpr uint64_t kMigrationsPerEpoch = 96;
 constexpr uint64_t kRateEpochCycles = 1'000'000;
 
-// VThread::Charge truncates once per call, so n calls with the same argument
-// advance the clock by exactly n * Scaled(x). The span path leans on that to
-// replace runs of identical charges with one multiplication.
-inline uint64_t Scaled(const sim::VThread* vt, uint64_t cycles) {
-  return static_cast<uint64_t>(static_cast<double>(cycles) * vt->cycle_scale);
-}
-
-// Equivalent to n VThread::Charge calls whose scaled cost is `scaled`.
-inline void ChargeScaledN(sim::VThread* vt, uint64_t scaled, uint64_t n) {
-  uint64_t c = scaled * n;
-  vt->clock += c;
-  vt->counters.cycles += c;
-}
 }  // namespace
 
 MemSystem::MemSystem(const topology::Machine* machine, sim::Engine* engine,
@@ -465,8 +452,8 @@ void MemSystem::AccessScalar(sim::VThread* vt, const void* addr_p,
 // AccessScalar once per stride-sized element over [addr, addr+bytes); every
 // shortcut below is justified by an invariant that holds for the whole
 // (synchronous, event-free) span:
-//  - charges: VThread::Charge truncates per call, so runs of identical
-//    charges collapse to one multiplication (ChargeScaledN);
+//  - charges: runs of identical charges collapse to one multiplication
+//    (VThread::ChargeRepeated);
 //  - TLB: a probed-or-inserted translation cannot be evicted mid-span
 //    except by our own walk inserts (which replace the memo) or a shootdown
 //    (which bumps trans_gen_), so later elements on the same page are hits;
@@ -493,9 +480,6 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
   Tlb& tlb = tlbs_[static_cast<size_t>(core)];
   SpanCursor& cursor = CursorFor(vt->id);
 
-  const uint64_t s_base = Scaled(vt, costs_.base_access_cycles);
-  const uint64_t s_priv = Scaled(vt, costs_.private_hit_cycles);
-
   // Within-span memos (all conservatively droppable; dropping one only
   // falls back to the exact slow operation it elides).
   uint64_t trans_snap = trans_gen_;
@@ -513,12 +497,12 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
   int page_node = 0;
   uint64_t page_busy = 0;
   // DRAM charge memo for (dram_node, dram_epoch): queueing delay and the
-  // scaled per-line charge, plus deferred same-epoch bookings.
+  // per-line charge, plus deferred same-epoch bookings.
   bool dram_valid = false;
   int dram_node = -1;
   uint64_t dram_epoch = 0;
   uint64_t dram_delay = 0;
-  uint64_t s_line = 0;
+  uint64_t line_cycles = 0;
   uint64_t pending_bytes = 0;
   uint64_t pending_now = 0;
 
@@ -553,14 +537,15 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
         vt->counters.mem_accesses += n;
         if (costs_.model_tlb) vt->counters.tlb_hits += n;
         vt->counters.private_hits += n;
-        ChargeScaledN(vt, s_base + s_priv, n);
+        vt->ChargeRepeated(costs_.base_access_cycles, n);
+        vt->ChargeRepeated(costs_.private_hit_cycles, n);
         off += n * stride;
         continue;
       }
     }
 
     ++vt->counters.mem_accesses;
-    ChargeScaledN(vt, s_base, 1);
+    vt->Charge(costs_.base_access_cycles);
 
     if (costs_.model_tlb) {
       if (tlb_valid && erel >= tlb_lo && erel < tlb_hi) {
@@ -590,13 +575,13 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
       if (costs_.model_caches) {
         if (line_valid && line == memo_line) {
           ++vt->counters.private_hits;
-          ChargeScaledN(vt, s_priv, 1);
+          vt->Charge(costs_.private_hit_cycles);
           continue;
         }
         LineCache& priv = caches_.Private(core);
         if (priv.Probe(line)) {
           ++vt->counters.private_hits;
-          ChargeScaledN(vt, s_priv, 1);
+          vt->Charge(costs_.private_hit_cycles);
           line_valid = true;
           memo_line = line;
           continue;
@@ -666,7 +651,7 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
         }
         uint64_t lat = DramLatency(my_node, pnode);
         dram_delay = delay;
-        s_line = Scaled(vt, lat + delay);
+        line_cycles = lat + delay;
         dram_node = pnode;
         dram_epoch = epoch;
         dram_valid = true;
@@ -683,7 +668,7 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
       if (costs_.model_contention) {
         vt->counters.queue_delay_cycles += dram_delay;
       }
-      ChargeScaledN(vt, s_line, 1);
+      vt->Charge(line_cycles);
 
       if (autonuma_) {
         SampleAutoNuma(vt, r, pidx, my_node, pnode, write);

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -113,6 +114,9 @@ struct ServeState {
   std::vector<NodeQueue> queues;
   std::vector<ClosedSession> sessions;
   std::vector<uint64_t> open_offsets;  // open-loop arrival offsets
+  uint64_t arrival_base = 0;  // serving-open cycle the offsets count from
+  uint64_t arrival_seq = 0;   // event seq reserved for arrival 0
+  uint64_t peak_pending_events = 0;  // see ServeResult
   uint64_t outstanding = 0;  // submitted-or-pending requests not yet resolved
   bool serving_open = false;
 
@@ -371,8 +375,26 @@ void GenerateRequests(ServeState& s, Rng& rng) {
   }
 }
 
-/// Schedules the whole client side. Runs once, from worker 0, right after
-/// the warmup barrier, so serving opens only when the data plane is built.
+/// Schedules open-loop arrival `i` on its reserved seq. Each arrival
+/// schedules its successor before it submits, so the event heap holds one
+/// pending arrival rather than the whole stream. The offsets are
+/// non-decreasing and the seqs increasing, so arrival i+1 is always pushed
+/// before it can be due, and (when, seq) order makes it pop exactly where
+/// it would have popped had the whole stream been scheduled up front
+/// (DESIGN.md §14).
+void ScheduleArrival(ServeState& s, uint32_t i) {
+  sim::Engine* eng = s.ctx->engine();
+  uint64_t at = s.arrival_base + 1 + s.open_offsets[i];
+  eng->ScheduleEvent(at, s.arrival_seq + i, [&s, i, at] {
+    if (i + 1 < s.open_offsets.size()) ScheduleArrival(s, i + 1);
+    SubmitRequest(s, i, at);
+  });
+  s.peak_pending_events =
+      std::max<uint64_t>(s.peak_pending_events, eng->pending_events());
+}
+
+/// Starts the client side. Runs once, from worker 0, right after the
+/// warmup barrier, so serving opens only when the data plane is built.
 void StartClients(ServeState& s, uint64_t base) {
   sim::Engine* eng = s.ctx->engine();
   if (s.sc->arrival == Arrival::kClosed) {
@@ -389,11 +411,10 @@ void StartClients(ServeState& s, uint64_t base) {
     }
     return;
   }
-  for (uint64_t i = 0; i < s.open_offsets.size(); ++i) {
-    uint64_t at = base + 1 + s.open_offsets[i];
-    uint32_t id = static_cast<uint32_t>(i);
-    eng->ScheduleEvent(at, [&s, id, at] { SubmitRequest(s, id, at); });
-  }
+  if (s.open_offsets.empty()) return;
+  s.arrival_base = base;
+  s.arrival_seq = eng->ReserveEventSeqs(s.open_offsets.size());
+  ScheduleArrival(s, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -464,7 +485,10 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
       }
     }
     if (node < 0) {
-      env.Compute(kIdlePollCycles);
+      // Nothing to pop until an arrival event or another worker fills a
+      // queue, and neither runs before this worker suspends: poll out the
+      // rest of the quantum in one charge.
+      env.IdlePoll(kIdlePollCycles, UINT64_MAX);
       co_await env.Checkpoint();
       continue;
     }
@@ -499,10 +523,13 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
     // amortized dispatch the throughput numbers show.
     if (s.reqs[batch[0]].type == RequestType::kPointGet &&
         nbatch < batch_max && sc.batch_window_cycles > 0 && batch_max > 1) {
+      // The drain above left the queue empty or headed by a non-point
+      // request, and only events or other workers change that: poll up to
+      // the deadline or the quantum end, whichever comes first.
       uint64_t deadline = env.self->clock + sc.batch_window_cycles;
       while (nbatch < batch_max && env.self->clock < deadline &&
              s.outstanding > nbatch) {
-        env.Compute(kBatchPollCycles);
+        env.IdlePoll(kBatchPollCycles, deadline);
         co_await env.Checkpoint();
         if (q.depth() > 0 &&
             s.reqs[q.slots[q.head % q.cap]].type == RequestType::kPointGet) {
@@ -650,12 +677,12 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
   }
 }
 
-uint64_t PercentileU64(std::vector<uint64_t>* xs, double p) {
-  if (xs->empty()) return 0;
-  std::sort(xs->begin(), xs->end());
-  double rank = (p / 100.0) * static_cast<double>(xs->size() - 1);
-  size_t idx = std::min(static_cast<size_t>(rank + 0.5), xs->size() - 1);
-  return (*xs)[idx];
+/// Nearest-rank percentile of an ascending-sorted vector.
+uint64_t PercentileSorted(const std::vector<uint64_t>& xs, double p) {
+  if (xs.empty()) return 0;
+  double rank = (p / 100.0) * static_cast<double>(xs.size() - 1);
+  size_t idx = std::min(static_cast<size_t>(rank + 0.5), xs.size() - 1);
+  return xs[idx];
 }
 
 using trace::Appendf;
@@ -784,25 +811,32 @@ ServeResult RunServing(const workloads::RunConfig& rc,
   // --- Post-run reduction. ---
   ServingStats& st = s.st;
   for (const Histogram& h : s.worker_hist) st.latency.Merge(h);
-  std::vector<uint64_t> all;
+  // One sort per type; the all-types order is their linear merge.
+  std::vector<uint64_t> all, merged;
   for (int t = 0; t < kNumRequestTypes; ++t) {
+    std::vector<uint64_t>& lat = s.lat[t];
+    std::sort(lat.begin(), lat.end());
     TypeStats& ts = st.types[t];
-    ts.completed = s.lat[t].size();
-    ts.p50 = PercentileU64(&s.lat[t], 50);
-    ts.p95 = PercentileU64(&s.lat[t], 95);
-    ts.p99 = PercentileU64(&s.lat[t], 99);
-    all.insert(all.end(), s.lat[t].begin(), s.lat[t].end());
+    ts.completed = lat.size();
+    ts.p50 = PercentileSorted(lat, 50);
+    ts.p95 = PercentileSorted(lat, 95);
+    ts.p99 = PercentileSorted(lat, 99);
+    merged.resize(all.size() + lat.size());
+    std::merge(all.begin(), all.end(), lat.begin(), lat.end(),
+               merged.begin());
+    all.swap(merged);
   }
-  st.p50 = PercentileU64(&all, 50);
-  st.p95 = PercentileU64(&all, 95);
-  st.p99 = PercentileU64(&all, 99);
-  st.max = all.empty() ? 0 : *std::max_element(all.begin(), all.end());
+  st.p50 = PercentileSorted(all, 50);
+  st.p95 = PercentileSorted(all, 95);
+  st.p99 = PercentileSorted(all, 99);
+  st.max = all.empty() ? 0 : all.back();
   st.makespan_cycles =
       st.last_completion_cycle > st.first_arrival_cycle
           ? st.last_completion_cycle - st.first_arrival_cycle
           : 0;
   out.stats = st;
   if (s.store != nullptr) out.storage = s.store->stats();
+  out.peak_pending_events = s.peak_pending_events;
 
   if (trace::CollectEnabled()) {
     std::vector<trace::Section> sections = {

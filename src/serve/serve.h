@@ -199,6 +199,11 @@ struct ServeResult {
   ServingStats stats;
   /// Filled iff ServeConfig::storage.enabled (zero-initialized otherwise).
   storage::StorageStats storage;
+  /// Host-side diagnostic, not a simulated outcome: the most engine events
+  /// pending as any open-loop arrival was scheduled. The lazily chained
+  /// arrival stream keeps it at a few (one arrival, the OS daemon ticks,
+  /// retries in flight) however long the stream is.
+  uint64_t peak_pending_events = 0;
 };
 
 /// Runs one serving experiment: builds the data plane (partitioned store,

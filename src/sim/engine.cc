@@ -59,6 +59,11 @@ void Engine::ScheduleEvent(uint64_t when, EventCallback fn) {
   events_.push(Event{when, event_seq_++, std::move(fn)});
 }
 
+void Engine::ScheduleEvent(uint64_t when, uint64_t seq, EventCallback fn) {
+  NUMALAB_CHECK(seq < event_seq_ && "seq was not reserved");
+  events_.push(Event{when, seq, std::move(fn)});
+}
+
 void Engine::MakeReady(VThread* vt) {
   vt->state = VThreadState::kReady;
   ready_.push(vt);

@@ -32,6 +32,7 @@
 #define NUMALAB_SIM_ENGINE_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -111,13 +112,24 @@ struct VThread : PooledNew {
   uint64_t run_until = 0;      ///< checkpoint quantum boundary
   Engine* engine = nullptr;
 
-  /// Adds `cycles` of work, inflated by the oversubscription factor.
-  void Charge(uint64_t cycles) {
-    uint64_t c = static_cast<uint64_t>(static_cast<double>(cycles) *
-                                       cycle_scale);
+  /// Clock advance of one Charge(cycles): `cycles` inflated by the
+  /// oversubscription factor, truncated once per call.
+  uint64_t Scaled(uint64_t cycles) const {
+    return static_cast<uint64_t>(static_cast<double>(cycles) * cycle_scale);
+  }
+
+  /// Exactly `n` Charge(cycles) calls in one step. Charge truncates once
+  /// per call, so n of them advance the clock by n * Scaled(cycles); every
+  /// bulk charge (the span path's runs of equal charges, Env::IdlePoll)
+  /// rests on that identity.
+  void ChargeRepeated(uint64_t cycles, uint64_t n) {
+    uint64_t c = Scaled(cycles) * n;
     clock += c;
     counters.cycles += c;
   }
+
+  /// Adds `cycles` of work, inflated by the oversubscription factor.
+  void Charge(uint64_t cycles) { ChargeRepeated(cycles, 1); }
 };
 
 /// \brief Awaitable returned by Engine::Checkpoint().
@@ -159,6 +171,24 @@ class Engine {
   /// lists that would force a heap allocation fail to compile.
   void ScheduleEvent(uint64_t when, EventCallback fn);
 
+  /// Reserves `n` consecutive event sequence numbers and returns the first.
+  /// Events pop in (when, seq) order, a strict total order, so an event
+  /// scheduled on a reserved seq at any time before it becomes the heap
+  /// minimum pops exactly where it would have popped had it been scheduled
+  /// at reservation time. That lets a long series (the serving layer's
+  /// open-loop arrivals) be pushed lazily, each event scheduling its
+  /// successor, with O(1) of it pending instead of the whole series.
+  uint64_t ReserveEventSeqs(uint64_t n) {
+    uint64_t first = event_seq_;
+    event_seq_ += n;
+    return first;
+  }
+
+  /// Schedules `fn` at `when` on a seq from an earlier ReserveEventSeqs
+  /// (CHECKed). The caller must push it no later than the firing of any
+  /// event or thread step it has to precede.
+  void ScheduleEvent(uint64_t when, uint64_t seq, EventCallback fn);
+
   /// Runs until every spawned thread has completed, or until every live
   /// thread's clock has passed the deadline (see SetDeadline). Returns the
   /// makespan: the maximum thread clock.
@@ -199,6 +229,8 @@ class Engine {
   }
   uint64_t quantum() const { return quantum_; }
   int live_threads() const { return live_; }
+  /// Scheduled events not yet fired.
+  size_t pending_events() const { return events_.size(); }
 
   /// Sums worker counters into a report (system counters are filled by the
   /// memory/OS models which hold their own SystemCounters).

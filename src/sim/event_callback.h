@@ -6,8 +6,9 @@
 //  - EventCallback: a fixed-size, move-only callable that replaces
 //    std::function<void()> in Engine::Event. Every ScheduleEvent call used
 //    to pay a type-erasure heap allocation on the hottest host path (the
-//    serving layer schedules one event per request arrival/retry, the OS
-//    daemons one per tick). The callback storage is inline in the event
+//    serving layer's arrival stream is a chain of events, each arrival
+//    scheduling the next, plus one event per retry; the OS daemons
+//    schedule one per tick). The callback storage is inline in the event
 //    object; a static_assert rejects any capture list that would not fit,
 //    so the no-allocation property is checked at compile time rather than
 //    hoped for.

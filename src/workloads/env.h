@@ -6,6 +6,7 @@
 #ifndef NUMALAB_WORKLOADS_ENV_H_
 #define NUMALAB_WORKLOADS_ENV_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -46,6 +47,24 @@ struct Env {
   }
   void Compute(uint64_t cycles) { self->Charge(cycles); }
   sim::CheckpointAwaiter Checkpoint() { return engine->Checkpoint(); }
+
+  /// Charges in one step the polls that a
+  /// `Compute(poll_cycles); co_await Checkpoint();` loop makes before it
+  /// suspends or its clock reaches `until`: the smallest k >= 1 polls that
+  /// bring the clock to min(until, self->run_until), where run_until ends
+  /// this resume's quantum. Exact whenever the loop's exit test can change
+  /// only between resumes: it reads state that events or other threads
+  /// write, and those run only while this thread is suspended. Follow it
+  /// with co_await Checkpoint().
+  void IdlePoll(uint64_t poll_cycles, uint64_t until) {
+    uint64_t c = self->Scaled(poll_cycles);
+    uint64_t target = std::min(until, self->run_until);
+    uint64_t k = 1;
+    if (c > 0 && target > self->clock + c) {
+      k = (target - self->clock + c - 1) / c;
+    }
+    self->ChargeRepeated(poll_cycles, k);
+  }
 
   void* Alloc(size_t n) {
     void* p = alloc->Alloc(n);

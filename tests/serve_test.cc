@@ -235,6 +235,101 @@ TEST(ServeTest, ServingJsonIsWellFormedAndOrdered) {
   }
 }
 
+/// Every simulated outcome the arrival stream and the worker poll loops can
+/// move, as one comparable line.
+std::string Fingerprint(const ServeResult& r) {
+  const ServingStats& st = r.stats;
+  std::string out;
+  for (uint64_t v :
+       {st.offered, st.admitted, st.rejected, st.retries, st.dropped,
+        st.completed, st.p50, st.p95, st.p99, st.max, st.batches,
+        st.batched_requests, st.max_queue_depth, st.makespan_cycles,
+        st.checksum, r.run.cycles, r.run.report.threads.cycles}) {
+    out += std::to_string(v) + " ";
+  }
+  return out;
+}
+
+TEST(ServeTest, OpenLoopStreamsMatchParentResults) {
+  // Pinned values recorded before open-loop arrivals became a lazily
+  // chained event series and idle/batch-window polls were charged in bulk.
+  // Both are host-side rewrites, so none of these numbers may move. The
+  // small queue_cap makes retries (fresh event seqs) interleave with the
+  // reserved arrival seqs, and a backoff that is a multiple of the arrival
+  // period lands retries on the same cycle as later arrivals, which must
+  // still pop first. Burst arrivals also tie with each other.
+  ServeConfig base = SmallConfig();
+  base.requests = 500;
+  base.mean_gap_cycles = 700;
+  base.queue_cap = 4;
+  base.max_retries = 2;
+  base.retry_backoff_cycles = 7'000;
+
+  ServeConfig fixed = base;
+  fixed.arrival = Arrival::kFixed;
+  ServeConfig poisson = base;
+  poisson.arrival = Arrival::kPoisson;
+  ServeConfig burst = base;
+  burst.arrival = Arrival::kBurst;
+  burst.burst_size = 16;
+  burst.mean_gap_cycles = 400;
+  burst.retry_backoff_cycles = 6'400;  // one burst period
+  ServeConfig closed = base;
+  closed.arrival = Arrival::kClosed;
+  closed.sessions = 6;
+  closed.think_cycles = 4'000;
+  ServeConfig stored = poisson;
+  stored.mix_probe = 0;
+  stored.storage.enabled = true;
+  stored.storage.frames_per_shard = 6;
+  stored.mean_gap_cycles = 4'000;
+
+  struct Case {
+    const char* name;
+    const ServeConfig* sc;
+    const char* want;
+  } cases[] = {
+      {"fixed", &fixed,
+       "500 500 6 6 0 500 4612 11852 16181 30823 387 189 4 352880 "
+       "7186229535055109726 451654 1685910 "},
+      {"poisson", &poisson,
+       "500 500 6 6 0 500 4995 12410 15403 25007 374 207 4 364226 "
+       "7186229535055109726 462978 1727992 "},
+      {"burst", &burst,
+       "500 422 371 293 78 422 9307 35342 70897 129350 276 218 4 220888 "
+       "1030722672291735089 319520 1150446 "},
+      {"closed", &closed,
+       "500 500 0 0 0 500 3876 10446 92081 165362 476 46 3 893398 "
+       "5029172750561862751 992600 3829575 "},
+      {"poisson+storage", &stored,
+       "500 380 381 261 120 380 9458 368880 965894 1049243 303 127 4 2038648 "
+       "15286237417337836038 2139049 8437981 "},
+  };
+  for (const Case& c : cases) {
+    ServeResult r = RunServing(SmallRun(), *c.sc);
+    ASSERT_TRUE(r.run.status.ok()) << c.name;
+    EXPECT_EQ(Fingerprint(r), c.want) << c.name;
+  }
+}
+
+TEST(ServeTest, OpenLoopStreamKeepsFewEventsPending) {
+  // Arrivals are chained lazily (each schedules its successor), so the
+  // engine holds one pending arrival plus the OS daemon ticks, not the
+  // whole stream. Uncontended, so no retries are in flight either.
+  RunConfig rc = SmallRun();
+  for (Arrival a : {Arrival::kFixed, Arrival::kPoisson, Arrival::kBurst}) {
+    ServeConfig sc = SmallConfig();
+    sc.arrival = a;
+    sc.requests = 2'000;
+    ServeResult r = RunServing(rc, sc);
+    ASSERT_TRUE(r.run.status.ok()) << ArrivalName(a);
+    EXPECT_EQ(r.stats.retries, 0u) << ArrivalName(a);
+    EXPECT_GE(r.peak_pending_events, 1u) << ArrivalName(a);
+    EXPECT_LE(r.peak_pending_events, static_cast<uint64_t>(rc.threads) + 1)
+        << ArrivalName(a);
+  }
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace numalab

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/sim/engine.h"
 #include "src/sim/sync.h"
 
@@ -89,6 +91,80 @@ TEST(Engine, SameTimestampEventsDrainInSeqOrder) {
   EXPECT_EQ(order[3], 3);
   EXPECT_EQ(order[4], 7);
   EXPECT_EQ(order[5], 7);
+}
+
+/// A six-event series on reserved seqs, with ties inside the series (200,
+/// 300) and against fresh-seq events. The second member schedules a
+/// fresh-seq event of its own when it fires.
+struct ReservedSeries {
+  static constexpr int kN = 6;
+  static constexpr uint64_t kWhen[kN] = {100, 200, 200, 300, 300, 500};
+  Engine* e;
+  std::vector<int>* order;
+  uint64_t seq0;
+
+  /// Schedules member i; `chain` makes it schedule member i+1 as it fires.
+  void Schedule(int i, bool chain) {
+    e->ScheduleEvent(kWhen[i], seq0 + static_cast<uint64_t>(i),
+                     [this, i, chain] {
+                       if (chain && i + 1 < kN) Schedule(i + 1, true);
+                       order->push_back(i);
+                       if (i == 1) {
+                         e->ScheduleEvent(300, [o = order] {
+                           o->push_back(20);
+                         });
+                       }
+                     });
+  }
+};
+
+/// Fires the series alongside a stepping thread, pushed either all at
+/// reservation time or lazily, and returns the interleaved firing order
+/// (thread steps recorded as 99).
+std::vector<int> RunReservedSeries(bool lazy) {
+  Engine e(/*quantum=*/50);
+  std::vector<int> order;
+  e.ScheduleEvent(300, [&] { order.push_back(-1); });  // before reserving
+  ReservedSeries series{&e, &order, e.ReserveEventSeqs(ReservedSeries::kN)};
+  if (lazy) {
+    series.Schedule(0, /*chain=*/true);
+  } else {
+    for (int i = 0; i < ReservedSeries::kN; ++i) series.Schedule(i, false);
+  }
+  e.ScheduleEvent(200, [&] { order.push_back(10); });  // after reserving
+  e.ScheduleEvent(300, [&] { order.push_back(11); });
+  e.Spawn("w", 0, [&](VThread* vt) {
+    return ChargeNTimes(vt, &e, 40, 16, &order, 99);
+  });
+  e.Run();
+  return order;
+}
+
+TEST(Engine, ReservedSeqEventsPopInUpfrontOrder) {
+  std::vector<int> upfront = RunReservedSeries(/*lazy=*/false);
+  std::vector<int> lazy = RunReservedSeries(/*lazy=*/true);
+  EXPECT_EQ(lazy, upfront);
+  // (when, seq) order: a reserved seq ranks by reservation time, ahead of
+  // every event scheduled after the reservation.
+  std::vector<int> events;
+  for (int x : upfront) {
+    if (x != 99) events.push_back(x);
+  }
+  EXPECT_EQ(events, (std::vector<int>{0, 1, 2, 10, -1, 3, 4, 11, 20, 5}));
+}
+
+TEST(Engine, PendingEventsCountsUnfiredEvents) {
+  Engine e(/*quantum=*/1);
+  EXPECT_EQ(e.pending_events(), 0u);
+  uint64_t seq = e.ReserveEventSeqs(2);
+  e.ScheduleEvent(10, seq + 1, [] {});
+  e.ScheduleEvent(1'000, [] {});
+  EXPECT_EQ(e.pending_events(), 2u);
+  e.Spawn("w", 0, [&](VThread* vt) {
+    return ChargeNTimes(vt, &e, 15, 2, nullptr, 0);
+  });
+  e.Run();
+  EXPECT_EQ(e.pending_events(), 1u);  // t=1000 lies past the last step
 }
 
 struct BlockAwaiter {

@@ -291,6 +291,97 @@ TEST(SimVec, JoinRowAppendAcrossAGrowthChargesTheHandWrittenSequence) {
   ExpectSameCharges(vec, hand);
 }
 
+// --- Run scaffold: bulk idle polling. ---
+
+/// What a poll loop leaves behind: clock, charged cycles, and how many
+/// times the engine resumed it.
+struct PollTrace {
+  uint64_t clock = 0;
+  uint64_t cycles = 0;
+  int resumes = 0;
+};
+
+/// Charges `pre`, then polls `poll` cycles at a time until an event sets
+/// `*woken` or the clock reaches the window end (clock + `window`; UINT64_MAX
+/// for none) — the shape of ServeWorker's idle and batch-window loops.
+/// `bulk` polls through Env::IdlePoll, otherwise through the hand-written
+/// Compute + Checkpoint loop it replaces.
+sim::Task PollLoop(Env& env, const bool* woken, uint64_t pre, uint64_t poll,
+                   uint64_t window, bool bulk, PollTrace* out) {
+  env.Compute(pre);
+  uint64_t until =
+      window == UINT64_MAX ? UINT64_MAX : env.self->clock + window;
+  uint64_t quantum_end = env.self->run_until;
+  ++out->resumes;
+  while (!*woken && env.self->clock < until) {
+    if (bulk) {
+      env.IdlePoll(poll, until);
+    } else {
+      env.Compute(poll);
+    }
+    co_await env.Checkpoint();
+    if (env.self->run_until != quantum_end) {  // set afresh on each resume
+      quantum_end = env.self->run_until;
+      ++out->resumes;
+    }
+  }
+  out->clock = env.self->clock;
+  out->cycles = env.self->counters.cycles;
+}
+
+/// One poller at oversubscription factor `scale` on a bare engine (4000-
+/// cycle quantum) with its wake-up event at `wake_at`.
+PollTrace RunPollLoop(bool bulk, double scale, uint64_t pre, uint64_t poll,
+                      uint64_t window, uint64_t wake_at) {
+  sim::Engine engine(/*quantum=*/4000);
+  bool woken = false;
+  engine.ScheduleEvent(wake_at, [&woken] { woken = true; });
+  Env env;
+  env.engine = &engine;
+  PollTrace out;
+  engine.Spawn("poller", 0, [&](sim::VThread* vt) {
+    vt->cycle_scale = scale;
+    env.self = vt;
+    return PollLoop(env, &woken, pre, poll, window, bulk, &out);
+  });
+  engine.Run();
+  return out;
+}
+
+TEST(IdlePoll, ChargesWhatTheComputeCheckpointLoopCharges) {
+  struct Case {
+    const char* name;
+    double scale;
+    uint64_t pre, poll, window, wake_at;
+  } cases[] = {
+      // Idle: until = UINT64_MAX, so every resume polls to its quantum end.
+      {"idle", 1.5, 0, 400, UINT64_MAX, 50'000},
+      // The quantum is a whole number of polls: no overshoot.
+      {"idle-exact-multiple", 1.0, 0, 400, UINT64_MAX, 50'000},
+      // Scaled(333) truncates (432.9 -> 432) once per poll.
+      {"idle-truncating", 1.3, 0, 333, UINT64_MAX, 50'000},
+      // Batch window ending below the quantum end, then above it.
+      {"window-below-quantum", 1.5, 0, 120, 1'000, UINT64_MAX},
+      {"window-above-quantum", 1.5, 0, 120, 10'000, UINT64_MAX},
+      {"window-exact-multiple", 1.0, 0, 120, 1'200, UINT64_MAX},
+      // Clock already past run_until: exactly one poll, then suspend.
+      {"past-quantum-end", 1.5, 5'000, 400, UINT64_MAX, 30'000},
+      {"past-quantum-end-window", 1.5, 5'000, 120, 2'000, UINT64_MAX},
+  };
+  for (const Case& c : cases) {
+    PollTrace hand =
+        RunPollLoop(false, c.scale, c.pre, c.poll, c.window, c.wake_at);
+    PollTrace bulk =
+        RunPollLoop(true, c.scale, c.pre, c.poll, c.window, c.wake_at);
+    EXPECT_GT(hand.clock, c.pre) << c.name;
+    EXPECT_EQ(bulk.clock, hand.clock) << c.name;
+    EXPECT_EQ(bulk.cycles, hand.cycles) << c.name;
+    EXPECT_EQ(bulk.resumes, hand.resumes) << c.name;
+  }
+  // The idle cases span many quanta, so the resume count is a real check.
+  EXPECT_GT(RunPollLoop(false, 1.5, 0, 400, UINT64_MAX, 50'000).resumes, 5);
+}
+
 }  // namespace
 }  // namespace workloads
 }  // namespace numalab
