@@ -131,14 +131,11 @@ int main(int argc, char** argv) {
       std::printf("%-12s %s\n", cell.name, r.run.status.ToString().c_str());
       ++failures;
     } else {
-      double qpm = r.stats.makespan_cycles == 0
-                       ? 0.0
-                       : static_cast<double>(r.stats.completed) * 1e6 /
-                             static_cast<double>(r.stats.makespan_cycles);
       const numalab::perf::SystemCounters& sys = r.run.report.system;
       std::printf(
           "%-12s %10.2f %8llu %8llu %8.3f %6llu %9llu %9llu %7llu\n",
-          cell.name, qpm, static_cast<unsigned long long>(r.stats.p50),
+          cell.name, r.stats.PerMcycle(),
+          static_cast<unsigned long long>(r.stats.p50),
           static_cast<unsigned long long>(r.stats.p99),
           r.run.report.LocalAccessRatio(),
           static_cast<unsigned long long>(sys.page_migrations),

@@ -31,13 +31,6 @@ using numalab::serve::ServeConfig;
 using numalab::serve::ServeResult;
 using numalab::workloads::RunConfig;
 
-double PerMcycle(const numalab::serve::ServingStats& st) {
-  return st.makespan_cycles == 0
-             ? 0.0
-             : static_cast<double>(st.completed) * 1e6 /
-                   static_cast<double>(st.makespan_cycles);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -45,7 +38,6 @@ int main(int argc, char** argv) {
       numalab::bench::FlagStr(argc, argv, "arrival", "poisson");
   uint64_t requests = numalab::bench::FlagU64(argc, argv, "requests", 2000);
   uint64_t gap = numalab::bench::FlagU64(argc, argv, "rate-gap", 12'000);
-  uint64_t storage = numalab::bench::FlagU64(argc, argv, "storage", 0);
   numalab::bench::BenchMain(argc, argv);
 
   Arrival arrival;
@@ -59,10 +51,6 @@ int main(int argc, char** argv) {
   base.arrival = arrival;
   base.requests = requests;
   base.mean_gap_cycles = gap;
-  // --storage=1 routes the point/range/upsert stream through the WAL-backed
-  // paged tables (DESIGN.md §15). Default off: stdout is the committed
-  // golden, byte-identical to a build without src/storage.
-  base.storage.enabled = storage != 0;
 
   RunConfig rc = numalab::bench::TunedBase("A", 8);
   int failures = 0;
@@ -189,7 +177,7 @@ int main(int argc, char** argv) {
                   numalab::osmodel::AffinityName(cell.aff),
                   numalab::mem::MemPolicyName(cell.policy), cell.alloc,
                   static_cast<unsigned long long>(sc.mean_gap_cycles),
-                  PerMcycle(r.stats),
+                  r.stats.PerMcycle(),
                   static_cast<unsigned long long>(r.stats.p50),
                   static_cast<unsigned long long>(r.stats.p95),
                   static_cast<unsigned long long>(r.stats.p99),

@@ -40,13 +40,6 @@ using numalab::storage::ShardPlacement;
 using numalab::storage::ShardPlacementName;
 using numalab::workloads::RunConfig;
 
-double PerMcycle(const numalab::serve::ServingStats& st) {
-  return st.makespan_cycles == 0
-             ? 0.0
-             : static_cast<double>(st.completed) * 1e6 /
-                   static_cast<double>(st.makespan_cycles);
-}
-
 struct Mix {
   const char* name;
   double point, range, upsert;
@@ -129,7 +122,7 @@ int main(int argc, char** argv) {
           std::printf(
               "%-9s %-11s %-11s %-10s %9.2f %6.1f %7llu %7llu %8llu %5s\n",
               m.name, ShardPlacementName(placement),
-              numalab::mem::MemPolicyName(policy), alloc, PerMcycle(r.stats),
+              numalab::mem::MemPolicyName(policy), alloc, r.stats.PerMcycle(),
               100.0 * st.HitRate(),
               static_cast<unsigned long long>(st.evictions),
               static_cast<unsigned long long>(st.writebacks),

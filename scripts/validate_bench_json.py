@@ -188,7 +188,8 @@ def check_run(run, where):
     for key in sections:
         SECTIONS[key](run[key], f"{where}.{key}")
     # v4: the per-run storage section is present exactly when the config
-    # recorded --storage=1, so a v4 doc can never silently drop it.
+    # records storage (config.storage), so a v4 doc can never silently
+    # drop it.
     require(("storage" in run) == (run["config"].get("storage") is True),
             where, "storage section present iff config.storage is true")
     check_keys(run["config"], CONFIG_KEYS, f"{where}.config")

@@ -93,7 +93,7 @@ void* SimAllocator::AllocLarge(size_t n) {
   if (region == nullptr) {
     region = env_.os->TryMap(key);
     if (region == nullptr) return nullptr;
-    env_.Charge(env_.costs->syscall_cycles);
+    env_.Charge(mem::kSyscallCycles);
   }
   auto* hdr = reinterpret_cast<ObjHeader*>(region->host);
   hdr->cls = ObjHeader::kLargeClass;
@@ -116,13 +116,13 @@ void SimAllocator::FreeLarge(void* p) {
       // munmap sends TLB-shootdown IPIs to every core running a thread of
       // the process — the hidden cost of the glibc large-block slow path.
       uint64_t ipis = static_cast<uint64_t>(env_.engine->live_threads());
-      env_.Charge(env_.costs->syscall_cycles + 1200 * ipis);
+      env_.Charge(mem::kSyscallCycles + 1200 * ipis);
       break;
     }
     case LargePolicy::kCachePurged:
       // Keep the mapping, return the pages (decay/scavenge behaviour).
       env_.os->MadviseDontNeed(region, 0, region->len, env_.Now());
-      env_.Charge(env_.costs->syscall_cycles);
+      env_.Charge(mem::kSyscallCycles);
       large_cache_[region->len].push_back(region);
       break;
     case LargePolicy::kCache:

@@ -14,7 +14,7 @@ std::pair<mem::Region*, uint64_t> BackingSource::Take(AllocEnv* env,
     mem::Region* fresh = env->os->TryMap(kRegionBytes);
     if (fresh == nullptr) return {nullptr, 0};
     current_ = fresh;
-    env->Charge(env->costs->syscall_cycles);
+    env->Charge(mem::kSyscallCycles);
     offset_ = 0;
   }
   uint64_t off = offset_;

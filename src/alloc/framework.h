@@ -44,11 +44,9 @@ namespace alloc {
 struct AllocEnv {
   sim::Engine* engine = nullptr;
   mem::SimOS* os = nullptr;
-  const mem::CostModel* costs = nullptr;
   /// faultlab allocation-failure injection; null in no-fault runs.
   faultlab::FaultLab* faults = nullptr;
 
-  sim::VThread* Cur() const { return engine->current(); }
   /// Virtual thread id of the caller; 0 when called outside a coroutine
   /// (setup code), which is also charged nothing.
   int Tid() const {

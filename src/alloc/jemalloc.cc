@@ -128,7 +128,7 @@ class JeMalloc : public SimAllocator {
           env_.os->MadviseDontNeed(
               c->region, static_cast<uint64_t>(c->base - c->region->host),
               static_cast<uint64_t>(c->bump - c->base), now);
-          env_.Charge(env_.costs->syscall_cycles);
+          env_.Charge(mem::kSyscallCycles);
         }
       }
     }

@@ -19,6 +19,14 @@ constexpr uint64_t kMigrationCooldownCycles = 600'000;
 // Kernel migration rate limit (~256 MB/s): pages per 1M-cycle epoch.
 constexpr uint64_t kMigrationsPerEpoch = 96;
 constexpr uint64_t kRateEpochCycles = 1'000'000;
+// Placement: sampled reads must outnumber sampled writes by this factor
+// before a page counts as read-mostly (write-heavy pages never replicate).
+constexpr uint32_t kReadWriteRatio = 8;
+// Placement: sampled accesses from one node before it may take a replica.
+constexpr uint8_t kReplicateThreshold = 3;
+// Placement: cycles charged to a writer per invalidated replica (IPI +
+// remote TLB flush + freeing the copy).
+constexpr uint64_t kReplicaShootdownCycles = 1200;
 
 }  // namespace
 
@@ -29,8 +37,7 @@ MemSystem::MemSystem(const topology::Machine* machine, sim::Engine* engine,
       costs_(costs),
       sys_(sys),
       contention_(*machine),
-      os_(std::make_unique<SimOS>(machine, engine, &costs_, &contention_,
-                                  sys)),
+      os_(std::make_unique<SimOS>(machine, engine, &contention_, sys)),
       caches_(*machine) {
   tlbs_.reserve(static_cast<size_t>(machine->num_cores()));
   for (int c = 0; c < machine->num_cores(); ++c) tlbs_.emplace_back(*machine);
@@ -39,7 +46,7 @@ MemSystem::MemSystem(const topology::Machine* machine, sim::Engine* engine,
       lat_table_[static_cast<size_t>(s)][static_cast<size_t>(d)] =
           static_cast<uint64_t>(
               static_cast<double>(machine->dram_latency_cycles()) *
-              machine->LatencyFactor(s, d) / costs_.mlp);
+              machine->LatencyFactor(s, d) / kMlp);
     }
   }
 }
@@ -202,7 +209,7 @@ inline int MemSystem::RouteReplica(sim::VThread* vt, Region* region,
   if (p.writes < 255) ++p.writes;
   uint64_t copies = static_cast<uint64_t>(__builtin_popcount(p.replica_mask));
   os_->DropPageReplicas(region, idx);
-  vt->Charge(placement_cfg_.replica_shootdown_cycles * copies);
+  vt->Charge(kReplicaShootdownCycles * copies);
   return page_node;
 }
 
@@ -211,7 +218,7 @@ void MemSystem::SampleAutoNumaFault(sim::VThread* vt, Region* region,
                                     int page_node, bool write) {
   (void)page_node;  // consumed by the inline prefix's traffic count
   // NUMA-hinting fault: trap into the kernel and account the access.
-  vt->Charge(costs_.hinting_fault_cycles);
+  vt->Charge(kHintingFaultCycles);
   ++vt->counters.hinting_faults;
 
   size_t eff = region->pages[idx].huge ? region->HugeHead(idx) : idx;
@@ -248,13 +255,11 @@ void MemSystem::SampleAutoNumaFault(sim::VThread* vt, Region* region,
     // remote node gains a local copy there when the modeled remote-access
     // savings over the observed sample window exceed the modeled copy
     // cost. Each visit stands for ~kHintingFaultStride DRAM lines.
-    if (placement_cfg_.replicate && !write && !head.huge &&
-        accessor_node != head.node && head.node >= 0 &&
+    if (!write && !head.huge && accessor_node != head.node && head.node >= 0 &&
         !((head.replica_mask >> accessor_node) & 1) &&
         head.heat >= placement_cfg_.min_heat &&
-        v >= placement_cfg_.replicate_threshold &&
-        head.reads >= placement_cfg_.read_write_ratio *
-                          std::max<uint32_t>(head.writes, 1)) {
+        v >= kReplicateThreshold &&
+        head.reads >= kReadWriteRatio * std::max<uint32_t>(head.writes, 1)) {
       int64_t gain_per_line =
           static_cast<int64_t>(DramLatency(accessor_node, head.node)) -
           static_cast<int64_t>(DramLatency(accessor_node, accessor_node));
@@ -263,10 +268,10 @@ void MemSystem::SampleAutoNumaFault(sim::VThread* vt, Region* region,
       uint64_t copy = static_cast<uint64_t>(
           static_cast<double>(kSmallPageBytes) /
           machine_->mem_ctrl_bytes_per_cycle());
-      if (benefit > static_cast<int64_t>(costs_.page_migration_cycles + copy) &&
+      if (benefit > static_cast<int64_t>(kPageMigrationCycles + copy) &&
           os_->AddReplica(region, eff, accessor_node)) {
         // The faulting access waits for its copy, like a migrating page.
-        vt->Charge(costs_.page_migration_cycles + copy);
+        vt->Charge(kPageMigrationCycles + copy);
       }
     }
   }
@@ -275,10 +280,10 @@ void MemSystem::SampleAutoNumaFault(sim::VThread* vt, Region* region,
   // remote node has sampled enough accesses and strictly dominates, move
   // the page there — no matter how shared the page is. The kernel does
   // back off per page and rate-limit globally, which keeps the damage to
-  // "significantly detrimental" rather than "unbounded". Under placement's
-  // cost_aware gate the move must additionally pay for itself across the
-  // whole observed sample window (and replicated pages stay put: their
-  // readers are already local).
+  // "significantly detrimental" rather than "unbounded". Under placement
+  // the move must additionally pay for itself across the whole observed
+  // sample window (and replicated pages stay put: their readers are
+  // already local).
   uint64_t epoch = vt->clock / kRateEpochCycles;
   if (epoch != migrate_epoch_) {
     migrate_epoch_ = epoch;
@@ -297,7 +302,7 @@ void MemSystem::SampleAutoNumaFault(sim::VThread* vt, Region* region,
     }
     if (best != head.node) {
       bool do_migrate = true;
-      if (placement_ && placement_cfg_.cost_aware) {
+      if (placement_) {
         if (head.replica_mask != 0) {
           do_migrate = false;  // replicas already serve the remote readers
         } else {
@@ -322,7 +327,7 @@ void MemSystem::SampleAutoNumaFault(sim::VThread* vt, Region* region,
               savings >
               static_cast<int64_t>(
                   std::max<uint32_t>(placement_cfg_.migrate_hysteresis, 1) *
-                  (costs_.page_migration_cycles + copy));
+                  (kPageMigrationCycles + copy));
         }
         if (!do_migrate) ++sys_->migrations_vetoed;
       }
@@ -352,7 +357,7 @@ void MemSystem::AccessScalar(sim::VThread* vt, const void* addr_p,
   int my_node = machine_->NodeOfHwThread(vt->hw_thread);
 
   ++vt->counters.mem_accesses;
-  vt->Charge(costs_.base_access_cycles);
+  vt->Charge(kBaseAccessCycles);
 
   // TLB: one probe per access (accesses rarely straddle pages; a straddle
   // costs one extra probe below through per-line page resolution).
@@ -365,7 +370,7 @@ void MemSystem::AccessScalar(sim::VThread* vt, const void* addr_p,
       ++vt->counters.tlb_hits;
     } else {
       ++vt->counters.tlb_misses;
-      vt->Charge(costs_.page_walk_cycles);
+      vt->Charge(kPageWalkCycles);
       auto [r, i] = os_->Lookup(addr);
       region = r;
       page_idx = i;
@@ -382,13 +387,13 @@ void MemSystem::AccessScalar(sim::VThread* vt, const void* addr_p,
       LineCache& priv = caches_.Private(core);
       if (priv.Probe(line)) {
         ++vt->counters.private_hits;
-        vt->Charge(costs_.private_hit_cycles);
+        vt->Charge(kPrivateHitCycles);
         continue;
       }
       LineCache& llc = caches_.Llc(my_node);
       if (llc.Probe(line)) {
         ++vt->counters.llc_hits;
-        vt->Charge(costs_.llc_hit_cycles);
+        vt->Charge(kLlcHitCycles);
         priv.Insert(line);
         continue;
       }
@@ -431,8 +436,7 @@ void MemSystem::AccessScalar(sim::VThread* vt, const void* addr_p,
     uint64_t delay = 0;
     if (costs_.model_contention) {
       delay = contention_.Charge(*machine_, my_node, page_node, vt->clock,
-                                 kCacheLineBytes,
-                                 costs_.max_queue_delay_cycles);
+                                 kCacheLineBytes, kMaxQueueDelayCycles);
       vt->counters.queue_delay_cycles += delay;
     }
     vt->Charge(lat + delay);
@@ -537,15 +541,15 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
         vt->counters.mem_accesses += n;
         if (costs_.model_tlb) vt->counters.tlb_hits += n;
         vt->counters.private_hits += n;
-        vt->ChargeRepeated(costs_.base_access_cycles, n);
-        vt->ChargeRepeated(costs_.private_hit_cycles, n);
+        vt->ChargeRepeated(kBaseAccessCycles, n);
+        vt->ChargeRepeated(kPrivateHitCycles, n);
         off += n * stride;
         continue;
       }
     }
 
     ++vt->counters.mem_accesses;
-    vt->Charge(costs_.base_access_cycles);
+    vt->Charge(kBaseAccessCycles);
 
     if (costs_.model_tlb) {
       if (tlb_valid && erel >= tlb_lo && erel < tlb_hi) {
@@ -558,7 +562,7 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
         tlb_valid = true;
       } else {
         ++vt->counters.tlb_misses;
-        vt->Charge(costs_.page_walk_cycles);
+        vt->Charge(kPageWalkCycles);
         Region* r = ResolveRegion(cursor, eaddr);
         size_t pidx = r->PageIndex(eaddr);
         os_->Touch(r, pidx, my_node);
@@ -575,13 +579,13 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
       if (costs_.model_caches) {
         if (line_valid && line == memo_line) {
           ++vt->counters.private_hits;
-          vt->Charge(costs_.private_hit_cycles);
+          vt->Charge(kPrivateHitCycles);
           continue;
         }
         LineCache& priv = caches_.Private(core);
         if (priv.Probe(line)) {
           ++vt->counters.private_hits;
-          vt->Charge(costs_.private_hit_cycles);
+          vt->Charge(kPrivateHitCycles);
           line_valid = true;
           memo_line = line;
           continue;
@@ -589,7 +593,7 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
         LineCache& llc = caches_.Llc(my_node);
         if (llc.Probe(line)) {
           ++vt->counters.llc_hits;
-          vt->Charge(costs_.llc_hit_cycles);
+          vt->Charge(kLlcHitCycles);
           priv.Insert(line);
           line_valid = true;
           memo_line = line;
@@ -646,8 +650,7 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
         uint64_t delay = 0;
         if (costs_.model_contention) {
           delay = contention_.Charge(*machine_, my_node, pnode, now,
-                                     kCacheLineBytes,
-                                     costs_.max_queue_delay_cycles);
+                                     kCacheLineBytes, kMaxQueueDelayCycles);
         }
         uint64_t lat = DramLatency(my_node, pnode);
         dram_delay = delay;

@@ -49,7 +49,6 @@ class MemSystem {
             CostModel costs, perf::SystemCounters* sys);
 
   SimOS* os() { return os_.get(); }
-  const CostModel& costs() const { return costs_; }
   ContentionModel* contention() { return &contention_; }
 
   /// Enables AutoNUMA page-placement sampling (kernel numa_balancing).
@@ -195,7 +194,7 @@ class MemSystem {
   int RouteReplica(sim::VThread* vt, Region* region, size_t idx, int my_node,
                    int page_node, bool write);
 
-  /// dram_latency * LatencyFactor(src,dst) / mlp, truncated — fixed at
+  /// dram_latency * LatencyFactor(src,dst) / kMlp, truncated — fixed at
   /// construction, cached so the per-DRAM-line path skips the double math.
   uint64_t DramLatency(int src, int dst) const {
     return lat_table_[static_cast<size_t>(src)][static_cast<size_t>(dst)];

@@ -24,28 +24,17 @@ namespace mem {
 /// effect while AutoNUMA sampling is on (SimContext starts the AutoNuma
 /// daemon whenever placement is enabled).
 struct PlacementConfig {
-  /// Master switch. Off: stock AutoNUMA, bit-identical to the seed.
+  /// Master switch. Off: stock AutoNUMA, bit-identical to the seed. On:
+  /// read-hot pages gain per-node replicas (reads are served by the local
+  /// copy, writes invalidate every copy and pay a shootdown), and AutoNUMA
+  /// promotions are gated on modeled benefit (remote-access savings over
+  /// the observed sample window) exceeding modeled copy cost, replacing
+  /// the kernel's unconditional threshold+backoff rule.
   bool enabled = false;
-
-  /// Read-hot pages gain per-node replicas: reads are served by the local
-  /// copy, writes invalidate every copy and pay the shootdown below.
-  bool replicate = true;
-
-  /// Gate AutoNUMA promotions on modeled benefit (remote-access savings
-  /// over the observed sample window) exceeding modeled copy cost,
-  /// replacing the kernel's unconditional threshold+backoff rule.
-  bool cost_aware = true;
 
   /// Minimum page heat (saturating per-fault accumulator, decayed each
   /// AutoNUMA scan wave) before a page counts as hot for replication.
   uint16_t min_heat = 32;
-
-  /// Sampled reads must outnumber sampled writes by this factor before a
-  /// page counts as read-mostly (write-heavy pages never replicate).
-  uint32_t read_write_ratio = 8;
-
-  /// Sampled accesses from one node before that node may take a replica.
-  uint8_t replicate_threshold = 3;
 
   /// Noise margin on the cost-aware migration gate: modeled savings must
   /// exceed `migrate_hysteresis x` the modeled cost before a page moves.
@@ -54,10 +43,6 @@ struct PlacementConfig {
   /// trigger a move whose copy stalls readers behind `migrating_until`;
   /// higher values demand a sustained imbalance. 1 is the break-even gate.
   uint32_t migrate_hysteresis = 1;
-
-  /// Cycles charged to a writer per invalidated replica (IPI + remote TLB
-  /// flush + freeing the copy).
-  uint64_t replica_shootdown_cycles = 1200;
 };
 
 }  // namespace mem

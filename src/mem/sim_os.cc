@@ -8,11 +8,9 @@ namespace numalab {
 namespace mem {
 
 SimOS::SimOS(const topology::Machine* machine, sim::Engine* engine,
-             const CostModel* costs, ContentionModel* contention,
-             perf::SystemCounters* sys)
+             ContentionModel* contention, perf::SystemCounters* sys)
     : machine_(machine),
       engine_(engine),
-      costs_(costs),
       contention_(contention),
       sys_(sys),
       slot_region_(kSlabBytes / kSlotBytes, nullptr),
@@ -401,7 +399,7 @@ void SimOS::MigratePage(Region* region, size_t idx, int to_node,
   uint64_t copy = static_cast<uint64_t>(
       static_cast<double>(bytes) / machine_->mem_ctrl_bytes_per_cycle());
   head.migrating_until =
-      now + costs_->page_migration_cycles + std::min<uint64_t>(copy, 150000);
+      now + kPageMigrationCycles + std::min<uint64_t>(copy, 150000);
   for (auto& v : head.visits) v = 0;
   ++sys_->page_migrations;
 }
@@ -427,7 +425,7 @@ bool SimOS::TryCollapseHuge(Region* region, size_t head_idx, uint64_t now) {
     region->pages[head_idx + static_cast<size_t>(i)].huge = 1;
   }
   contention_->Inject(node, now, kHugePageBytes);
-  head.migrating_until = now + costs_->thp_collapse_cycles;
+  head.migrating_until = now + kThpCollapseCycles;
   ++sys_->thp_collapses;
   return true;
 }
@@ -450,7 +448,7 @@ void SimOS::SplitHuge(Region* region, size_t head_idx, uint64_t now) {
     }
   }
   head.migrating_until =
-      std::max(head.migrating_until, now + costs_->thp_split_cycles);
+      std::max(head.migrating_until, now + kThpSplitCycles);
   ++sys_->thp_splits;
 }
 

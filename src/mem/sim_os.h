@@ -34,8 +34,7 @@ namespace mem {
 class SimOS {
  public:
   SimOS(const topology::Machine* machine, sim::Engine* engine,
-        const CostModel* costs, ContentionModel* contention,
-        perf::SystemCounters* sys);
+        ContentionModel* contention, perf::SystemCounters* sys);
   ~SimOS();
 
   SimOS(const SimOS&) = delete;
@@ -187,7 +186,6 @@ class SimOS {
 
   const topology::Machine* machine_;
   sim::Engine* engine_;
-  const CostModel* costs_;
   ContentionModel* contention_;
   perf::SystemCounters* sys_;
 

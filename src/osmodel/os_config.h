@@ -15,14 +15,6 @@ enum class Affinity {
 
 const char* AffinityName(Affinity a);
 
-/// \brief Kernel feature toggles (Section III-D). Both default to on, as on
-/// stock Linux distributions.
-struct OsConfig {
-  bool autonuma = true;              ///< kernel.numa_balancing
-  bool transparent_hugepages = true; ///< THP "always"
-  Affinity affinity = Affinity::kNone;
-};
-
 }  // namespace osmodel
 }  // namespace numalab
 

@@ -96,7 +96,7 @@ void ThreadScheduler::Migrate(sim::VThread* vt, int hw) {
   hw_load_[static_cast<size_t>(vt->hw_thread)]--;
   vt->hw_thread = hw;
   hw_load_[static_cast<size_t>(hw)]++;
-  vt->Charge(memsys_->costs().thread_migration_cycles);
+  vt->Charge(mem::kThreadMigrationCycles);
   ++vt->counters.thread_migrations;
   memsys_->OnThreadMigrated(machine_->CoreOfHwThread(hw));
   RecomputeScales();

@@ -49,6 +49,7 @@ constexpr uint64_t kUpsertCycles = 40;
 constexpr uint64_t kBatchSortCycles = 12;  // per batched request
 constexpr uint64_t kIdlePollCycles = 400;  // empty-queue poll
 constexpr uint64_t kBatchPollCycles = 120; // batch-window poll
+constexpr int kTpchQuery = 6;              // RequestType::kTpch runs Q6
 
 struct Request {
   RequestType type = RequestType::kPointGet;
@@ -650,8 +651,7 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
         minidb::QCtx qc{&tenv, s.prof};
         minidb::QueryState qs;
         qs.Prepare(s.db.get(), 1);
-        minidb::QueryPlan plan =
-            minidb::BuildTpchPlan(s.sc->tpch_query, &qs);
+        minidb::QueryPlan plan = minidb::BuildTpchPlan(kTpchQuery, &qs);
         for (const minidb::Phase& phase : plan.phases) {
           if (env.Failed()) break;
           if (phase.rows == 0) {
@@ -784,7 +784,7 @@ ServeResult RunServing(const workloads::RunConfig& rc,
                               q.cap * sizeof(uint32_t), n);
   }
 
-  // WAL-backed storage engine under the request stream (--storage=1). The
+  // WAL-backed storage engine under the request stream (storage.enabled). The
   // engine's disk preload is host-side; its frames are allocated lazily by
   // the workers through the fallible chain, so faultlab pressure applies.
   std::unique_ptr<storage::StorageEngine> store;

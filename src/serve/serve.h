@@ -107,9 +107,8 @@ struct ServeConfig {
   uint64_t range_rows = 256;
   /// Build side of the shared probe table (built during warmup).
   uint64_t probe_build_rows = 8192;
-  /// minidb dataset scale / query for RequestType::kTpch.
+  /// minidb dataset scale for RequestType::kTpch (the query is TPC-H Q6).
   double tpch_scale = 0.01;
-  int tpch_query = 6;
 
   /// Closed-loop population and think time.
   int sessions = 16;
@@ -191,6 +190,12 @@ struct ServingStats {
     return completed == 0 ? 0.0
                           : static_cast<double>(makespan_cycles) /
                                 static_cast<double>(completed);
+  }
+  /// Throughput: completed requests per million cycles of makespan.
+  double PerMcycle() const {
+    return makespan_cycles == 0 ? 0.0
+                                : static_cast<double>(completed) * 1e6 /
+                                      static_cast<double>(makespan_cycles);
   }
 };
 

@@ -17,6 +17,33 @@ namespace {
 constexpr uint64_t kShardHoldCycles = 160;
 constexpr uint64_t kWalHoldCycles = 90;
 
+// Page format: a fixed-size slotted page of an 8-byte page LSN, a presence
+// bitmap of one bit per slot, and 16-byte (key, value) slots. 253 is the
+// most slots that fit: 8 + 8 * 4 + 16 * 253 = 4088 <= 4096.
+constexpr uint64_t kPageBytes = 4096;
+constexpr uint64_t kSlotsPerPage = 253;
+constexpr uint64_t kBitmapWords = (kSlotsPerPage + 63) / 64;
+constexpr uint64_t PageFormatBytes(uint64_t slots) {
+  return 8 + 8 * ((slots + 63) / 64) + 16 * slots;
+}
+static_assert(PageFormatBytes(kSlotsPerPage) <= kPageBytes &&
+                  PageFormatBytes(kSlotsPerPage + 1) > kPageBytes,
+              "kSlotsPerPage must be the most slots a page holds");
+
+// Simulated I/O device (virtual cycles), charged to the calling worker.
+// Each device op adds a seeded jitter in [0, kIoJitterCycles).
+constexpr uint64_t kIoReadCycles = 9'000;
+constexpr uint64_t kIoWriteCycles = 13'000;
+constexpr uint64_t kIoJitterCycles = 512;
+
+// WAL: per-record append cost (buffered), flush base + per-record cost,
+// and the group-commit window: the buffer is flushed once its oldest
+// record has waited this long, even below group_commit_records.
+constexpr uint64_t kWalAppendCycles = 60;
+constexpr uint64_t kWalFlushBaseCycles = 6'000;
+constexpr uint64_t kWalFlushPerRecordCycles = 90;
+constexpr uint64_t kGroupCommitWindowCycles = 24'000;
+
 // Logical on-device size of one WAL record: lsn + page + slot + key + value
 // (8+8+4+8+8, padded). Only feeds the wal_bytes counter.
 constexpr uint64_t kWalRecordBytes = 40;
@@ -37,22 +64,8 @@ const char* ShardPlacementName(ShardPlacement p) {
   switch (p) {
     case ShardPlacement::kLocal: return "local";
     case ShardPlacement::kNode0: return "node0";
-    case ShardPlacement::kInterleave: return "interleave";
   }
   return "unknown";
-}
-
-bool ShardPlacementFromName(const std::string& name, ShardPlacement* out) {
-  if (name == "local") {
-    *out = ShardPlacement::kLocal;
-  } else if (name == "node0") {
-    *out = ShardPlacement::kNode0;
-  } else if (name == "interleave") {
-    *out = ShardPlacement::kInterleave;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 StorageEngine::StorageEngine(const StorageConfig& cfg, int nodes,
@@ -64,17 +77,9 @@ StorageEngine::StorageEngine(const StorageConfig& cfg, int nodes,
   NUMALAB_CHECK(nodes_ >= 1);
   NUMALAB_CHECK(cfg_.rows > 0);
   NUMALAB_CHECK(cfg_.frames_per_shard >= 1);
-  // Solve for the slot count of a fixed-size slotted page:
-  //   8 (page LSN) + 8 * ceil(n/64) (presence bitmap) + 16n <= page_bytes.
-  NUMALAB_CHECK(cfg_.page_bytes >= 64);
-  uint64_t n = (cfg_.page_bytes - 8) / 16;
-  while (8 + 8 * ((n + 63) / 64) + 16 * n > cfg_.page_bytes) --n;
-  NUMALAB_CHECK(n >= 1);
-  slots_per_page_ = n;
-  bitmap_words_ = (n + 63) / 64;
-  npages_ = (cfg_.rows + slots_per_page_ - 1) / slots_per_page_;
+  npages_ = (cfg_.rows + kSlotsPerPage - 1) / kSlotsPerPage;
 
-  disk_.assign(npages_ * cfg_.page_bytes, 0);
+  disk_.assign(npages_ * kPageBytes, 0);
   frame_of_page_.assign(npages_, -1);
   shard_dead_.assign(nodes_, false);
   shards_.resize(nodes_);
@@ -88,10 +93,19 @@ StorageEngine::StorageEngine(const StorageConfig& cfg, int nodes,
   // Preload: the table starts fully populated, written straight to the disk
   // images (models a pre-existing on-device table; no WAL, no charges).
   for (uint64_t key = 0; key < cfg_.rows; ++key) {
-    ApplySlot(DiskImage(key / slots_per_page_), /*lsn=*/0,
-              static_cast<uint32_t>(key % slots_per_page_), key,
+    ApplySlot(DiskImage(key / kSlotsPerPage), /*lsn=*/0,
+              static_cast<uint32_t>(key % kSlotsPerPage), key,
               PreloadValue(key));
   }
+}
+
+uint64_t StorageEngine::rows_per_page() const { return kSlotsPerPage; }
+
+uint8_t* StorageEngine::DiskImage(uint64_t page) {
+  return &disk_[page * kPageBytes];
+}
+const uint8_t* StorageEngine::DiskImage(uint64_t page) const {
+  return &disk_[page * kPageBytes];
 }
 
 int StorageEngine::shard_of(uint64_t page) const {
@@ -104,10 +118,7 @@ int StorageEngine::shard_of(uint64_t page) const {
 }
 
 uint64_t StorageEngine::ChargeIo(workloads::Env& env, uint64_t base) {
-  uint64_t cycles = base;
-  if (cfg_.io_jitter_cycles > 0) {
-    cycles += io_rng_.Uniform(cfg_.io_jitter_cycles);
-  }
+  uint64_t cycles = base + io_rng_.Uniform(kIoJitterCycles);
   env.Compute(cycles);
   return cycles;
 }
@@ -118,7 +129,7 @@ void StorageEngine::ApplySlot(uint8_t* img, uint64_t lsn, uint32_t slot,
   uint64_t word = ReadU64(img + 8 + 8 * (slot / 64));
   word |= 1ULL << (slot % 64);
   WriteU64(img + 8 + 8 * (slot / 64), word);
-  uint8_t* s = img + 8 + 8 * bitmap_words_ + 16 * slot;
+  uint8_t* s = img + 8 + 8 * kBitmapWords + 16 * slot;
   WriteU64(s, key);
   WriteU64(s + 8, value);
 }
@@ -134,8 +145,7 @@ void StorageEngine::MaybeCrash(workloads::Env& env) {
 
 void StorageEngine::FlushWal(workloads::Env& env) {
   if (wal_buf_.empty()) return;
-  env.Compute(cfg_.wal_flush_base_cycles +
-              cfg_.wal_flush_per_record_cycles * wal_buf_.size());
+  env.Compute(kWalFlushBaseCycles + kWalFlushPerRecordCycles * wal_buf_.size());
   ++st_.wal_flushes;
   flushed_lsn_ = wal_buf_.back().lsn;
   wal_.insert(wal_.end(), wal_buf_.begin(), wal_buf_.end());
@@ -160,7 +170,7 @@ void StorageEngine::WalAppend(workloads::Env& env, uint64_t page,
   r.key = key;
   r.value = value;
   wal_buf_.push_back(r);
-  env.Compute(cfg_.wal_append_cycles);
+  env.Compute(kWalAppendCycles);
   ++st_.wal_records;
   st_.wal_bytes += kWalRecordBytes;
   ++records_since_checkpoint_;
@@ -168,7 +178,7 @@ void StorageEngine::WalAppend(workloads::Env& env, uint64_t page,
   // Group commit: flush when the group fills or the oldest buffered record
   // has waited out the virtual-cycle window.
   if (wal_buf_.size() >= cfg_.group_commit_records ||
-      env.self->clock - buf_open_cycle_ >= cfg_.group_commit_window_cycles) {
+      env.self->clock - buf_open_cycle_ >= kGroupCommitWindowCycles) {
     FlushWal(env);
   }
   env.LockReleased(&wal_lock_);
@@ -180,9 +190,9 @@ void StorageEngine::WriteBack(workloads::Env& env, Shard& sh, Frame& f) {
   if (f.page_lsn > flushed_lsn_) {
     SyncWal(env);
   }
-  env.ReadSpan(f.data, cfg_.page_bytes);
-  std::memcpy(DiskImage(f.page), f.data, cfg_.page_bytes);
-  ChargeIo(env, cfg_.io_write_cycles);
+  env.ReadSpan(f.data, kPageBytes);
+  std::memcpy(DiskImage(f.page), f.data, kPageBytes);
+  ChargeIo(env, kIoWriteCycles);
   ++st_.io_writes;
   ++sh.st.writebacks;
   f.dirty = false;
@@ -208,15 +218,11 @@ Frame* StorageEngine::FetchLocked(workloads::Env& env, int shard_idx,
     // pressure and injected allocation failures reach the buffer pool.
     // Raw TryAlloc (not Env::TryAlloc): a refusal here is survivable — we
     // fall back to evicting — so it must not poison the run status.
-    void* p = env.alloc->TryAlloc(cfg_.page_bytes);
+    void* p = env.alloc->TryAlloc(kPageBytes);
     if (p != nullptr) {
-      env.NoteAlloc(p, cfg_.page_bytes);
+      env.NoteAlloc(p, kPageBytes);
       int touch_node = shard_idx;
-      if (cfg_.placement == ShardPlacement::kNode0) {
-        touch_node = 0;
-      } else if (cfg_.placement == ShardPlacement::kInterleave) {
-        touch_node = static_cast<int>(sh.frames.size()) % nodes_;
-      }
+      if (cfg_.placement == ShardPlacement::kNode0) touch_node = 0;
       // Bind the frame's backing pages to the placement target, the
       // move_pages(2) way: a fresh page first-touches straight onto the
       // target; an allocator-recycled page (already bound wherever its
@@ -224,7 +230,7 @@ Frame* StorageEngine::FetchLocked(workloads::Env& env, int shard_idx,
       // the contention model. An offline target leaves the page put
       // (counted as an injected migration failure), matching the kernel.
       uint64_t base_addr = reinterpret_cast<uint64_t>(p);
-      for (uint64_t a = base_addr; a < base_addr + cfg_.page_bytes;
+      for (uint64_t a = base_addr; a < base_addr + kPageBytes;
            a += mem::kSmallPageBytes) {
         auto [region, idx] = env.mem->os()->Lookup(a);
         env.mem->os()->Touch(region, idx, touch_node);
@@ -233,7 +239,7 @@ Frame* StorageEngine::FetchLocked(workloads::Env& env, int shard_idx,
       }
       {
         auto [region, idx] =
-            env.mem->os()->Lookup(base_addr + cfg_.page_bytes - 1);
+            env.mem->os()->Lookup(base_addr + kPageBytes - 1);
         env.mem->os()->Touch(region, idx, touch_node);
         env.mem->os()->MigratePage(region, idx, touch_node,
                                    env.self->clock);
@@ -281,10 +287,10 @@ Frame* StorageEngine::FetchLocked(workloads::Env& env, int shard_idx,
   }
 
   // Fault the page in from the simulated device.
-  ChargeIo(env, cfg_.io_read_cycles);
+  ChargeIo(env, kIoReadCycles);
   ++st_.io_reads;
-  std::memcpy(victim->data, DiskImage(page), cfg_.page_bytes);
-  env.WriteSpan(victim->data, cfg_.page_bytes);
+  std::memcpy(victim->data, DiskImage(page), kPageBytes);
+  env.WriteSpan(victim->data, kPageBytes);
   victim->page = page;
   victim->page_lsn = ReadU64(victim->data);
   victim->dirty = false;
@@ -341,8 +347,8 @@ bool StorageEngine::Upsert(workloads::Env& env, uint64_t key,
                            uint64_t value) {
   NUMALAB_CHECK(key < cfg_.rows);
   MaybeCrash(env);
-  uint64_t page = key / slots_per_page_;
-  uint32_t slot = static_cast<uint32_t>(key % slots_per_page_);
+  uint64_t page = key / kSlotsPerPage;
+  uint32_t slot = static_cast<uint32_t>(key % kSlotsPerPage);
   // Write-ahead rule: the record is logged (group-commit buffered) before
   // the page is touched.
   uint64_t lsn = 0;
@@ -353,7 +359,7 @@ bool StorageEngine::Upsert(workloads::Env& env, uint64_t key,
     // Charge the in-frame writes: header LSN + bitmap word + the slot.
     env.Write(f.data, 8);
     env.Write(f.data + 8 + 8 * (slot / 64), 8);
-    env.Write(f.data + 8 + 8 * bitmap_words_ + 16 * slot, 16);
+    env.Write(f.data + 8 + 8 * kBitmapWords + 16 * slot, 16);
     f.page_lsn = lsn;
     f.dirty = true;
   });
@@ -367,14 +373,14 @@ bool StorageEngine::Get(workloads::Env& env, uint64_t key, uint64_t* value) {
   NUMALAB_CHECK(key < cfg_.rows);
   MaybeCrash(env);
   *value = 0;
-  uint64_t page = key / slots_per_page_;
-  uint32_t slot = static_cast<uint32_t>(key % slots_per_page_);
+  uint64_t page = key / kSlotsPerPage;
+  uint32_t slot = static_cast<uint32_t>(key % kSlotsPerPage);
   bool found = false;
   Pinned r = WithPage(env, page, [&](Frame& f) {
     env.Read(f.data + 8 + 8 * (slot / 64), 8);
     uint64_t word = ReadU64(f.data + 8 + 8 * (slot / 64));
     if ((word >> (slot % 64)) & 1ULL) {
-      const uint8_t* s = f.data + 8 + 8 * bitmap_words_ + 16 * slot;
+      const uint8_t* s = f.data + 8 + 8 * kBitmapWords + 16 * slot;
       env.Read(s, 16);
       *value = ReadU64(s + 8);
       found = true;
@@ -394,12 +400,12 @@ uint64_t StorageEngine::ScanSum(workloads::Env& env, uint64_t key,
   uint64_t k = key;
   while (k < end) {
     MaybeCrash(env);
-    uint64_t page = k / slots_per_page_;
-    uint32_t first = static_cast<uint32_t>(k % slots_per_page_);
-    uint64_t last = std::min(end, (page + 1) * slots_per_page_);
+    uint64_t page = k / kSlotsPerPage;
+    uint32_t first = static_cast<uint32_t>(k % kSlotsPerPage);
+    uint64_t last = std::min(end, (page + 1) * kSlotsPerPage);
     uint32_t count = static_cast<uint32_t>(last - k);
     Pinned r = WithPage(env, page, [&](Frame& f) {
-      const uint8_t* base = f.data + 8 + 8 * bitmap_words_ + 16 * first;
+      const uint8_t* base = f.data + 8 + 8 * kBitmapWords + 16 * first;
       env.ReadSpan(base, 16ULL * count, 16);
       for (uint32_t i = 0; i < count; ++i) {
         uint64_t word = ReadU64(f.data + 8 + 8 * ((first + i) / 64));
@@ -487,9 +493,9 @@ void StorageEngine::RecoverAfterCrash(workloads::Env& env, int node) {
     if (!redone[r.page]) {
       redone[r.page] = true;
       ++st_.recovery_pages_redone;
-      ChargeIo(env, cfg_.io_read_cycles);
+      ChargeIo(env, kIoReadCycles);
       ++st_.io_reads;
-      ChargeIo(env, cfg_.io_write_cycles);
+      ChargeIo(env, kIoWriteCycles);
       ++st_.io_writes;
     }
     ApplySlot(img, r.lsn, r.slot, r.key, r.value);
@@ -510,14 +516,14 @@ uint64_t StorageEngine::Checksum() const {
       NUMALAB_CHECK(si >= 0);
       img = shards_[si].frames[fi].data;
     }
-    uint64_t lo = page * slots_per_page_;
-    uint64_t hi = std::min(cfg_.rows, lo + slots_per_page_);
+    uint64_t lo = page * kSlotsPerPage;
+    uint64_t hi = std::min(cfg_.rows, lo + kSlotsPerPage);
     for (uint64_t key = lo; key < hi; ++key) {
       uint32_t slot = static_cast<uint32_t>(key - lo);
       uint64_t word = ReadU64(img + 8 + 8 * (slot / 64));
       if ((word >> (slot % 64)) & 1ULL) {
         uint64_t value =
-            ReadU64(img + 8 + 8 * bitmap_words_ + 16 * slot + 8);
+            ReadU64(img + 8 + 8 * kBitmapWords + 16 * slot + 8);
         sum += SplitMix64(key * 0x9e3779b97f4a7c15ULL ^ value).Next();
       }
     }
@@ -554,7 +560,7 @@ std::string StorageJson(const StorageConfig& cfg, const StorageStats& st) {
           "{\"enabled\":%s,\"rows\":%" PRIu64 ",\"page_bytes\":%" PRIu64
           ",\"frames_per_shard\":%" PRIu64
           ",\"placement\":\"%s\",\"checkpoint_interval\":%" PRIu64,
-          cfg.enabled ? "true" : "false", cfg.rows, cfg.page_bytes,
+          cfg.enabled ? "true" : "false", cfg.rows, kPageBytes,
           cfg.frames_per_shard, ShardPlacementName(cfg.placement),
           cfg.checkpoint_interval_records);
   Appendf(&out,

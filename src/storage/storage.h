@@ -5,7 +5,7 @@
 // minidb is compute-only; this subsystem adds the missing storage half of a
 // query-serving system, following the MiniRDB exemplar: fixed-size slotted
 // pages persisted on a *simulated* I/O device (host-side byte images whose
-// reads/writes charge seeded, configurable virtual-cycle latencies), cached
+// reads/writes charge seeded virtual-cycle latencies), cached
 // by one buffer-pool shard per NUMA node. Page ids are routed to their
 // owning shard; each shard's frames live in simulated memory — allocated
 // through the fallible allocation chain, so faultlab capacity pressure and
@@ -55,21 +55,18 @@ namespace storage {
 /// \brief Where a shard's frame memory is first-touched. The buffer pool's
 /// own placement axis, orthogonal to MemPolicy: kLocal puts each shard's
 /// frames on the node whose pages it caches (the NUMA-aware design), kNode0
-/// reproduces the classic single-producer pathology, kInterleave
-/// round-robins frames across nodes.
+/// reproduces the classic single-producer pathology.
 enum class ShardPlacement {
   kLocal,
   kNode0,
-  kInterleave,
 };
 
 const char* ShardPlacementName(ShardPlacement p);
-/// Parses "local" / "node0" / "interleave"; false on anything else.
-bool ShardPlacementFromName(const std::string& name, ShardPlacement* out);
 
-/// \brief Parameters of the paged store, buffer pool, simulated I/O device
-/// and WAL. Defaults give a working set a few times larger than the pool,
-/// so eviction and writeback are exercised.
+/// \brief Parameters of the paged store, buffer pool and WAL. The page
+/// format, the simulated I/O device and the WAL costs are constants of
+/// storage.cc. Defaults give a working set a few times larger than the
+/// pool, so eviction and writeback are exercised.
 struct StorageConfig {
   /// Master switch for the serving integration: RunServing routes the
   /// upsert/point/range stream through the WAL-backed table iff true.
@@ -78,27 +75,14 @@ struct StorageConfig {
 
   /// Table rows; keys are [0, rows), direct-mapped to (page, slot).
   uint64_t rows = 1 << 16;
-  /// Fixed page size in bytes (header + presence bitmap + 16-byte slots).
-  uint64_t page_bytes = 4096;
   /// Buffer-pool frames per NUMA-node shard.
   uint64_t frames_per_shard = 24;
   ShardPlacement placement = ShardPlacement::kLocal;
 
-  // Simulated I/O cost model (virtual cycles), charged to the calling
-  // worker. Each device op adds a seeded jitter in [0, io_jitter_cycles).
-  uint64_t io_read_cycles = 9'000;
-  uint64_t io_write_cycles = 13'000;
-  uint64_t io_jitter_cycles = 512;
-
-  // WAL: per-record append cost (buffered), flush base + per-record cost,
-  // and the group-commit policy — flush when the buffer reaches
-  // group_commit_records or the oldest buffered record has waited
-  // group_commit_window_cycles.
-  uint64_t wal_append_cycles = 60;
-  uint64_t wal_flush_base_cycles = 6'000;
-  uint64_t wal_flush_per_record_cycles = 90;
+  /// Group commit: flush the WAL when the buffer reaches this many
+  /// records, or once the oldest buffered record has waited out the
+  /// group-commit window (a constant of storage.cc).
   uint64_t group_commit_records = 16;
-  uint64_t group_commit_window_cycles = 24'000;
 
   /// Sharp checkpoint every N WAL records (0 disables checkpoints): flush
   /// the WAL, write back every dirty frame, truncate the log. Smaller
@@ -176,7 +160,7 @@ inline uint64_t PreloadValue(uint64_t key) {
   return SplitMix64(key * 0x9e3779b97f4a7c15ULL + 1).Next();
 }
 
-/// \brief One buffer-pool frame. `data` is page_bytes of simulated memory;
+/// \brief One buffer-pool frame. `data` is one page of simulated memory;
 /// accesses to it are charged through the caller's Env.
 struct Frame {
   uint64_t page = ~0ULL;
@@ -247,7 +231,7 @@ class StorageEngine {
 
   const StorageConfig& config() const { return cfg_; }
   uint64_t pages() const { return npages_; }
-  uint64_t rows_per_page() const { return slots_per_page_; }
+  uint64_t rows_per_page() const;
   int shard_of(uint64_t page) const;
   /// WAL records currently live (flushed, post-checkpoint) — shrinks when
   /// a checkpoint truncates (tests).
@@ -274,10 +258,8 @@ class StorageEngine {
     ShardStats st;
   };
 
-  uint8_t* DiskImage(uint64_t page) { return &disk_[page * cfg_.page_bytes]; }
-  const uint8_t* DiskImage(uint64_t page) const {
-    return &disk_[page * cfg_.page_bytes];
-  }
+  uint8_t* DiskImage(uint64_t page);
+  const uint8_t* DiskImage(uint64_t page) const;
   /// What WithPage got to: no online shard for the page (Unavailable
   /// reported), no frame for it (failure reported), or the body ran.
   enum class Pinned { kNoShard, kNoFrame, kDone };
@@ -311,8 +293,6 @@ class StorageEngine {
   int nodes_ = 1;
   faultlab::FaultLab* faults_ = nullptr;  // not owned; may be null
 
-  uint64_t slots_per_page_ = 0;
-  uint64_t bitmap_words_ = 0;
   uint64_t npages_ = 0;
 
   std::vector<uint8_t> disk_;          // host-side durable page images

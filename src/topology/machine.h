@@ -73,7 +73,6 @@ class Machine {
   }
   /// Physical core of hardware thread `hw` (SMT siblings share a core).
   int CoreOfHwThread(int hw) const { return hw / smt_per_core_; }
-  int NodeOfCore(int core) const { return core / cores_per_node_; }
 
   /// Number of interconnect hops on the (precomputed) route from `src` to
   /// `dst` node; 0 when src == dst.

@@ -87,7 +87,7 @@ void AppendConfig(std::string* out, const workloads::RunConfig& c,
           ",\"seed\":%" PRIu64 ",\"run_index\":%d,\"quantum\":%" PRIu64
           ",\"scalar_mem_path\":%s,\"deadline_cycles\":%" PRIu64
           ",\"placement\":%s,\"storage\":%s}",
-          c.seed, c.run_index, c.quantum,
+          c.seed, c.run_index, workloads::kQuantumCycles,
           c.scalar_mem_path ? "true" : "false", c.deadline_cycles,
           c.placement.enabled ? "true" : "false",
           storage ? "true" : "false");

@@ -29,6 +29,9 @@ enum class Dataset {
 
 const char* DatasetName(Dataset d);
 
+/// Engine checkpoint quantum of every simulated run (clock-skew bound).
+inline constexpr uint64_t kQuantumCycles = 4000;
+
 /// \brief One cell of the experiment grid (Table IV). Defaults are the
 /// paper's system defaults (OS scheduler free, First Touch, ptmalloc,
 /// AutoNUMA+THP on) so a default-constructed config reproduces the
@@ -54,7 +57,6 @@ struct RunConfig {
 
   uint64_t seed = 42;
   int run_index = 0;  ///< perturbs OS-scheduler randomness across runs
-  uint64_t quantum = 4000;  ///< engine checkpoint quantum (clock-skew bound)
 
   /// Route all charging through the unbatched scalar reference path instead
   /// of the batched span engine. Slower; exists so parity tests can compare
@@ -75,7 +77,8 @@ struct RunConfig {
   /// GlobalRaceDetect() for the process-wide --race-detect bench mode.
   bool race_detect = false;
 
-  mem::CostModel costs;  ///< ablation switches live here
+  /// Ablation switches: each turns one model layer off (DESIGN.md §7).
+  mem::CostModel costs;
 
   /// Adaptive placement (hot-page replication + cost-aware migration).
   /// Disabled by default: stock AutoNUMA code paths, bit-identical to the
@@ -140,7 +143,6 @@ void SetGlobalRaceDetect(bool on);
 /// disabled. Returns a disabled plan when unset.
 const faultlab::FaultPlan& GlobalFaultPlan();
 void SetGlobalFaultPlan(const faultlab::FaultPlan& plan);
-void ClearGlobalFaultPlan();
 
 }  // namespace workloads
 }  // namespace numalab

@@ -21,7 +21,6 @@ const faultlab::FaultPlan& GlobalFaultPlan() { return g_fault_plan; }
 void SetGlobalFaultPlan(const faultlab::FaultPlan& plan) {
   g_fault_plan = plan;
 }
-void ClearGlobalFaultPlan() { g_fault_plan = faultlab::FaultPlan(); }
 
 const char* DatasetName(Dataset d) {
   switch (d) {
@@ -35,7 +34,7 @@ const char* DatasetName(Dataset d) {
 SimContext::SimContext(const RunConfig& config)
     : config_(config),
       machine_(topology::MachineByName(config.machine)),
-      engine_(config.quantum),
+      engine_(kQuantumCycles),
       memsys_(std::make_unique<mem::MemSystem>(&machine_, &engine_,
                                                config.costs, &sys_)),
       sched_(&machine_, &engine_, memsys_.get(), config.affinity,
@@ -76,8 +75,7 @@ SimContext::SimContext(const RunConfig& config)
     memsys_->SetRaceDetector(race_.get());
   }
 
-  alloc::AllocEnv aenv{&engine_, memsys_->os(), &memsys_->costs(),
-                       faults_.get()};
+  alloc::AllocEnv aenv{&engine_, memsys_->os(), faults_.get()};
   allocator_ = alloc::MakeAllocator(config.allocator, aenv, &machine_);
 
   if (config.thp) {

@@ -20,7 +20,7 @@ class AllocOsTest : public ::testing::Test {
         memsys_(&machine_, &engine_, mem::CostModel{}, &sys_) {}
 
   std::unique_ptr<SimAllocator> Make(const char* name) {
-    AllocEnv env{&engine_, memsys_.os(), &memsys_.costs()};
+    AllocEnv env{&engine_, memsys_.os()};
     return MakeAllocator(name, env, &machine_);
   }
   void RunAs(int hw, const std::function<void()>& fn) {

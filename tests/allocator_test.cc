@@ -24,7 +24,7 @@ class AllocatorTest : public ::testing::TestWithParam<const char*> {
   AllocatorTest()
       : machine_(topology::MachineA()),
         memsys_(&machine_, &engine_, mem::CostModel{}, &sys_) {
-    AllocEnv env{&engine_, memsys_.os(), &memsys_.costs()};
+    AllocEnv env{&engine_, memsys_.os()};
     alloc_ = MakeAllocator(GetParam(), env, &machine_);
   }
 

@@ -188,7 +188,6 @@ TEST(ServeTest, TpchRequestsExecute) {
   sc.mix_tpch = 0.5;
   sc.mix_range = sc.mix_probe = sc.mix_upsert = 0;
   sc.tpch_scale = 0.002;
-  sc.tpch_query = 6;
   ServeResult r = RunServing(SmallRun(), sc);
   ASSERT_TRUE(r.run.status.ok()) << r.run.status.ToString();
   ExpectAdmissionInvariants(r.stats, 60);

@@ -12,6 +12,7 @@
 
 #include "src/serve/serve.h"
 #include "src/storage/storage.h"
+#include "src/trace/export.h"
 #include "src/workloads/sim_context.h"
 
 namespace numalab {
@@ -199,21 +200,10 @@ TEST(StorageTest, CheckpointTruncatesTheLogAndBoundsRedo) {
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();
 }
 
-TEST(StorageTest, PlacementNamesRoundTrip) {
-  for (ShardPlacement p : {ShardPlacement::kLocal, ShardPlacement::kNode0,
-                           ShardPlacement::kInterleave}) {
-    ShardPlacement parsed;
-    ASSERT_TRUE(ShardPlacementFromName(ShardPlacementName(p), &parsed));
-    EXPECT_EQ(parsed, p);
-  }
-  ShardPlacement parsed;
-  EXPECT_FALSE(ShardPlacementFromName("hbm", &parsed));
-}
-
 TEST(StorageServeTest, ServingStreamThroughStorageIsDeterministic) {
-  // The --storage=1 serving path: same-seed runs must agree bit-for-bit on
-  // the storage section, and the accounting invariants the JSON validator
-  // enforces must hold.
+  // Serving with config.storage enabled: same-seed runs must agree
+  // bit-for-bit on the storage section, and the accounting invariants the
+  // JSON validator enforces must hold.
   RunConfig rc;
   rc.machine = "A";
   rc.threads = 4;
@@ -230,7 +220,13 @@ TEST(StorageServeTest, ServingStreamThroughStorageIsDeterministic) {
   sc.storage.enabled = true;
   sc.storage.frames_per_shard = 4;
   serve::ServeResult a = serve::RunServing(rc, sc);
+  // Run b with the export collector on: collection is bookkeeping, so b must
+  // still match a, and b's "storage" section is what a bench would export.
+  trace::SetCollectEnabled(true);
   serve::ServeResult b = serve::RunServing(rc, sc);
+  trace::SetCollectEnabled(false);
+  std::vector<trace::CollectedRun> runs = trace::CollectedRuns();
+  trace::ClearCollectedRuns();
   ASSERT_TRUE(a.run.status.ok()) << a.run.status.ToString();
   EXPECT_EQ(a.run.cycles, b.run.cycles);
   EXPECT_EQ(StorageJson(sc.storage, a.storage),
@@ -243,6 +239,19 @@ TEST(StorageServeTest, ServingStreamThroughStorageIsDeterministic) {
   uint64_t shard_lookups = 0;
   for (const ShardStats& s : a.storage.shards) shard_lookups += s.lookups;
   EXPECT_EQ(shard_lookups, a.storage.lookups);
+
+  // The live run's exported config: rows is the run's kv_keys, page_bytes
+  // the fixed page format, the rest the ServeConfig's storage settings.
+  ASSERT_EQ(runs.size(), 1u);
+  ASSERT_EQ(runs[0].sections.size(), 2u);
+  EXPECT_EQ(runs[0].sections[1].key, "storage");
+  EXPECT_EQ(runs[0].sections[1].json.rfind(
+                "{\"enabled\":true,\"rows\":4096,\"page_bytes\":4096,"
+                "\"frames_per_shard\":4,\"placement\":\"local\","
+                "\"checkpoint_interval\":4096",
+                0),
+            0u)
+      << runs[0].sections[1].json;
 }
 
 }  // namespace
