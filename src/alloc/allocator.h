@@ -50,13 +50,7 @@ class SimAllocator {
   /// Frees a pointer obtained from Alloc. nullptr is a no-op.
   void Free(void* p);
 
-  virtual const char* name() const = 0;
-
   const AllocStats& stats() const { return stats_; }
-
-  /// Resident bytes attributable to this run's heap (for the Fig. 2b
-  /// overhead metric, resident / requested_peak).
-  uint64_t ResidentBytes() const { return env_.os->resident_bytes(); }
 
  protected:
   virtual void* AllocSmall(int cls) = 0;

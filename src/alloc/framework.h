@@ -75,7 +75,7 @@ struct AllocEnv {
 };
 
 /// \brief Size-class map shared by all allocators: 16 B .. 32 KiB in ~25%
-/// geometric steps; larger requests go straight to SimOS::Map.
+/// geometric steps; larger requests go straight to SimOS::TryMap.
 class SizeClasses {
  public:
   static constexpr size_t kMaxSmall = 32768;

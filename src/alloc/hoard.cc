@@ -25,8 +25,6 @@ class Hoard : public SimAllocator {
       : SimAllocator(env, m),
         heaps_(static_cast<size_t>(2 * m->num_cores())) {}
 
-  const char* name() const override { return "hoard"; }
-
  protected:
   void* AllocSmall(int cls) override {
     uint32_t hid = HeapFor(env_.Tid());

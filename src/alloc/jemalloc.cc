@@ -32,8 +32,6 @@ class JeMalloc : public SimAllocator {
     }
   }
 
-  const char* name() const override { return "jemalloc"; }
-
  protected:
   // Large extents are cached but their pages decay (MADV_DONTNEED).
   LargePolicy large_policy() const override {

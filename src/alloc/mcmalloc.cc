@@ -29,8 +29,6 @@ class McMalloc : public SimAllocator {
  public:
   McMalloc(AllocEnv env, const topology::Machine* m) : SimAllocator(env, m) {}
 
-  const char* name() const override { return "mcmalloc"; }
-
  protected:
   void* AllocSmall(int cls) override {
     int tid = env_.Tid();

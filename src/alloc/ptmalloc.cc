@@ -31,8 +31,6 @@ class PtMalloc : public SimAllocator {
     arenas_.push_back(std::make_unique<Arena>());  // the main arena
   }
 
-  const char* name() const override { return "ptmalloc"; }
-
  protected:
   // glibc mmaps/munmaps every block above the mmap threshold.
   LargePolicy large_policy() const override {

@@ -25,8 +25,6 @@ class SuperMalloc : public SimAllocator {
   SuperMalloc(AllocEnv env, const topology::Machine* m)
       : SimAllocator(env, m) {}
 
-  const char* name() const override { return "supermalloc"; }
-
  protected:
   // HTM transactions do not bounce a lock cache line on conflict.
   static constexpr uint64_t kHtmRetryCycles = 40;

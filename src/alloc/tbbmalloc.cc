@@ -27,8 +27,6 @@ class TbbMalloc : public SimAllocator {
   TbbMalloc(AllocEnv env, const topology::Machine* m)
       : SimAllocator(env, m) {}
 
-  const char* name() const override { return "tbbmalloc"; }
-
  protected:
   void* AllocSmall(int cls) override {
     int tid = env_.Tid();

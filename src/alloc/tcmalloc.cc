@@ -29,8 +29,6 @@ class TcMalloc : public SimAllocator {
  public:
   TcMalloc(AllocEnv env, const topology::Machine* m) : SimAllocator(env, m) {}
 
-  const char* name() const override { return "tcmalloc"; }
-
  protected:
   // The page heap caches spans but aggressively decommits them.
   LargePolicy large_policy() const override {

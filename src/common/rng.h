@@ -50,11 +50,6 @@ class Rng {
   /// Uniform in [0, bound). bound must be > 0.
   uint64_t Uniform(uint64_t bound) { return Next() % bound; }
 
-  /// Uniform in [lo, hi].
-  int64_t UniformRange(int64_t lo, int64_t hi) {
-    return lo + static_cast<int64_t>(Uniform(static_cast<uint64_t>(hi - lo + 1)));
-  }
-
   /// Uniform real in [0, 1).
   double NextDouble() { return (Next() >> 11) * 0x1.0p-53; }
 

@@ -1,47 +1,30 @@
-// Small statistics helpers used by the benchmark harness and by workloads
-// (e.g. the holistic MEDIAN aggregate).
+// Latency statistics for the serving layer: the exact nearest-rank
+// percentile and a mergeable log2 histogram that reports the same rank.
 
 #ifndef NUMALAB_COMMON_STATS_H_
 #define NUMALAB_COMMON_STATS_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 namespace numalab {
 
-/// Arithmetic mean; 0 for an empty sequence.
-inline double Mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-/// Population standard deviation; 0 for fewer than two samples.
-inline double StdDev(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double m = Mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs.size()));
-}
-
-/// p-th percentile with linear interpolation. Copies and sorts. `p` is
-/// clamped to [0, 100]: out-of-range ranks used to index past the end of
-/// the sorted copy (p > 100) or wrap through a negative-to-size_t cast
-/// (p < 0); a NaN p is treated as 0.
-inline double Percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
+/// Index of the order statistic nearest the rank (p/100)*(n-1) among n > 0
+/// ascending values. `p` is clamped to [0, 100], and a NaN p counts as 0,
+/// so the index never passes the end (p > 100) or wraps through a
+/// negative-to-unsigned cast (p < 0).
+inline uint64_t NearestRank(double p, uint64_t n) {
   if (!(p > 0.0)) p = 0.0;  // also catches NaN
   if (p > 100.0) p = 100.0;
-  std::sort(xs.begin(), xs.end());
-  double rank = (p / 100.0) * static_cast<double>(xs.size() - 1);
-  size_t lo = std::min(static_cast<size_t>(rank), xs.size() - 1);
-  size_t hi = std::min(lo + 1, xs.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return xs[lo] + frac * (xs[hi] - xs[lo]);
+  double rank = (p / 100.0) * static_cast<double>(n - 1);
+  return std::min(static_cast<uint64_t>(rank + 0.5), n - 1);
+}
+
+/// Exact p-th percentile of an ascending-sorted sequence: the order
+/// statistic at NearestRank(p, size). 0 for an empty sequence.
+inline uint64_t PercentileSorted(const std::vector<uint64_t>& xs, double p) {
+  return xs.empty() ? 0 : xs[NearestRank(p, xs.size())];
 }
 
 /// \brief Fixed-bucket latency histogram with log2 buckets.
@@ -53,10 +36,8 @@ inline double Percentile(std::vector<double> xs, double p) {
 /// result independent of which thread observed which sample).
 ///
 /// Percentile(p) returns the inclusive upper bound of the bucket holding
-/// the order statistic nearest the rank (p/100)*(count-1) — the same rank
-/// the exact-sort Percentile above uses. It is therefore within one bucket
-/// width of the exact order statistic, which tests/stats_test.cc asserts
-/// against the exact-sort path.
+/// the order statistic at NearestRank(p, count) — the one PercentileSorted
+/// returns over the same samples, which tests/stats_test.cc asserts.
 class Histogram {
  public:
   /// Bucket 0 plus one bucket per bit of a uint64_t.
@@ -80,13 +61,6 @@ class Histogram {
     if (b == 0) return 0;
     if (b == 64) return ~uint64_t{0};
     return (uint64_t{1} << b) - 1;
-  }
-  /// Number of distinct values bucket `b` can hold — the error bound of
-  /// Percentile against the exact order statistic. Bucket 64 spans
-  /// [2^63, 2^64-1]: exactly 2^63 values, which fits in a uint64_t, so no
-  /// special case is needed (the old `b == 64 ? 0 : 1` undercounted by one).
-  static uint64_t BucketWidth(int b) {
-    return BucketHi(b) - BucketLo(b) + 1;
   }
 
   void Add(uint64_t v) {
@@ -113,15 +87,10 @@ class Histogram {
     return 0;
   }
 
-  /// See the class comment. `p` is clamped to [0, 100] exactly like the
-  /// exact-sort Percentile; 0 for an empty histogram.
+  /// See the class comment; 0 for an empty histogram.
   uint64_t Percentile(double p) const {
     if (total_ == 0) return 0;
-    if (!(p > 0.0)) p = 0.0;  // also catches NaN
-    if (p > 100.0) p = 100.0;
-    double rank = (p / 100.0) * static_cast<double>(total_ - 1);
-    uint64_t idx = static_cast<uint64_t>(rank + 0.5);  // nearest order stat
-    if (idx >= total_) idx = total_ - 1;
+    uint64_t idx = NearestRank(p, total_);
     uint64_t seen = 0;
     for (int b = 0; b < kBuckets; ++b) {
       seen += counts_[static_cast<size_t>(b)];
@@ -134,15 +103,6 @@ class Histogram {
   uint64_t counts_[kBuckets] = {};
   uint64_t total_ = 0;
 };
-
-/// Median of an integer sequence (as used by the W1 holistic aggregate):
-/// lower-middle element for even sizes, computed by nth_element in place.
-inline int64_t MedianInPlace(std::vector<int64_t>* xs) {
-  if (xs->empty()) return 0;
-  size_t mid = (xs->size() - 1) / 2;
-  std::nth_element(xs->begin(), xs->begin() + static_cast<long>(mid), xs->end());
-  return (*xs)[mid];
-}
 
 }  // namespace numalab
 

@@ -1,17 +1,14 @@
-// Minimal Status / Result types for fallible operations.
+// Minimal Status type for fallible operations.
 //
 // Follows the RocksDB/Arrow convention: functions that can fail in ways the
-// caller should handle return a Status (or Result<T>); programming errors are
-// checked with NUMALAB_CHECK and abort.
+// caller should handle return a Status; programming errors are checked with
+// NUMALAB_CHECK and abort.
 
 #ifndef NUMALAB_COMMON_STATUS_H_
 #define NUMALAB_COMMON_STATUS_H_
 
 #include <string>
 #include <utility>
-#include <variant>
-
-#include "src/common/logging.h"
 
 namespace numalab {
 
@@ -20,11 +17,7 @@ class Status {
  public:
   enum class Code {
     kOk = 0,
-    kInvalidArgument,
-    kNotFound,
     kOutOfMemory,
-    kAlreadyExists,
-    kInternal,
     kDeadlineExceeded,
     kUnavailable,
   };
@@ -32,20 +25,8 @@ class Status {
   Status() : code_(Code::kOk) {}
 
   static Status OK() { return Status(); }
-  static Status InvalidArgument(std::string msg) {
-    return Status(Code::kInvalidArgument, std::move(msg));
-  }
-  static Status NotFound(std::string msg) {
-    return Status(Code::kNotFound, std::move(msg));
-  }
   static Status OutOfMemory(std::string msg) {
     return Status(Code::kOutOfMemory, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(Code::kAlreadyExists, std::move(msg));
-  }
-  static Status Internal(std::string msg) {
-    return Status(Code::kInternal, std::move(msg));
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(Code::kDeadlineExceeded, std::move(msg));
@@ -69,11 +50,7 @@ class Status {
   static std::string CodeName(Code c) {
     switch (c) {
       case Code::kOk: return "OK";
-      case Code::kInvalidArgument: return "InvalidArgument";
-      case Code::kNotFound: return "NotFound";
       case Code::kOutOfMemory: return "OutOfMemory";
-      case Code::kAlreadyExists: return "AlreadyExists";
-      case Code::kInternal: return "Internal";
       case Code::kDeadlineExceeded: return "DeadlineExceeded";
       case Code::kUnavailable: return "Unavailable";
     }
@@ -84,42 +61,6 @@ class Status {
   std::string msg_;
 };
 
-/// \brief A value or an error Status.
-template <typename T>
-class Result {
- public:
-  Result(T value) : v_(std::move(value)) {}           // NOLINT implicit
-  Result(Status status) : v_(std::move(status)) {     // NOLINT implicit
-    // A Result built from a Status must carry an error; NUMALAB_CHECK (not
-    // assert) so the contract also holds in NDEBUG builds.
-    NUMALAB_CHECK(!std::get<Status>(v_).ok() &&
-                  "Result<T> constructed from an OK Status");
-  }
-
-  bool ok() const { return std::holds_alternative<T>(v_); }
-  const Status& status() const {
-    static const Status kOk;
-    return ok() ? kOk : std::get<Status>(v_);
-  }
-  T& value() { return std::get<T>(v_); }
-  const T& value() const { return std::get<T>(v_); }
-  T& operator*() { return value(); }
-  T* operator->() { return &value(); }
-
- private:
-  std::variant<T, Status> v_;
-};
-
 }  // namespace numalab
-
-/// Propagates a non-OK Status to the caller. The expression is evaluated
-/// exactly once.
-#define NUMALAB_RETURN_IF_ERROR(expr)                   \
-  do {                                                  \
-    ::numalab::Status numalab_status_tmp_ = (expr);     \
-    if (!numalab_status_tmp_.ok()) {                    \
-      return numalab_status_tmp_;                       \
-    }                                                   \
-  } while (0)
 
 #endif  // NUMALAB_COMMON_STATUS_H_

@@ -57,8 +57,6 @@ uint8_t KeyByte(uint64_t key, int depth) {
 
 class Art : public OrderedIndex {
  public:
-  const char* name() const override { return "art"; }
-
   void Insert(workloads::Env& env, uint64_t key, uint64_t value) override {
     InsertRec(env, &root_, key, value, 0);
   }

@@ -35,8 +35,6 @@ struct LeafNode {
 
 class BTree : public OrderedIndex {
  public:
-  const char* name() const override { return "btree"; }
-
   void Insert(workloads::Env& env, uint64_t key, uint64_t value) override {
     if (root_ == nullptr) {
       auto* leaf = NewLeaf(env);

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/workloads/env.h"
 
@@ -28,12 +27,7 @@ class OrderedIndex {
   /// Point lookup; returns false when the key is absent.
   virtual bool Lookup(workloads::Env& env, uint64_t key,
                       uint64_t* value) = 0;
-
-  virtual const char* name() const = 0;
 };
-
-/// Names accepted by MakeIndex, in the paper's order.
-const std::vector<std::string>& AllIndexNames();
 
 /// Creates "art", "masstree", "btree" or "skiplist"; CHECK-fails otherwise.
 /// `seed` feeds randomized structures (Skip List levels).

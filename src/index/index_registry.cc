@@ -9,12 +9,6 @@ std::unique_ptr<OrderedIndex> MakeBTree();
 std::unique_ptr<OrderedIndex> MakeSkipList(uint64_t seed);
 std::unique_ptr<OrderedIndex> MakeMasstree();
 
-const std::vector<std::string>& AllIndexNames() {
-  static const std::vector<std::string> kNames = {"art", "masstree", "btree",
-                                                  "skiplist"};
-  return kNames;
-}
-
 std::unique_ptr<OrderedIndex> MakeIndex(const std::string& name,
                                         uint64_t seed) {
   if (name == "art") return MakeArt();

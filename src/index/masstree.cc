@@ -44,8 +44,6 @@ constexpr uint64_t kVersionCheckCycles = 9;
 
 class Masstree : public OrderedIndex {
  public:
-  const char* name() const override { return "masstree"; }
-
   void Insert(workloads::Env& env, uint64_t key, uint64_t value) override {
     if (root_ == nullptr) {
       auto* b = NewBorder(env);

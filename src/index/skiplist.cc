@@ -29,8 +29,6 @@ class SkipList : public OrderedIndex {
  public:
   explicit SkipList(uint64_t seed) : rng_(seed) {}
 
-  const char* name() const override { return "skiplist"; }
-
   void Insert(workloads::Env& env, uint64_t key, uint64_t value) override {
     if (head_ == nullptr) {
       head_ = NewNode(env, 0, 0, kMaxLevel);

@@ -129,7 +129,6 @@ inline void MemSystem::EnsureThreadState(int vthread_id) {
   if (node_traffic_.size() < need) {
     node_traffic_.resize(need, {});
     fault_stride_.resize(need, 0);
-    fault_budget_.resize(need, wave_budget_);
   }
 }
 
@@ -173,10 +172,8 @@ inline void MemSystem::SampleAutoNuma(sim::VThread* vt, Region* region,
   size_t tid = static_cast<size_t>(vt->id);
   EnsureThreadState(vt->id);
   node_traffic_[tid][static_cast<size_t>(page_node)]++;
-  if (fault_budget_[tid] == 0) return;  // wave exhausted until next scan
   if (++fault_stride_[tid] < kHintingFaultStride) return;
   fault_stride_[tid] = 0;
-  --fault_budget_[tid];
   SampleAutoNumaFault(vt, region, idx, accessor_node, page_node, write);
 }
 
@@ -348,7 +345,6 @@ void MemSystem::AccessScalar(sim::VThread* vt, const void* addr_p,
                              uint64_t bytes, bool write) {
   // Reads and writes are charged identically (no WB model); `write` only
   // matters to placement (replica routing + read/write sampling).
-  if (bytes == 0) return;
   uint64_t addr = reinterpret_cast<uint64_t>(addr_p);
   // All hashing below uses slab-relative addresses so runs replay
   // identically regardless of where the host placed the slab.

@@ -53,7 +53,6 @@ class MemSystem {
 
   /// Enables AutoNUMA page-placement sampling (kernel numa_balancing).
   void SetAutoNumaSampling(bool on) { autonuma_ = on; }
-  bool autonuma_sampling() const { return autonuma_; }
 
   /// Adaptive placement (src/mem/placement.h): hot/cold tracking on the
   /// hinting-fault hook, per-node read replicas and the cost-aware
@@ -65,15 +64,10 @@ class MemSystem {
   }
   const PlacementConfig& placement() const { return placement_cfg_; }
 
-  /// Arms a new NUMA-hinting fault wave: the kernel's periodic PTE scan
-  /// unmaps a bounded span, so each thread takes at most `budget` hinting
-  /// faults until the next scan. Called by the AutoNuma daemon each tick.
-  /// Each wave also advances the placement heat-decay epoch.
-  void ArmAutoNumaWave(uint64_t budget) {
-    for (auto& b : fault_budget_) b = budget;
-    wave_budget_ = budget;
-    ++wave_epoch_;
-  }
+  /// Starts a new NUMA-hinting fault wave (the kernel's periodic PTE
+  /// scan): advances the placement heat-decay epoch. Called by the
+  /// AutoNuma daemon each tick.
+  void ArmAutoNumaWave() { ++wave_epoch_; }
 
   /// Charges one logical access of `bytes` at `addr` by the current thread.
   /// Equivalent to AccessSpan(vt, addr, bytes, /*stride=*/bytes, write).
@@ -115,7 +109,6 @@ class MemSystem {
   /// implementation. The span parity tests run fixed workloads under both
   /// settings and require bit-identical results; keep this off otherwise.
   void SetScalarReference(bool on) { scalar_reference_ = on; }
-  bool scalar_reference() const { return scalar_reference_; }
 
   /// Called by the OS scheduler when a thread lands on a new core: its TLB
   /// entries and private-cache contents there are stale/cold.
@@ -162,11 +155,9 @@ class MemSystem {
     uint64_t os_gen = 0;
   };
 
-  /// Grows all per-thread AutoNUMA state vectors (node_traffic_,
-  /// fault_stride_, fault_budget_) to cover `vthread_id`. Every consumer of
-  /// that state must go through here: resizing only a subset (the bug this
-  /// helper replaced) leaves fault_budget_ short and SampleAutoNuma indexing
-  /// it out of bounds.
+  /// Grows both per-thread AutoNUMA state vectors (node_traffic_ and
+  /// fault_stride_) to cover `vthread_id`. Every consumer of that state
+  /// must go through here, so neither vector is ever indexed short.
   void EnsureThreadState(int vthread_id);
 
   SpanCursor& CursorFor(int vthread_id);
@@ -218,8 +209,6 @@ class MemSystem {
   std::vector<uint32_t> fault_stride_;  // per-thread sampling countdown
   uint64_t migrate_epoch_ = 0;
   uint64_t migrations_this_epoch_ = 0;
-  std::vector<uint64_t> fault_budget_;  // per-thread, rearmed per scan wave
-  uint64_t wave_budget_ = 1ULL << 40;
   /// Bumped on thread migration and TLB shootdown; span-path memos compare
   /// against it before trusting a cached translation.
   uint64_t trans_gen_ = 0;

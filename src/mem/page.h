@@ -56,7 +56,7 @@ struct PageRec {
 
 class SimAllocatorBase;  // forward decl (src/alloc)
 
-/// \brief A contiguous mapping created by SimOS::Map.
+/// \brief A contiguous mapping created by SimOS::TryMap.
 struct Region {
   uint64_t base = 0;   ///< host address of the backing memory
   uint64_t len = 0;    ///< bytes (multiple of 4K)

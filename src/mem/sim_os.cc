@@ -56,12 +56,6 @@ SimOS::~SimOS() {
   munmap(reinterpret_cast<void*>(slab_), kSlabBytes);
 }
 
-Region* SimOS::Map(uint64_t bytes, bool thp_eligible) {
-  Region* region = TryMap(bytes, thp_eligible);
-  NUMALAB_CHECK(region != nullptr && "simulated address space exhausted");
-  return region;
-}
-
 Region* SimOS::TryMap(uint64_t bytes, bool thp_eligible) {
   uint64_t len = (bytes + kSmallPageBytes - 1) & ~(kSmallPageBytes - 1);
   uint64_t nslots = (len + kSlotBytes - 1) / kSlotBytes;

@@ -59,14 +59,9 @@ class SimOS {
   /// Maps `bytes` (rounded up to 4K; regions are 2M-aligned within the
   /// slab). Pages are bound immediately for Interleave/LocalAlloc/Preferred
   /// and lazily (at first touch) for FirstTouch. Does not charge cycles —
-  /// the calling allocator charges its own syscall cost.
-  /// CHECK-fails when the simulated address space is exhausted; fallible
-  /// callers use TryMap.
-  Region* Map(uint64_t bytes, bool thp_eligible = true);
-
-  /// Map that returns nullptr instead of aborting when the simulated
-  /// address space is exhausted — the allocator chain propagates the
-  /// failure up to Env::TryAlloc as Status::OutOfMemory.
+  /// the calling allocator charges its own syscall cost. Returns nullptr
+  /// when the simulated address space is exhausted — the allocator chain
+  /// propagates the failure up to Env::TryAlloc as Status::OutOfMemory.
   Region* TryMap(uint64_t bytes, bool thp_eligible = true);
 
   /// Linux-style zonelist of `node`: all nodes ordered by distance
@@ -155,7 +150,6 @@ class SimOS {
 
   uint64_t resident_bytes() const { return resident_bytes_; }
   uint64_t resident_peak() const { return resident_peak_; }
-  uint64_t bound_bytes(int node) const { return node_bound_bytes_[node]; }
 
   /// Monotonic counter bumped whenever the page table mutates in a way that
   /// can invalidate a cached translation (unmap, madvise, page migration,

@@ -6,8 +6,8 @@ namespace osmodel {
 void AutoNuma::Tick(uint64_t now) {
   if (engine_->live_threads() == 0) return;
 
-  // Periodic PTE scan: re-arm the bounded hinting-fault wave.
-  memsys_->ArmAutoNumaWave(1ULL << 40);  // scan continuously (worst case)
+  // Periodic PTE scan: a new hinting-fault wave.
+  memsys_->ArmAutoNumaWave();
 
   // Task balancing: move each thread toward the node that served most of
   // its recent DRAM traffic. Pinned threads (Sparse/Dense) are respected,

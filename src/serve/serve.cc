@@ -677,14 +677,6 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
   }
 }
 
-/// Nearest-rank percentile of an ascending-sorted vector.
-uint64_t PercentileSorted(const std::vector<uint64_t>& xs, double p) {
-  if (xs.empty()) return 0;
-  double rank = (p / 100.0) * static_cast<double>(xs.size() - 1);
-  size_t idx = std::min(static_cast<size_t>(rank + 0.5), xs.size() - 1);
-  return xs[idx];
-}
-
 using trace::Appendf;
 
 }  // namespace
@@ -723,6 +715,9 @@ const char* RequestTypeName(RequestType t) {
 
 ServeResult RunServing(const workloads::RunConfig& rc,
                        const ServeConfig& sc) {
+  // Hot keys index the partitions directly; past kv_keys they would read
+  // beyond the last one.
+  NUMALAB_CHECK(sc.hot_keys <= sc.kv_keys);
   SimContext ctx(rc);
   ServeState s;
   s.sc = &sc;

@@ -11,12 +11,13 @@
 // their home queue with a dynamic batcher that coalesces compatible point
 // lookups into MemSystem::AccessSpan batched accesses under a latency
 // budget. Per-request sojourn latencies land in mergeable log2 Histograms
-// (stats.h) and are exported through numalab::trace as the schema-v3
-// "serving" JSON section.
+// (stats.h) and are exported through numalab::trace as the "serving" JSON
+// section.
 //
 // Everything — arrival times, request payloads, routing, retries — derives
 // from the run seed, so two same-seed runs are bit-identical (the property
-// scripts/check.sh's serving stage asserts on bench_serving).
+// scripts/check.sh's export-determinism stage asserts on every bench's
+// JSON, serving included).
 
 #ifndef NUMALAB_SERVE_SERVE_H_
 #define NUMALAB_SERVE_SERVE_H_
@@ -90,7 +91,8 @@ struct ServeConfig {
   /// MovingCluster-style adjacency the batcher's span coalescing feeds on.
   double point_locality = 0.5;
   /// Hot-set skew: the fraction of point/range requests redrawn from the
-  /// keys in [0, hot_keys). 0 disables the skew and draws no RNG, so
+  /// keys in [0, hot_keys); hot_keys must not exceed kv_keys (RunServing
+  /// CHECK-fails otherwise). 0 disables the skew and draws no RNG, so
   /// existing request streams stay bit-identical. The hot keys all live in
   /// the low partitions, concentrating read traffic on few pages — the
   /// access pattern adaptive placement's replication targets

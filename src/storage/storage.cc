@@ -84,8 +84,7 @@ StorageEngine::StorageEngine(const StorageConfig& cfg, int nodes,
   shard_dead_.assign(nodes_, false);
   shards_.resize(nodes_);
   for (auto& sh : shards_) {
-    // Frame pointers must stay stable across pool growth (pinned frames are
-    // held across FetchPage calls), so reserve the full shard up front.
+    // A shard never grows past frames_per_shard: one allocation holds it.
     sh.frames.reserve(cfg_.frames_per_shard);
   }
   st_.shards.resize(nodes_);
@@ -198,8 +197,9 @@ void StorageEngine::WriteBack(workloads::Env& env, Shard& sh, Frame& f) {
   f.dirty = false;
 }
 
-Frame* StorageEngine::FetchLocked(workloads::Env& env, int shard_idx,
-                                  uint64_t page) {
+StorageEngine::Frame* StorageEngine::FetchLocked(workloads::Env& env,
+                                                 int shard_idx,
+                                                 uint64_t page) {
   Shard& sh = shards_[shard_idx];
   ++sh.st.lookups;
   int32_t fi = frame_of_page_[page];
@@ -207,7 +207,6 @@ Frame* StorageEngine::FetchLocked(workloads::Env& env, int shard_idx,
     ++sh.st.hits;
     Frame& f = sh.frames[fi];
     f.ref = true;
-    ++f.pins;
     return &f;
   }
   ++sh.st.misses;
@@ -258,25 +257,16 @@ Frame* StorageEngine::FetchLocked(workloads::Env& env, int shard_idx,
           "storage: shard has no frames and frame allocation failed"));
       return nullptr;
     }
-    // Clock second-chance sweep; pinned frames are skipped. Two full laps
-    // with no victim means everything is pinned — a caller bug in this
-    // engine's usage, reported rather than spun on.
-    uint64_t steps = 2 * sh.frames.size();
-    while (steps-- > 0) {
+    // Clock second-chance sweep: advance until an unreferenced frame. The
+    // first lap clears every ref bit, so it stops within one lap plus one.
+    while (victim == nullptr) {
       Frame& f = sh.frames[sh.hand];
       sh.hand = (sh.hand + 1) % sh.frames.size();
-      if (f.pins > 0) continue;
       if (f.ref) {
         f.ref = false;
-        continue;
+      } else {
+        victim = &f;
       }
-      victim = &f;
-      break;
-    }
-    if (victim == nullptr) {
-      env.ReportFailure(
-          Status::Internal("storage: all frames pinned, cannot evict"));
-      return nullptr;
     }
   }
 
@@ -295,7 +285,6 @@ Frame* StorageEngine::FetchLocked(workloads::Env& env, int shard_idx,
   victim->page_lsn = ReadU64(victim->data);
   victim->dirty = false;
   victim->ref = true;
-  victim->pins = 1;
   frame_of_page_[page] =
       static_cast<int32_t>(victim - sh.frames.data());
   return victim;
@@ -310,37 +299,16 @@ int StorageEngine::RouteOrFail(workloads::Env& env, uint64_t page) {
 }
 
 template <typename F>
-StorageEngine::Pinned StorageEngine::WithPage(workloads::Env& env,
-                                              uint64_t page, F&& body) {
+StorageEngine::PageOutcome StorageEngine::WithPage(workloads::Env& env,
+                                                   uint64_t page, F&& body) {
   int si = RouteOrFail(env, page);
-  if (si < 0) return Pinned::kNoShard;
+  if (si < 0) return PageOutcome::kNoShard;
   Shard& sh = shards_[si];
   env.Lock(&sh.lock, kShardHoldCycles);
   Frame* f = FetchLocked(env, si, page);
-  if (f != nullptr) {
-    body(*f);
-    UnpinPage(f);
-  }
+  if (f != nullptr) body(*f);
   env.LockReleased(&sh.lock);
-  return f != nullptr ? Pinned::kDone : Pinned::kNoFrame;
-}
-
-Frame* StorageEngine::FetchPage(workloads::Env& env, uint64_t page) {
-  NUMALAB_CHECK(page < npages_);
-  MaybeCrash(env);
-  int si = RouteOrFail(env, page);
-  if (si < 0) return nullptr;
-  Shard& sh = shards_[si];
-  env.Lock(&sh.lock, kShardHoldCycles);
-  Frame* f = FetchLocked(env, si, page);
-  env.LockReleased(&sh.lock);
-  return f;
-}
-
-void StorageEngine::UnpinPage(Frame* f) {
-  NUMALAB_CHECK(f != nullptr);
-  NUMALAB_CHECK(f->pins > 0 && "UnpinPage on an unpinned frame");
-  --f->pins;
+  return f != nullptr ? PageOutcome::kDone : PageOutcome::kNoFrame;
 }
 
 bool StorageEngine::Upsert(workloads::Env& env, uint64_t key,
@@ -354,7 +322,7 @@ bool StorageEngine::Upsert(workloads::Env& env, uint64_t key,
   uint64_t lsn = 0;
   WalAppend(env, page, slot, key, value, &lsn);
 
-  Pinned r = WithPage(env, page, [&](Frame& f) {
+  PageOutcome r = WithPage(env, page, [&](Frame& f) {
     ApplySlot(f.data, lsn, slot, key, value);
     // Charge the in-frame writes: header LSN + bitmap word + the slot.
     env.Write(f.data, 8);
@@ -363,10 +331,10 @@ bool StorageEngine::Upsert(workloads::Env& env, uint64_t key,
     f.page_lsn = lsn;
     f.dirty = true;
   });
-  if (r == Pinned::kNoShard) return false;
-  if (r == Pinned::kDone) ++st_.upserts;
+  if (r == PageOutcome::kNoShard) return false;
+  if (r == PageOutcome::kDone) ++st_.upserts;
   MaybeCheckpoint(env);
-  return r == Pinned::kDone;
+  return r == PageOutcome::kDone;
 }
 
 bool StorageEngine::Get(workloads::Env& env, uint64_t key, uint64_t* value) {
@@ -376,7 +344,7 @@ bool StorageEngine::Get(workloads::Env& env, uint64_t key, uint64_t* value) {
   uint64_t page = key / kSlotsPerPage;
   uint32_t slot = static_cast<uint32_t>(key % kSlotsPerPage);
   bool found = false;
-  Pinned r = WithPage(env, page, [&](Frame& f) {
+  PageOutcome r = WithPage(env, page, [&](Frame& f) {
     env.Read(f.data + 8 + 8 * (slot / 64), 8);
     uint64_t word = ReadU64(f.data + 8 + 8 * (slot / 64));
     if ((word >> (slot % 64)) & 1ULL) {
@@ -386,7 +354,7 @@ bool StorageEngine::Get(workloads::Env& env, uint64_t key, uint64_t* value) {
       found = true;
     }
   });
-  if (r == Pinned::kNoShard) return false;
+  if (r == PageOutcome::kNoShard) return false;
   ++st_.gets;
   return found;
 }
@@ -404,7 +372,7 @@ uint64_t StorageEngine::ScanSum(workloads::Env& env, uint64_t key,
     uint32_t first = static_cast<uint32_t>(k % kSlotsPerPage);
     uint64_t last = std::min(end, (page + 1) * kSlotsPerPage);
     uint32_t count = static_cast<uint32_t>(last - k);
-    Pinned r = WithPage(env, page, [&](Frame& f) {
+    PageOutcome r = WithPage(env, page, [&](Frame& f) {
       const uint8_t* base = f.data + 8 + 8 * kBitmapWords + 16 * first;
       env.ReadSpan(base, 16ULL * count, 16);
       for (uint32_t i = 0; i < count; ++i) {
@@ -415,7 +383,7 @@ uint64_t StorageEngine::ScanSum(workloads::Env& env, uint64_t key,
       }
       st_.scan_rows += count;
     });
-    if (r != Pinned::kDone) break;
+    if (r != PageOutcome::kDone) break;
     k = last;
   }
   return sum;

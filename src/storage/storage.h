@@ -10,7 +10,9 @@
 // owning shard; each shard's frames live in simulated memory — allocated
 // through the fallible allocation chain, so faultlab capacity pressure and
 // allocation-failure injection apply — and are evicted with a deterministic
-// clock (second-chance) sweep with pin/unpin and dirty-page writeback.
+// clock (second-chance) sweep with dirty-page writeback. A frame is used
+// only inside one shard-lock critical section, so the sweep never meets a
+// frame in use and nothing needs pinning.
 //
 // Durability follows ARIES discipline, scaled to the simulator:
 //  * every slot update appends an LSN-stamped record to the WAL *before*
@@ -160,17 +162,6 @@ inline uint64_t PreloadValue(uint64_t key) {
   return SplitMix64(key * 0x9e3779b97f4a7c15ULL + 1).Next();
 }
 
-/// \brief One buffer-pool frame. `data` is one page of simulated memory;
-/// accesses to it are charged through the caller's Env.
-struct Frame {
-  uint64_t page = ~0ULL;
-  uint64_t page_lsn = 0;  ///< host mirror of the image's header LSN
-  uint32_t pins = 0;
-  bool dirty = false;
-  bool ref = false;  ///< clock second-chance bit
-  uint8_t* data = nullptr;
-};
-
 class StorageEngine {
  public:
   /// `nodes` is the machine's NUMA-node count (one shard each); `seed`
@@ -199,16 +190,6 @@ class StorageEngine {
   /// shards; returns how many frames it wrote back. No truncation — use for
   /// a clean shutdown in tests; checkpoints (which call it) do truncate.
   uint64_t FlushAll(workloads::Env& env);
-
-  // --- Lower-level pool interface (tests). Upsert/Get/ScanSum do not pin
-  // across calls; they use the private WithPage critical section instead.
-  /// Pins and returns the frame caching `page`, faulting it in (and
-  /// evicting, if needed) on a miss. Null when no frame can be obtained.
-  /// The caller must UnpinPage exactly once per successful FetchPage.
-  Frame* FetchPage(workloads::Env& env, uint64_t page);
-  /// Unpins a frame returned by FetchPage. Unpinning a frame whose pin
-  /// count is already zero is a caller bug and aborts (NUMALAB_CHECK).
-  void UnpinPage(Frame* f);
 
   /// Crash one shard and run ARIES-lite recovery: force-flush the WAL
   /// (the log device survives a node loss), discard the shard's frames —
@@ -243,6 +224,16 @@ class StorageEngine {
   StorageStats stats() const;
 
  private:
+  /// One buffer-pool frame. `data` is one page of simulated memory;
+  /// accesses to it are charged through the caller's Env.
+  struct Frame {
+    uint64_t page = ~0ULL;
+    uint64_t page_lsn = 0;  ///< host mirror of the image's header LSN
+    bool dirty = false;
+    bool ref = false;  ///< clock second-chance bit
+    uint8_t* data = nullptr;
+  };
+
   struct WalRecord {
     uint64_t lsn = 0;
     uint64_t page = 0;
@@ -262,18 +253,18 @@ class StorageEngine {
   const uint8_t* DiskImage(uint64_t page) const;
   /// What WithPage got to: no online shard for the page (Unavailable
   /// reported), no frame for it (failure reported), or the body ran.
-  enum class Pinned { kNoShard, kNoFrame, kDone };
+  enum class PageOutcome { kNoShard, kNoFrame, kDone };
 
   uint64_t ChargeIo(workloads::Env& env, uint64_t base);
   void MaybeCrash(workloads::Env& env);
   /// Owning shard of `page`, or -1 after reporting Unavailable when every
   /// shard is offline.
   int RouteOrFail(workloads::Env& env, uint64_t page);
-  /// The pinned-page critical section of Upsert/Get/ScanSum: route `page`
-  /// to its shard, take the shard lock, fetch the frame, run body(frame),
-  /// unpin, release. The body runs only when a frame was obtained.
+  /// The one-page critical section of Upsert/Get/ScanSum: route `page` to
+  /// its shard, take the shard lock, fetch the frame, run body(frame),
+  /// release. The body runs only when a frame was obtained.
   template <typename F>
-  Pinned WithPage(workloads::Env& env, uint64_t page, F&& body);
+  PageOutcome WithPage(workloads::Env& env, uint64_t page, F&& body);
   /// Group-commit flush; the caller holds wal_lock_.
   void FlushWal(workloads::Env& env);
   /// FlushWal under its own wal_lock_ section.
@@ -284,7 +275,8 @@ class StorageEngine {
   /// Writes the victim frame's image back to disk (WAL-first rule:
   /// flushes the log through the frame's LSN beforehand).
   void WriteBack(workloads::Env& env, Shard& sh, Frame& f);
-  /// Shard-lock-held page fetch; returns null on total frame famine.
+  /// Shard-lock-held page fetch; returns null when the shard has no frame
+  /// and cannot allocate one.
   Frame* FetchLocked(workloads::Env& env, int shard_idx, uint64_t page);
   void ApplySlot(uint8_t* img, uint64_t lsn, uint32_t slot, uint64_t key,
                  uint64_t value) const;

@@ -44,8 +44,8 @@ class AllocOsTest : public ::testing::Test {
 // (tests/faultlab_test.cc) compare against.
 TEST_F(AllocOsTest, InterleaveRoundRobinsAllNodesWithoutFaultlab) {
   memsys_.os()->SetPolicy(mem::MemPolicy::kInterleave, 0);
-  mem::Region* r = memsys_.os()->Map(2 * 8 * mem::kSmallPageBytes,
-                                     /*thp_eligible=*/false);
+  mem::Region* r = memsys_.os()->TryMap(2 * 8 * mem::kSmallPageBytes,
+                                        /*thp_eligible=*/false);
   ASSERT_EQ(r->pages.size(), 16u);
   for (size_t i = 0; i < r->pages.size(); ++i) {
     EXPECT_EQ(r->pages[i].node,

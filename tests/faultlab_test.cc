@@ -137,8 +137,8 @@ TEST_F(FaultSpillTest, PreferredSpillsInZonelistOrderWhenFull) {
   memsys_->os()->SetFaultLab(&fl);
   memsys_->os()->SetPolicy(mem::MemPolicy::kPreferred, /*preferred_node=*/0);
 
-  mem::Region* r = memsys_->os()->Map(6 * mem::kSmallPageBytes,
-                                      /*thp_eligible=*/false);
+  mem::Region* r = memsys_->os()->TryMap(6 * mem::kSmallPageBytes,
+                                         /*thp_eligible=*/false);
   const std::vector<int>& zl = memsys_->os()->Zonelist(0);
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(r->pages[static_cast<size_t>(i)].node, zl[static_cast<size_t>(i / 2)])
@@ -159,8 +159,8 @@ TEST_F(FaultSpillTest, ExhaustedMachineBindsAnyway) {
   memsys_->os()->SetPolicy(mem::MemPolicy::kPreferred, 0);
 
   size_t nodes = static_cast<size_t>(machine_.num_nodes());
-  mem::Region* r = memsys_->os()->Map((nodes + 2) * mem::kSmallPageBytes,
-                                      /*thp_eligible=*/false);
+  mem::Region* r = memsys_->os()->TryMap((nodes + 2) * mem::kSmallPageBytes,
+                                         /*thp_eligible=*/false);
   EXPECT_GT(sys_.oom_last_resort_pages, 0u);
   for (const auto& p : r->pages) EXPECT_GE(p.node, 0);
 }
@@ -178,8 +178,8 @@ TEST_F(FaultSpillTest, InterleaveSkipsOfflineNodes) {
   memsys_->os()->SetFaultLab(&fl);
   memsys_->os()->SetPolicy(mem::MemPolicy::kInterleave, 0);
 
-  mem::Region* r = memsys_->os()->Map(16 * mem::kSmallPageBytes,
-                                      /*thp_eligible=*/false);
+  mem::Region* r = memsys_->os()->TryMap(16 * mem::kSmallPageBytes,
+                                         /*thp_eligible=*/false);
   std::vector<int> per_node(static_cast<size_t>(machine_.num_nodes()), 0);
   for (const auto& p : r->pages) ++per_node[static_cast<size_t>(p.node)];
   EXPECT_EQ(per_node[3], 0);  // the offline node is not a candidate at all
@@ -198,8 +198,8 @@ TEST_F(FaultSpillTest, InterleaveSkipsOfflineNodes) {
 TEST_F(FaultSpillTest, InterleaveUnchangedWhenFaultlabHasNoOfflineNodes) {
   Build(topology::MachineA());
   memsys_->os()->SetPolicy(mem::MemPolicy::kInterleave, 0);
-  mem::Region* plain = memsys_->os()->Map(16 * mem::kSmallPageBytes,
-                                          /*thp_eligible=*/false);
+  mem::Region* plain = memsys_->os()->TryMap(16 * mem::kSmallPageBytes,
+                                             /*thp_eligible=*/false);
   std::vector<int> want;
   for (const auto& p : plain->pages) want.push_back(p.node);
 
@@ -209,8 +209,8 @@ TEST_F(FaultSpillTest, InterleaveUnchangedWhenFaultlabHasNoOfflineNodes) {
   faultlab::FaultLab fl(plan, 42, 0, &sys_);
   memsys_->os()->SetFaultLab(&fl);
   memsys_->os()->SetPolicy(mem::MemPolicy::kInterleave, 0);
-  mem::Region* faulted = memsys_->os()->Map(16 * mem::kSmallPageBytes,
-                                            /*thp_eligible=*/false);
+  mem::Region* faulted = memsys_->os()->TryMap(16 * mem::kSmallPageBytes,
+                                               /*thp_eligible=*/false);
   std::vector<int> got;
   for (const auto& p : faulted->pages) got.push_back(p.node);
   EXPECT_EQ(got, want);
@@ -230,8 +230,8 @@ TEST_F(FaultSpillTest, OfflineDesiredWithFullMachineCountsRedirectNotOom) {
   memsys_->os()->SetPolicy(mem::MemPolicy::kPreferred, 0);
 
   // 7 online nodes x 1 page fill the machine; 3 more overcommit.
-  mem::Region* r = memsys_->os()->Map(10 * mem::kSmallPageBytes,
-                                      /*thp_eligible=*/false);
+  mem::Region* r = memsys_->os()->TryMap(10 * mem::kSmallPageBytes,
+                                         /*thp_eligible=*/false);
   for (const auto& p : r->pages) EXPECT_NE(p.node, 0);  // never offline
   EXPECT_EQ(sys_.offline_redirects, 10u);
   EXPECT_EQ(sys_.oom_last_resort_pages, 0u);
@@ -250,8 +250,8 @@ TEST_F(FaultSpillTest, AllNodesOfflineSurfacesDegradationCounter) {
   memsys_->os()->SetFaultLab(&fl);
   memsys_->os()->SetPolicy(mem::MemPolicy::kPreferred, 2);
 
-  mem::Region* r = memsys_->os()->Map(4 * mem::kSmallPageBytes,
-                                      /*thp_eligible=*/false);
+  mem::Region* r = memsys_->os()->TryMap(4 * mem::kSmallPageBytes,
+                                         /*thp_eligible=*/false);
   for (const auto& p : r->pages) EXPECT_EQ(p.node, 2);
   EXPECT_EQ(sys_.all_offline_binds, 4u);
   EXPECT_EQ(sys_.offline_redirects, 0u);
@@ -266,8 +266,8 @@ TEST_F(FaultSpillTest, OfflineNodeRedirectsBinds) {
   memsys_->os()->SetFaultLab(&fl);
   memsys_->os()->SetPolicy(mem::MemPolicy::kPreferred, 0);
 
-  mem::Region* r = memsys_->os()->Map(4 * mem::kSmallPageBytes,
-                                      /*thp_eligible=*/false);
+  mem::Region* r = memsys_->os()->TryMap(4 * mem::kSmallPageBytes,
+                                         /*thp_eligible=*/false);
   const std::vector<int>& zl = memsys_->os()->Zonelist(0);
   for (const auto& p : r->pages) EXPECT_EQ(p.node, zl[1]);  // nearest online
   EXPECT_EQ(sys_.offline_redirects, 4u);

@@ -36,7 +36,7 @@ class MemSystemTest : public ::testing::Test {
 };
 
 TEST_F(MemSystemTest, FirstTouchBindsToAccessor) {
-  Region* r = memsys_.os()->Map(1 << 20);
+  Region* r = memsys_.os()->TryMap(1 << 20);
   // hw thread 5 on Machine A (2 cores/node) lives on node 2.
   RunAs(5, [&](sim::VThread* vt) {
     memsys_.Read(vt, r->host, 64);
@@ -47,7 +47,7 @@ TEST_F(MemSystemTest, FirstTouchBindsToAccessor) {
 
 TEST_F(MemSystemTest, InterleaveBindsRoundRobin) {
   memsys_.os()->SetPolicy(MemPolicy::kInterleave);
-  Region* r = memsys_.os()->Map(8 * kSmallPageBytes);
+  Region* r = memsys_.os()->TryMap(8 * kSmallPageBytes);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(r->pages[static_cast<size_t>(i)].node, i % 8);
   }
@@ -55,12 +55,12 @@ TEST_F(MemSystemTest, InterleaveBindsRoundRobin) {
 
 TEST_F(MemSystemTest, PreferredFillsChosenNode) {
   memsys_.os()->SetPolicy(MemPolicy::kPreferred, /*preferred_node=*/3);
-  Region* r = memsys_.os()->Map(4 * kSmallPageBytes);
+  Region* r = memsys_.os()->TryMap(4 * kSmallPageBytes);
   for (const auto& p : r->pages) EXPECT_EQ(p.node, 3);
 }
 
 TEST_F(MemSystemTest, RemoteAccessesCountedAndSlower) {
-  Region* r = memsys_.os()->Map(1 << 20);
+  Region* r = memsys_.os()->TryMap(1 << 20);
   // Bind all pages to node 0 by touching from hw 0 first.
   RunAs(0, [&](sim::VThread* vt) {
     for (uint64_t off = 0; off < r->len; off += kSmallPageBytes) {
@@ -83,7 +83,7 @@ TEST_F(MemSystemTest, RemoteAccessesCountedAndSlower) {
 }
 
 TEST_F(MemSystemTest, CachesAbsorbRepeatedAccess) {
-  Region* r = memsys_.os()->Map(1 << 16);
+  Region* r = memsys_.os()->TryMap(1 << 16);
   RunAs(0, [&](sim::VThread* vt) {
     memsys_.Read(vt, r->host, 64);
     uint64_t misses_cold = vt->counters.llc_misses;
@@ -94,7 +94,7 @@ TEST_F(MemSystemTest, CachesAbsorbRepeatedAccess) {
 }
 
 TEST_F(MemSystemTest, TlbMissesThenHits) {
-  Region* r = memsys_.os()->Map(1 << 16);
+  Region* r = memsys_.os()->TryMap(1 << 16);
   RunAs(0, [&](sim::VThread* vt) {
     memsys_.Read(vt, r->host, 8);
     EXPECT_EQ(vt->counters.tlb_misses, 1u);
@@ -107,7 +107,7 @@ TEST_F(MemSystemTest, TlbMissesThenHits) {
 
 TEST_F(MemSystemTest, ThpFaultAllocBindsWholeRun) {
   memsys_.os()->SetThpFaultAlloc(true);
-  Region* r = memsys_.os()->Map(4ULL << 20);
+  Region* r = memsys_.os()->TryMap(4ULL << 20);
   RunAs(2, [&](sim::VThread* vt) {  // node 1
     memsys_.Read(vt, r->host + 12345, 8);
   });
@@ -122,7 +122,7 @@ TEST_F(MemSystemTest, ThpFaultAllocBindsWholeRun) {
 
 TEST_F(MemSystemTest, MadviseSplitsHugeAndUnbinds) {
   memsys_.os()->SetThpFaultAlloc(true);
-  Region* r = memsys_.os()->Map(2ULL << 20);
+  Region* r = memsys_.os()->TryMap(2ULL << 20);
   RunAs(0, [&](sim::VThread* vt) { memsys_.Read(vt, r->host, 8); });
   ASSERT_TRUE(r->pages[0].huge);
   memsys_.os()->MadviseDontNeed(r, 0, 64 * kSmallPageBytes, /*now=*/0);
@@ -135,7 +135,7 @@ TEST_F(MemSystemTest, MadviseSplitsHugeAndUnbinds) {
 }
 
 TEST_F(MemSystemTest, KhugepagedCollapseRequiresSameNode) {
-  Region* r = memsys_.os()->Map(2ULL << 20);
+  Region* r = memsys_.os()->TryMap(2ULL << 20);
   // Touch all pages from node 0, then move one page to node 1.
   RunAs(0, [&](sim::VThread* vt) {
     for (uint64_t off = 0; off < r->len; off += kSmallPageBytes) {
@@ -150,7 +150,7 @@ TEST_F(MemSystemTest, KhugepagedCollapseRequiresSameNode) {
 }
 
 TEST_F(MemSystemTest, ResidentAccounting) {
-  Region* r = memsys_.os()->Map(16 * kSmallPageBytes);
+  Region* r = memsys_.os()->TryMap(16 * kSmallPageBytes);
   uint64_t before = memsys_.os()->resident_bytes();
   RunAs(0, [&](sim::VThread* vt) {
     memsys_.Read(vt, r->host, 8);
@@ -163,14 +163,14 @@ TEST_F(MemSystemTest, ResidentAccounting) {
 
 TEST_F(MemSystemTest, NodeTrafficBeforeFirstSampledFault) {
   // Regression: the AutoNUMA balancer reads NodeTraffic for a live thread
-  // before that thread takes its first sampled fault. NodeTraffic used to
-  // grow node_traffic_/fault_stride_ but not fault_budget_, so the resize
-  // guard in SampleAutoNuma was skipped and fault_budget_[tid] indexed out
-  // of bounds (caught under ASan).
+  // before that thread takes its first sampled fault. NodeTraffic once
+  // grew only part of the per-thread sampling state, so the resize guard in
+  // SampleAutoNuma was skipped and the short vector was indexed out of
+  // bounds (caught under ASan).
   memsys_.SetAutoNumaSampling(true);
   const auto& traffic = memsys_.NodeTraffic(0);  // balancer runs first
   EXPECT_EQ(traffic[0], 0u);
-  Region* r = memsys_.os()->Map(1 << 20);
+  Region* r = memsys_.os()->TryMap(1 << 20);
   RunAs(0, [&](sim::VThread* vt) {
     // Enough DRAM lines to pass the hinting-fault stride several times.
     for (uint64_t off = 0; off < r->len; off += 64) {
@@ -185,10 +185,10 @@ TEST_F(MemSystemTest, NodeTrafficBeforeFirstSampledFault) {
 }
 
 TEST_F(MemSystemTest, UnmapRecyclesAddressSpace) {
-  Region* a = memsys_.os()->Map(1 << 20);
+  Region* a = memsys_.os()->TryMap(1 << 20);
   uint64_t base = a->base;
   memsys_.os()->Unmap(a);
-  Region* b = memsys_.os()->Map(1 << 20);
+  Region* b = memsys_.os()->TryMap(1 << 20);
   EXPECT_EQ(b->base, base);  // same slots reused
 }
 

@@ -56,7 +56,7 @@ class PlacementTest : public ::testing::Test {
 constexpr uint64_t kLinesPerPage = kSmallPageBytes / kCacheLineBytes;  // 64
 
 TEST_F(PlacementTest, ReplicaServesReadsLocallyAndWriteInvalidates) {
-  Region* r = memsys_->os()->Map(kSmallPageBytes, /*thp_eligible=*/false);
+  Region* r = memsys_->os()->TryMap(kSmallPageBytes, /*thp_eligible=*/false);
   char* p = reinterpret_cast<char*>(r->base);
   // First touch from node 0: the page homes there.
   RunAs(0, [&] {
@@ -105,8 +105,8 @@ TEST_F(PlacementTest, ReplicaServesReadsLocallyAndWriteInvalidates) {
 // and later reads are local.
 TEST_F(PlacementTest, SustainedRemoteReadsEarnAReplica) {
   memsys_->SetAutoNumaSampling(true);
-  memsys_->ArmAutoNumaWave(1ULL << 40);
-  Region* r = memsys_->os()->Map(kSmallPageBytes, /*thp_eligible=*/false);
+  memsys_->ArmAutoNumaWave();
+  Region* r = memsys_->os()->TryMap(kSmallPageBytes, /*thp_eligible=*/false);
   char* p = reinterpret_cast<char*>(r->base);
   RunAs(0, [&] { memsys_->Read(vt_, p, kCacheLineBytes); });
   ASSERT_EQ(r->pages[0].node, 0);
@@ -132,8 +132,8 @@ TEST_F(PlacementTest, SustainedRemoteReadsEarnAReplica) {
 // ping-ponging pages out of the replica pool.
 TEST_F(PlacementTest, WriteHeavyPageIsNotReplicated) {
   memsys_->SetAutoNumaSampling(true);
-  memsys_->ArmAutoNumaWave(1ULL << 40);
-  Region* r = memsys_->os()->Map(kSmallPageBytes, /*thp_eligible=*/false);
+  memsys_->ArmAutoNumaWave();
+  Region* r = memsys_->os()->TryMap(kSmallPageBytes, /*thp_eligible=*/false);
   char* p = reinterpret_cast<char*>(r->base);
   RunAs(0, [&] { memsys_->Read(vt_, p, kCacheLineBytes); });
 
@@ -156,8 +156,8 @@ TEST_F(PlacementTest, WriteHeavyPageIsNotReplicated) {
 // self-limits instead of re-replicating every pass for the whole run.
 TEST_F(PlacementTest, PingPongChurnSelfLimits) {
   memsys_->SetAutoNumaSampling(true);
-  memsys_->ArmAutoNumaWave(1ULL << 40);
-  Region* r = memsys_->os()->Map(kSmallPageBytes, /*thp_eligible=*/false);
+  memsys_->ArmAutoNumaWave();
+  Region* r = memsys_->os()->TryMap(kSmallPageBytes, /*thp_eligible=*/false);
   char* p = reinterpret_cast<char*>(r->base);
   RunAs(0, [&] { memsys_->Read(vt_, p, kCacheLineBytes); });
 
@@ -185,8 +185,8 @@ TEST_F(PlacementTest, CapacityPressureDropsReplicasBeforeSpilling) {
   // Two pages homed on node 0, each with a replica on node 1: half of
   // node 1's capacity is droppable copies.
   memsys_->os()->SetPolicy(MemPolicy::kPreferred, 0);
-  Region* hot = memsys_->os()->Map(2 * kSmallPageBytes,
-                                   /*thp_eligible=*/false);
+  Region* hot = memsys_->os()->TryMap(2 * kSmallPageBytes,
+                                      /*thp_eligible=*/false);
   char* p = reinterpret_cast<char*>(hot->base);
   RunAs(0, [&] {
     memsys_->Read(vt_, p, kCacheLineBytes);
@@ -199,8 +199,8 @@ TEST_F(PlacementTest, CapacityPressureDropsReplicasBeforeSpilling) {
   // Four real pages bound to node 1 need the whole node: the two replicas
   // are reclaimed and no real page spills anywhere.
   memsys_->os()->SetPolicy(MemPolicy::kPreferred, 1);
-  Region* cold = memsys_->os()->Map(4 * kSmallPageBytes,
-                                    /*thp_eligible=*/false);
+  Region* cold = memsys_->os()->TryMap(4 * kSmallPageBytes,
+                                       /*thp_eligible=*/false);
   for (const auto& pg : cold->pages) EXPECT_EQ(pg.node, 1);
   EXPECT_EQ(sys_.replica_drops, 2u);
   EXPECT_EQ(hot->pages[0].replica_mask, 0u);
@@ -211,7 +211,7 @@ TEST_F(PlacementTest, CapacityPressureDropsReplicasBeforeSpilling) {
 }
 
 TEST_F(PlacementTest, AddReplicaRefusesHomeNodeDuplicatesAndFullNodes) {
-  Region* r = memsys_->os()->Map(kSmallPageBytes, /*thp_eligible=*/false);
+  Region* r = memsys_->os()->TryMap(kSmallPageBytes, /*thp_eligible=*/false);
   char* p = reinterpret_cast<char*>(r->base);
   RunAs(0, [&] { memsys_->Read(vt_, p, kCacheLineBytes); });
 
@@ -227,7 +227,7 @@ TEST_F(PlacementTest, AddReplicaRefusesHomeNodeDuplicatesAndFullNodes) {
   faultlab::FaultLab fl(plan, 42, 0, &sys_);
   memsys_->os()->SetFaultLab(&fl);
   memsys_->os()->SetPolicy(MemPolicy::kPreferred, 5);
-  memsys_->os()->Map(kSmallPageBytes, /*thp_eligible=*/false);  // fills 5
+  memsys_->os()->TryMap(kSmallPageBytes, /*thp_eligible=*/false);  // fills 5
   EXPECT_FALSE(memsys_->os()->AddReplica(r, 0, 5));
 }
 

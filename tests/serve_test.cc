@@ -213,6 +213,14 @@ TEST(ServeTest, HistogramAgreesWithExactPercentiles) {
   }
 }
 
+TEST(ServeDeathTest, HotKeysBeyondTheStoreAbort) {
+  // Hot keys past kv_keys would read beyond the last partition slab.
+  ServeConfig sc = SmallConfig();
+  sc.hot_fraction = 1.0;
+  sc.hot_keys = 16 * sc.kv_keys;
+  EXPECT_DEATH(RunServing(SmallRun(), sc), "hot_keys <= sc.kv_keys");
+}
+
 TEST(ServeTest, ServingJsonIsWellFormedAndOrdered) {
   ServeConfig sc = SmallConfig();
   ServeResult r = RunServing(SmallRun(), sc);

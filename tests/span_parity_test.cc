@@ -72,7 +72,7 @@ void RunBothWays(const Script& script, uint64_t map_bytes,
   for (Stack* s : {&scalar, &span}) {
     if (thp) s->memsys.os()->SetThpFaultAlloc(true);
     if (autonuma) s->memsys.SetAutoNumaSampling(true);
-    Region* r = s->memsys.os()->Map(map_bytes);
+    Region* r = s->memsys.os()->TryMap(map_bytes);
     s->RunAs(hw, [&](sim::VThread* vt) { script(*s, r, vt); });
   }
   ASSERT_EQ(scalar.engine.threads().size(), span.engine.threads().size());
@@ -125,8 +125,8 @@ TEST(SpanParity, SpanEqualsLoopOfScalarAccesses) {
     Stack span(scalar);
     uint64_t bytes = 2 * kSmallPageBytes + 100;
     uint64_t stride = 24;
-    Region* rl = loop.memsys.os()->Map(1 << 20);
-    Region* rs = span.memsys.os()->Map(1 << 20);
+    Region* rl = loop.memsys.os()->TryMap(1 << 20);
+    Region* rs = span.memsys.os()->TryMap(1 << 20);
     loop.RunAs(0, [&](sim::VThread* vt) {
       for (uint64_t off = 0; off < bytes; off += stride) {
         loop.memsys.Access(vt, rl->host + off,
@@ -174,7 +174,7 @@ TEST(SpanParity, InterleavedPolicyAlternatesNodes) {
   Stack span(false);
   for (Stack* s : {&scalar, &span}) {
     s->memsys.os()->SetPolicy(MemPolicy::kInterleave);
-    Region* r = s->memsys.os()->Map(1 << 20);
+    Region* r = s->memsys.os()->TryMap(1 << 20);
     s->RunAs(0, [&](sim::VThread* vt) {
       // 4K interleave: the page memo and contention route flip every page.
       s->memsys.AccessSpan(vt, r->host, 64 * kSmallPageBytes, 0, false);
@@ -201,7 +201,7 @@ TEST(SpanParity, AutoNumaSamplingAndMigration) {
   Stack span(false);
   for (Stack* s : {&scalar, &span}) {
     s->memsys.SetAutoNumaSampling(true);
-    Region* r = s->memsys.os()->Map(4ULL << 20);
+    Region* r = s->memsys.os()->TryMap(4ULL << 20);
     s->RunAs(0, [&](sim::VThread* vt) {
       s->memsys.AccessSpan(vt, r->host, 512 * 1024, 0, true);
     });

@@ -1,11 +1,11 @@
 // Boundary/degenerate coverage for src/common/stats.h — notably the
-// Percentile out-of-range regression: rank used to index past the end of
-// the sorted copy for p > 100 and wrap through a negative-to-size_t cast
+// percentile out-of-range regression: rank used to index past the end of
+// the sorted vector for p > 100 and wrap through a negative-to-size_t cast
 // for p < 0.
 
 #include "src/common/stats.h"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -14,60 +14,49 @@
 namespace numalab {
 namespace {
 
-TEST(StatsTest, MeanDegenerate) {
-  EXPECT_EQ(Mean({}), 0.0);
-  EXPECT_EQ(Mean({7.0}), 7.0);
-  EXPECT_DOUBLE_EQ(Mean({1.0, 2.0, 3.0, 4.0}), 2.5);
-}
-
-TEST(StatsTest, StdDevDegenerate) {
-  EXPECT_EQ(StdDev({}), 0.0);
-  EXPECT_EQ(StdDev({5.0}), 0.0);  // fewer than two samples
-  EXPECT_DOUBLE_EQ(StdDev({2.0, 2.0, 2.0}), 0.0);
-  EXPECT_DOUBLE_EQ(StdDev({1.0, 3.0}), 1.0);
-}
-
 TEST(PercentileTest, EmptyIsZero) {
-  EXPECT_EQ(Percentile({}, 50.0), 0.0);
-  EXPECT_EQ(Percentile({}, 200.0), 0.0);
+  EXPECT_EQ(PercentileSorted({}, 50.0), 0u);
+  EXPECT_EQ(PercentileSorted({}, 200.0), 0u);
 }
 
 TEST(PercentileTest, SingleElement) {
-  EXPECT_EQ(Percentile({42.0}, 0.0), 42.0);
-  EXPECT_EQ(Percentile({42.0}, 50.0), 42.0);
-  EXPECT_EQ(Percentile({42.0}, 100.0), 42.0);
+  EXPECT_EQ(PercentileSorted({42}, 0.0), 42u);
+  EXPECT_EQ(PercentileSorted({42}, 50.0), 42u);
+  EXPECT_EQ(PercentileSorted({42}, 100.0), 42u);
 }
 
 TEST(PercentileTest, BoundsAndInterpolation) {
-  std::vector<double> xs = {4.0, 1.0, 3.0, 2.0};  // unsorted on purpose
-  EXPECT_EQ(Percentile(xs, 0.0), 1.0);
-  EXPECT_EQ(Percentile(xs, 100.0), 4.0);
-  // rank = 1.5 between the sorted values 2 and 3.
-  EXPECT_DOUBLE_EQ(Percentile(xs, 50.0), 2.5);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 25.0), 1.75);
+  std::vector<uint64_t> xs = {1, 2, 3, 4};
+  EXPECT_EQ(PercentileSorted(xs, 0.0), 1u);
+  EXPECT_EQ(PercentileSorted(xs, 100.0), 4u);
+  // No interpolation: rank 1.5 rounds to the order statistic at index 2,
+  // rank 0.75 to the one at index 1.
+  EXPECT_EQ(PercentileSorted(xs, 50.0), 3u);
+  EXPECT_EQ(PercentileSorted(xs, 25.0), 2u);
 }
 
 // Regression: p > 100 used to compute rank > size-1 and read past the end
-// of the sorted copy; the result was garbage (and an ASan fault). Clamped,
-// it must be exactly the maximum.
+// of the sorted vector; the result was garbage (and an ASan fault).
+// Clamped, it must be exactly the maximum.
 TEST(PercentileTest, OutOfRangeHighClampsToMax) {
-  std::vector<double> xs = {10.0, 30.0, 20.0};
-  EXPECT_EQ(Percentile(xs, 100.0 + 1e-9), 30.0);
-  EXPECT_EQ(Percentile(xs, 150.0), 30.0);
-  EXPECT_EQ(Percentile(xs, 100000.0), 30.0);
+  std::vector<uint64_t> xs = {10, 20, 30};
+  EXPECT_EQ(PercentileSorted(xs, 100.0 + 1e-9), 30u);
+  EXPECT_EQ(PercentileSorted(xs, 150.0), 30u);
+  EXPECT_EQ(PercentileSorted(xs, 100000.0), 30u);
 }
 
 // Regression: negative p produced a negative rank whose size_t cast
 // wrapped to a huge index.
 TEST(PercentileTest, OutOfRangeLowClampsToMin) {
-  std::vector<double> xs = {10.0, 30.0, 20.0};
-  EXPECT_EQ(Percentile(xs, -0.001), 10.0);
-  EXPECT_EQ(Percentile(xs, -1000.0), 10.0);
+  std::vector<uint64_t> xs = {10, 20, 30};
+  EXPECT_EQ(PercentileSorted(xs, -0.001), 10u);
+  EXPECT_EQ(PercentileSorted(xs, -1000.0), 10u);
 }
 
 TEST(PercentileTest, NanPTreatedAsZero) {
-  std::vector<double> xs = {10.0, 30.0, 20.0};
-  EXPECT_EQ(Percentile(xs, std::numeric_limits<double>::quiet_NaN()), 10.0);
+  std::vector<uint64_t> xs = {10, 20, 30};
+  EXPECT_EQ(PercentileSorted(xs, std::numeric_limits<double>::quiet_NaN()),
+            10u);
 }
 
 TEST(HistogramTest, BucketGeometry) {
@@ -85,23 +74,20 @@ TEST(HistogramTest, BucketGeometry) {
   }
 }
 
-// Regression: BucketWidth(64) used to return 2^63 - 1 via a `b == 64`
-// special case, but bucket 64 spans [2^63, 2^64-1] — exactly 2^63 distinct
-// values, which fits in a uint64_t. Every bucket's width must equal its
-// inclusive span, and widths (bucket 0 plus the 64 power buckets) must
-// tile the whole uint64_t range.
-TEST(HistogramTest, BucketWidthCountsBucket64Exactly) {
-  EXPECT_EQ(Histogram::BucketWidth(64), uint64_t{1} << 63);
-  for (int b = 0; b < Histogram::kBuckets; ++b) {
-    EXPECT_EQ(Histogram::BucketWidth(b),
-              Histogram::BucketHi(b) - Histogram::BucketLo(b) + 1)
-        << "b=" << b;
-  }
-  // Bucket 0 holds {0}; bucket b>0 holds [2^(b-1), 2^b - 1]. Summed, the
-  // widths cover all 2^64 values (the sum wraps to exactly 0 mod 2^64).
+// Bucket 0 holds {0}; bucket b>0 holds [2^(b-1), 2^b - 1]. Each bucket
+// starts right after the previous one ends, and the inclusive spans
+// (bucket 64's is exactly 2^63 values) cover all 2^64 values: the sum
+// wraps to exactly 0 mod 2^64.
+TEST(HistogramTest, BucketsTileTheWholeRange) {
+  EXPECT_EQ(Histogram::BucketHi(64) - Histogram::BucketLo(64) + 1,
+            uint64_t{1} << 63);
   uint64_t sum = 0;
   for (int b = 0; b < Histogram::kBuckets; ++b) {
-    sum += Histogram::BucketWidth(b);
+    if (b > 0) {
+      EXPECT_EQ(Histogram::BucketLo(b), Histogram::BucketHi(b - 1) + 1)
+          << "b=" << b;
+    }
+    sum += Histogram::BucketHi(b) - Histogram::BucketLo(b) + 1;
   }
   EXPECT_EQ(sum, 0u);
 }
@@ -118,33 +104,26 @@ TEST(HistogramTest, EmptyAndDegenerate) {
   EXPECT_EQ(h.Percentile(100.0), 7u);  // bucket [4,7] upper bound
 }
 
-// The satellite regression: Percentile on the histogram must match the
-// exact-sort Percentile within one bucket width. Ranks are integers here
-// (n-1 = 1000 divides every tested p), so the exact path does not
-// interpolate and the bound is rigorous: both pick the same order
-// statistic, and the histogram reports its bucket's upper bound.
-TEST(HistogramTest, PercentileMatchesExactSortWithinOneBucketWidth) {
-  std::vector<double> exact;
+// The histogram and the exact path pick the same order statistic, so the
+// histogram's answer is exactly the upper bound of that statistic's
+// bucket — out-of-range p included, since both clamp through NearestRank.
+TEST(HistogramTest, PercentileIsTheBucketOfTheExactOrderStatistic) {
+  std::vector<uint64_t> xs;
   Histogram h;
   uint64_t x = 12345;
   for (int i = 0; i < 1001; ++i) {
     // Deterministic skewed latencies spanning several octaves.
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     uint64_t v = 100 + (x >> 52) * ((x >> 32) % 17);
-    exact.push_back(static_cast<double>(v));
+    xs.push_back(v);
     h.Add(v);
   }
-  for (double p : {0.0, 10.0, 25.0, 50.0, 90.0, 95.0, 99.0, 100.0}) {
-    double e = Percentile(exact, p);
-    uint64_t got = h.Percentile(p);
-    int b = Histogram::BucketOf(static_cast<uint64_t>(e));
-    double width = static_cast<double>(Histogram::BucketWidth(b));
-    EXPECT_LE(std::abs(static_cast<double>(got) - e), width)
-        << "p=" << p << " exact=" << e << " hist=" << got;
-    // The histogram answer never undershoots the exact order statistic
-    // (it reports the containing bucket's upper bound); the epsilon covers
-    // the exact path's floating-point rank computation.
-    EXPECT_GE(static_cast<double>(got) + 1e-6, e) << "p=" << p;
+  std::sort(xs.begin(), xs.end());
+  for (double p : {-5.0, 0.0, 10.0, 25.0, 33.3, 50.0, 90.0, 95.0, 99.0,
+                   99.95, 100.0, 250.0}) {
+    EXPECT_EQ(h.Percentile(p),
+              Histogram::BucketHi(Histogram::BucketOf(PercentileSorted(xs, p))))
+        << "p=" << p;
   }
 }
 
@@ -162,17 +141,6 @@ TEST(HistogramTest, MergeMatchesInterleavedAdds) {
   for (double p : {1.0, 50.0, 99.0}) {
     EXPECT_EQ(a.Percentile(p), all.Percentile(p));
   }
-}
-
-TEST(MedianInPlaceTest, Degenerate) {
-  std::vector<int64_t> empty;
-  EXPECT_EQ(MedianInPlace(&empty), 0);
-  std::vector<int64_t> one = {9};
-  EXPECT_EQ(MedianInPlace(&one), 9);
-  std::vector<int64_t> odd = {5, 1, 3};
-  EXPECT_EQ(MedianInPlace(&odd), 3);
-  std::vector<int64_t> even = {4, 1, 3, 2};  // lower-middle for even sizes
-  EXPECT_EQ(MedianInPlace(&even), 2);
 }
 
 }  // namespace

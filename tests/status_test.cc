@@ -1,6 +1,4 @@
-// Status / Result contract tests: the new error codes, the
-// NUMALAB_RETURN_IF_ERROR propagation macro (single evaluation), and the
-// release-mode guarantee that Result<T> cannot be built from an OK Status.
+// Status contract tests: the error codes and their rendering.
 
 #include <gtest/gtest.h>
 
@@ -19,49 +17,6 @@ TEST(Status, CodesAndRendering) {
   EXPECT_EQ(u.code(), Status::Code::kUnavailable);
   EXPECT_EQ(u.ToString(), "Unavailable: node 3 offline");
 }
-
-Status FailIfNegative(int v, int* evaluations) {
-  ++*evaluations;
-  if (v < 0) return Status::InvalidArgument("negative");
-  return Status::OK();
-}
-
-Status Chain(int v, int* evaluations) {
-  NUMALAB_RETURN_IF_ERROR(FailIfNegative(v, evaluations));
-  return Status::AlreadyExists("fell through");
-}
-
-TEST(Status, ReturnIfErrorPropagatesAndEvaluatesOnce) {
-  int evaluations = 0;
-  Status s = Chain(-1, &evaluations);
-  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
-  EXPECT_EQ(evaluations, 1);
-
-  evaluations = 0;
-  s = Chain(1, &evaluations);
-  EXPECT_EQ(s.code(), Status::Code::kAlreadyExists);  // macro fell through
-  EXPECT_EQ(evaluations, 1);
-}
-
-TEST(Result, HoldsValue) {
-  Result<int> v(7);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, 7);
-}
-
-TEST(Result, HoldsError) {
-  Result<int> e(Status::NotFound("nope"));
-  ASSERT_FALSE(e.ok());
-  EXPECT_EQ(e.status().code(), Status::Code::kNotFound);
-}
-
-#if GTEST_HAS_DEATH_TEST
-TEST(ResultDeathTest, OkStatusIsRejectedEvenInRelease) {
-  // NUMALAB_CHECK (not assert) backs this contract, so it must also fire
-  // in NDEBUG builds.
-  EXPECT_DEATH(Result<int>{Status::OK()}, "OK Status");
-}
-#endif
 
 }  // namespace
 }  // namespace numalab

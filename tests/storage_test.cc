@@ -1,6 +1,6 @@
-// Tests for numalab::storage — eviction determinism, pin/unpin misuse,
-// WAL replay idempotence, checkpoint truncation and the serving
-// integration (DESIGN.md section 15).
+// Tests for numalab::storage — eviction determinism, WAL replay
+// idempotence, checkpoint truncation and the serving integration
+// (DESIGN.md section 15).
 //
 // Sim-driven tests use free coroutine functions (never capturing-lambda
 // coroutines: the lambda object dies before the coroutine resumes).
@@ -42,19 +42,14 @@ StorageConfig SmallConfig() {
   return cfg;
 }
 
-sim::Task FetchSequence(Env& env, StorageEngine* eng,
-                        const std::vector<uint64_t>* pages) {
+/// One Get per page, at the page's first row: one pool lookup each.
+sim::Task GetSequence(Env& env, StorageEngine* eng,
+                      const std::vector<uint64_t>* pages) {
   for (uint64_t page : *pages) {
-    Frame* f = eng->FetchPage(env, page);
-    EXPECT_NE(f, nullptr);
-    if (f != nullptr) eng->UnpinPage(f);
+    uint64_t v = 0;
+    EXPECT_TRUE(eng->Get(env, page * eng->rows_per_page(), &v));
     co_await env.Checkpoint();
   }
-}
-
-sim::Task FetchAndHold(Env& env, StorageEngine* eng, Frame** out) {
-  *out = eng->FetchPage(env, 0);
-  co_return;
 }
 
 TEST(StorageTest, PageGeometryAndPreload) {
@@ -72,7 +67,7 @@ TEST(StorageTest, PageGeometryAndPreload) {
 }
 
 TEST(StorageTest, EvictionOrderIsDeterministic) {
-  // Two same-seed runs over the same fetch sequence must make identical
+  // Two same-seed runs over the same page sequence must make identical
   // eviction decisions, leave the identical cached set, and serialize to
   // identical stats JSON.
   auto drive = [](uint64_t* cycles) {
@@ -82,7 +77,7 @@ TEST(StorageTest, EvictionOrderIsDeterministic) {
     StorageEngine eng(cfg, ctx.machine().num_nodes(), rc.seed, nullptr);
     const std::vector<uint64_t> pages = {0, 8, 0, 16, 8, 16};
     ctx.SpawnWorkers(
-        [&](Env& env) { return FetchSequence(env, &eng, &pages); });
+        [&](Env& env) { return GetSequence(env, &eng, &pages); });
     workloads::RunResult result;
     ctx.Finish(&result);
     EXPECT_TRUE(result.status.ok());
@@ -105,18 +100,6 @@ TEST(StorageTest, EvictionOrderIsDeterministic) {
   std::string b = drive(&cycles_b);
   EXPECT_EQ(a, b);
   EXPECT_EQ(cycles_a, cycles_b);
-}
-
-TEST(StorageDeathTest, UnpinningAnUnpinnedFrameAborts) {
-  SimContext ctx(SmallRun());
-  StorageEngine eng(SmallConfig(), ctx.machine().num_nodes(), 1, nullptr);
-  Frame* frame = nullptr;
-  ctx.SpawnWorkers([&](Env& env) { return FetchAndHold(env, &eng, &frame); });
-  workloads::RunResult result;
-  ctx.Finish(&result);
-  ASSERT_NE(frame, nullptr);
-  eng.UnpinPage(frame);  // balances the FetchPage
-  EXPECT_DEATH(eng.UnpinPage(frame), "UnpinPage on an unpinned frame");
 }
 
 sim::Task ReplayIdempotenceOps(Env& env, StorageEngine* eng) {

@@ -746,7 +746,7 @@ bool IsExempt(const std::string& rel_path, const std::string& rule) {
   }
   // The linter's own sources must name the hazards they detect (rule
   // tables, message strings, docs) — exempt from everything. The fixture
-  // corpus is NOT exempt: check.sh stage 10 depends on it flagging.
+  // corpus is NOT exempt: check.sh stage 8 depends on it flagging.
   if (rel_path.rfind("tools/detlint/", 0) == 0 &&
       rel_path.rfind("tools/detlint/testdata/", 0) != 0) {
     return true;

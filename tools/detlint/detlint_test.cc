@@ -251,7 +251,7 @@ TEST(DetlintDeterminism, JsonEscapesAndSortsStably) {
 
 // ---------------------------------------------------------------------------
 // The tree itself must be clean (same gate as ctest's detlint_tree and
-// check.sh stage 10, run in-process so failures show the findings).
+// check.sh stage 8, run in-process so failures show the findings).
 
 TEST(DetlintTree, RepoScansCleanModuloBaseline) {
   std::string root = DETLINT_REPO_ROOT;

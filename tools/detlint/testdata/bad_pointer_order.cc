@@ -1,5 +1,5 @@
 // Fixture: pointer-as-ordering-key patterns detlint must flag.
-// NOT part of any build — scanned by detlint_test and check.sh stage 10.
+// NOT part of any build — scanned by detlint_test and check.sh stage 8.
 
 #include <cstdio>
 #include <map>

@@ -1,5 +1,5 @@
 // Fixture: unordered-container iteration patterns detlint must flag.
-// NOT part of any build — scanned by detlint_test and check.sh stage 10.
+// NOT part of any build — scanned by detlint_test and check.sh stage 8.
 
 #include <cstdint>
 #include <cstdio>

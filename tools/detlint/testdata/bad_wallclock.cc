@@ -1,5 +1,5 @@
 // Fixture: every wall-clock access pattern detlint must flag.
-// NOT part of any build — scanned by detlint_test and check.sh stage 10.
+// NOT part of any build — scanned by detlint_test and check.sh stage 8.
 
 #include <chrono>  // flagged: hazard header
 #include <ctime>   // flagged: hazard header
