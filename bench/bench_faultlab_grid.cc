@@ -40,14 +40,14 @@ RunResult RunCell(const std::string& workload, const RunConfig& config) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t cap_mib = numalab::bench::FlagU64(argc, argv, "node-cap-mib", 16);
+  constexpr uint64_t kCapMib = 16;
   numalab::bench::BenchMain(argc, argv);
 
   const std::vector<std::string> machines = {"A", "B", "C"};
   const std::vector<std::string> workloads = {"W1", "W2", "W3", "W4"};
 
   std::printf("faultlab pressure grid (per-node cap %llu MiB)\n",
-              static_cast<unsigned long long>(cap_mib));
+              static_cast<unsigned long long>(kCapMib));
   std::printf("%-8s %-3s %-18s %12s %12s %12s %7s\n", "workload", "m",
               "status", "Gcycles", "spilled", "last_resort", "retries");
 
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       config.cardinality = 10'000;
       config.build_rows = 62'500;
       config.probe_rows = 1'000'000;
-      config.faults = numalab::faultlab::MemoryPressurePlan(cap_mib << 20);
+      config.faults = numalab::faultlab::MemoryPressurePlan(kCapMib << 20);
       // Watchdog: a hung cell fails with DeadlineExceeded instead of
       // wedging the whole sweep.
       config.deadline_cycles = 100'000'000'000ULL;

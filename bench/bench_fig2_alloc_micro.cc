@@ -18,21 +18,20 @@
 #include "src/workloads/alloc_microbench.h"
 
 int main(int argc, char** argv) {
-  uint64_t ops = numalab::bench::FlagU64(
-      argc, argv, "ops", 60'000);  // default scaled from the paper's 100M ops/thread
+  constexpr uint64_t kOps = 60'000;  // scaled from the paper's 100M ops/thread
   numalab::bench::BenchMain(argc, argv);
   const auto& allocators = numalab::alloc::AllAllocatorNames();
 
   std::printf("Figure 2a: allocator scalability — Machine A, %llu ops/thread"
               " (virtual Gcycles)\n",
-              static_cast<unsigned long long>(ops));
+              static_cast<unsigned long long>(kOps));
   std::printf("%-12s", "threads");
   for (const auto& a : allocators) std::printf("%12s", a.c_str());
   std::printf("\n");
   for (int threads : {1, 2, 4, 8, 12, 16}) {
     std::printf("%-12d", threads);
     for (const auto& a : allocators) {
-      auto r = numalab::workloads::RunAllocMicrobench(a, "A", threads, ops,
+      auto r = numalab::workloads::RunAllocMicrobench(a, "A", threads, kOps,
                                                       /*seed=*/42);
       std::printf("%12.3f", static_cast<double>(r.cycles) / 1e9);
       std::fflush(stdout);
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
   for (int threads : {1, 2, 4, 8, 16}) {
     std::printf("%-12d", threads);
     for (const auto& a : allocators) {
-      auto r = numalab::workloads::RunAllocMicrobench(a, "A", threads, ops,
+      auto r = numalab::workloads::RunAllocMicrobench(a, "A", threads, kOps,
                                                       /*seed=*/42);
       std::printf("%12.3f", r.memory_overhead);
       std::fflush(stdout);

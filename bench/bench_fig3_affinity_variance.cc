@@ -9,13 +9,12 @@
 #include "bench/bench_common.h"
 #include "src/workloads/workloads.h"
 
-using numalab::bench::FlagU64;
 using numalab::bench::TunedBase;
 using namespace numalab::workloads;
 
 int main(int argc, char** argv) {
-  uint64_t records = FlagU64(argc, argv, "records", 1'000'000);
-  uint64_t card = FlagU64(argc, argv, "card", 100'000);
+  constexpr uint64_t kRecords = 1'000'000;
+  constexpr uint64_t kCard = 100'000;
   numalab::bench::BenchMain(argc, argv);
 
   // Both configurations run in the out-of-the-box OS environment (AutoNUMA
@@ -23,8 +22,8 @@ int main(int argc, char** argv) {
   // that is the comparison Fig. 3 makes.
   RunConfig pinned = numalab::bench::DefaultBase("A", 16);
   pinned.affinity = numalab::osmodel::Affinity::kSparse;
-  pinned.num_records = records;
-  pinned.cardinality = card;
+  pinned.num_records = kRecords;
+  pinned.cardinality = kCard;
   RunResult base = RunW1HolisticAggregation(pinned);
 
   std::printf("Figure 3: W1, Machine A, 16 threads — relative runtime of the"

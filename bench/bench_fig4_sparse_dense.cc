@@ -7,13 +7,12 @@
 #include "bench/bench_common.h"
 #include "src/workloads/workloads.h"
 
-using numalab::bench::FlagU64;
 using numalab::bench::TunedBase;
 using namespace numalab::workloads;
 
 int main(int argc, char** argv) {
-  uint64_t records = FlagU64(argc, argv, "records", 2'000'000);
-  uint64_t card = FlagU64(argc, argv, "card", 200'000);
+  constexpr uint64_t kRecords = 2'000'000;
+  constexpr uint64_t kCard = 200'000;
   numalab::bench::BenchMain(argc, argv);
 
   std::printf("Figure 4: W1, Machine A — Dense vs Sparse affinity "
@@ -24,8 +23,8 @@ int main(int argc, char** argv) {
                     Dataset::kZipf}) {
     for (int threads : {2, 4, 8, 16}) {
       RunConfig c = TunedBase("A", threads);
-      c.num_records = records;
-      c.cardinality = card;
+      c.num_records = kRecords;
+      c.cardinality = kCard;
       c.dataset = d;
       c.affinity = numalab::osmodel::Affinity::kDense;
       RunResult dense = RunW1HolisticAggregation(c);

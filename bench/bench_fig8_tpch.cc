@@ -16,15 +16,14 @@
 #include "bench/bench_common.h"
 #include "src/minidb/runner.h"
 
-using numalab::bench::FlagU64;
 using namespace numalab::minidb;
 
 int main(int argc, char** argv) {
-  double scale = static_cast<double>(FlagU64(argc, argv, "sf100", 5)) / 100.0;
+  constexpr double kScale = 0.05;
   numalab::bench::BenchMain(argc, argv);
 
   std::printf("Figure 8: TPC-H Q1-Q22 latency reduction (tuned vs default)"
-              " — Machine A, SF=%.2f\n", scale);
+              " — Machine A, SF=%.2f\n", kScale);
   std::printf("%-5s", "query");
   for (const auto& p : AllProfiles()) std::printf("%14s", p.models.c_str());
   std::printf("\n");
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
       o.machine = "A";
       o.profile = p.name;
       o.query = q;
-      o.scale = scale;
+      o.scale = kScale;
       o.run_index = q;  // fresh scheduler noise per query, as in real runs
       o.tuned = false;
       TpchResult def = RunTpch(o);

@@ -7,15 +7,14 @@
 #include "bench/bench_common.h"
 #include "src/minidb/runner.h"
 
-using numalab::bench::FlagU64;
 using namespace numalab::minidb;
 
 int main(int argc, char** argv) {
-  double scale = static_cast<double>(FlagU64(argc, argv, "sf100", 5)) / 100.0;
+  constexpr double kScale = 0.05;
   numalab::bench::BenchMain(argc, argv);
 
   std::printf("Figure 9: TPC-H Q5/Q18 latency by allocator — MonetDB-like"
-              " profile, Machine A, SF=%.2f (Gcycles)\n", scale);
+              " profile, Machine A, SF=%.2f (Gcycles)\n", kScale);
   std::printf("%-12s %12s %12s\n", "allocator", "Q5", "Q18");
   for (const char* alloc :
        {"ptmalloc", "jemalloc", "tcmalloc", "hoard", "tbbmalloc"}) {
@@ -25,7 +24,7 @@ int main(int argc, char** argv) {
       o.machine = "A";
       o.profile = "columnar-vec";
       o.query = q;
-      o.scale = scale;
+      o.scale = kScale;
       // Tuned OS environment; only the allocator varies (as in the paper).
       o.tuned = true;
       o.allocator_override = alloc;

@@ -44,8 +44,8 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t requests = numalab::bench::FlagU64(argc, argv, "requests", 16000);
-  uint64_t gap = numalab::bench::FlagU64(argc, argv, "rate-gap", 2'000);
+  constexpr uint64_t kRequests = 16'000;
+  constexpr uint64_t kGap = 2'000;
   numalab::bench::BenchMain(argc, argv);
 
   // Machine C: 4 nodes, 2.1x remote latency — the strongest NUMA penalty
@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
 
   ServeConfig sc;
   sc.arrival = numalab::serve::Arrival::kPoisson;
-  sc.requests = requests;
-  sc.mean_gap_cycles = gap;
+  sc.requests = kRequests;
+  sc.mean_gap_cycles = kGap;
   // Read-heavy mix: points and ranges carry the hot skew; a thin
   // probe/upsert tail keeps the shared hash table (and its locks) warm.
   sc.mix_point = 0.55;
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   // Deep queues: admission control is not under test here, and every cell
   // must complete the identical request set for the cross-cell checksum
   // (the autonuma cell goes service-bound and would otherwise shed load).
-  sc.queue_cap = requests;
+  sc.queue_cap = kRequests;
 
   std::vector<Cell> cells;
   {
@@ -103,20 +103,15 @@ int main(int argc, char** argv) {
   }
   {
     Cell c{"placement", base};
-    c.cfg.placement.enabled = true;
-    c.cfg.placement.min_heat = 16;
-    // Uniform hash-spread routing means cold store pages are shared about
-    // equally by all nodes; demand a sustained 4x-cost imbalance before
-    // moving one (each move stalls readers behind migrating_until).
-    c.cfg.placement.migrate_hysteresis = 4;
+    c.cfg.placement = true;
     cells.push_back(c);
   }
 
   std::printf(
       "placement: skewed-read serving mix (%llu requests, gap %llu, "
       "hot %llu/%llu keys)\n",
-      static_cast<unsigned long long>(requests),
-      static_cast<unsigned long long>(gap),
+      static_cast<unsigned long long>(kRequests),
+      static_cast<unsigned long long>(kGap),
       static_cast<unsigned long long>(sc.hot_keys),
       static_cast<unsigned long long>(sc.kv_keys));
   std::printf("%-12s %10s %8s %8s %8s %6s %9s %9s %7s\n", "cell",

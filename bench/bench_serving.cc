@@ -17,7 +17,6 @@
 // --json-out attaches the per-run "serving" sections via numalab::trace.
 
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -34,31 +33,22 @@ using numalab::workloads::RunConfig;
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string arrival_name =
-      numalab::bench::FlagStr(argc, argv, "arrival", "poisson");
-  uint64_t requests = numalab::bench::FlagU64(argc, argv, "requests", 2000);
-  uint64_t gap = numalab::bench::FlagU64(argc, argv, "rate-gap", 12'000);
+  constexpr uint64_t kRequests = 2000;
+  constexpr uint64_t kGap = 12'000;
   numalab::bench::BenchMain(argc, argv);
 
-  Arrival arrival;
-  if (!numalab::serve::ArrivalFromName(arrival_name, &arrival)) {
-    std::fprintf(stderr, "error: --arrival=%s (want fixed|poisson|burst|closed)\n",
-                 arrival_name.c_str());
-    return 2;
-  }
-
   ServeConfig base;
-  base.arrival = arrival;
-  base.requests = requests;
-  base.mean_gap_cycles = gap;
+  base.arrival = Arrival::kPoisson;
+  base.requests = kRequests;
+  base.mean_gap_cycles = kGap;
 
   RunConfig rc = numalab::bench::TunedBase("A", 8);
   int failures = 0;
 
   // --- Section 1: dynamic batching on vs off. ---
   std::printf("serving: dynamic batching (%s arrival, %llu requests)\n",
-              arrival_name.c_str(),
-              static_cast<unsigned long long>(requests));
+              numalab::serve::ArrivalName(base.arrival),
+              static_cast<unsigned long long>(kRequests));
   {
     ServeConfig sc = base;
     sc.mix_point = 1;
@@ -133,8 +123,8 @@ int main(int argc, char** argv) {
 
   // --- Section 3: throughput-latency curves. ---
   std::printf("\nserving: throughput-latency (%s arrival, %llu requests)\n",
-              arrival_name.c_str(),
-              static_cast<unsigned long long>(requests));
+              numalab::serve::ArrivalName(base.arrival),
+              static_cast<unsigned long long>(kRequests));
   std::printf("%-7s %-11s %-10s %8s %10s %8s %8s %8s %8s\n", "aff",
               "policy", "alloc", "gap", "q/Mcycle", "p50", "p95", "p99",
               "drop");
@@ -153,8 +143,8 @@ int main(int argc, char** argv) {
       {numalab::osmodel::Affinity::kNone,
        numalab::mem::MemPolicy::kFirstTouch, "ptmalloc"},
   };
-  const std::vector<uint64_t> gaps = {4 * gap, 2 * gap, gap, gap / 2,
-                                      gap / 4};
+  const std::vector<uint64_t> gaps = {4 * kGap, 2 * kGap, kGap, kGap / 2,
+                                      kGap / 4};
   for (const Cell& cell : cells) {
     RunConfig cfg = rc;
     cfg.affinity = cell.aff;

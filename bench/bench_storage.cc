@@ -48,19 +48,19 @@ struct Mix {
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t requests = numalab::bench::FlagU64(argc, argv, "requests", 600);
-  // Service-bound by default: storage requests cost tens of kcycles (I/O
-  // model), so a tight offered gap keeps every worker busy and lets the
+  constexpr uint64_t kRequests = 600;
+  // Service-bound: storage requests cost tens of kcycles (I/O model), so a
+  // tight offered gap keeps every worker busy and lets the
   // placement/policy/allocator axes show up in throughput.
-  uint64_t gap = numalab::bench::FlagU64(argc, argv, "rate-gap", 2'000);
+  constexpr uint64_t kGap = 2'000;
   numalab::bench::BenchMain(argc, argv);
 
   // Small enough to keep the bench fast, big enough that the table (~130
   // pages) is ~2.7x the 48-frame pool — eviction and writeback stay hot.
   ServeConfig base;
   base.arrival = Arrival::kPoisson;
-  base.requests = requests;
-  base.mean_gap_cycles = gap;
+  base.requests = kRequests;
+  base.mean_gap_cycles = kGap;
   base.kv_keys = 1 << 15;
   base.probe_build_rows = 1024;
   base.mix_probe = 0;
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   std::printf(
       "storage: mixes x shard placement x policy x allocator "
       "(%llu requests)\n",
-      static_cast<unsigned long long>(requests));
+      static_cast<unsigned long long>(kRequests));
   std::printf("%-9s %-11s %-11s %-10s %9s %6s %7s %7s %8s %5s\n", "mix",
               "placement", "policy", "alloc", "q/Mcycle", "hit%", "evict",
               "wback", "wal_rec", "ok");

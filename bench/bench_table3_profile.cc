@@ -7,7 +7,6 @@
 #include "bench/bench_common.h"
 #include "src/workloads/workloads.h"
 
-using numalab::bench::FlagU64;
 using numalab::bench::TunedBase;
 using namespace numalab::workloads;
 
@@ -25,13 +24,13 @@ void Row(const char* metric, double def, double mod, bool ratio = false) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t records = FlagU64(argc, argv, "records", 1'000'000);
-  uint64_t card = FlagU64(argc, argv, "card", 100'000);
+  constexpr uint64_t kRecords = 1'000'000;
+  constexpr uint64_t kCard = 100'000;
   numalab::bench::BenchMain(argc, argv);
 
   RunConfig mod_cfg = TunedBase("A", 16);
-  mod_cfg.num_records = records;
-  mod_cfg.cardinality = card;
+  mod_cfg.num_records = kRecords;
+  mod_cfg.cardinality = kCard;
 
   RunConfig def_cfg = mod_cfg;
   def_cfg.affinity = numalab::osmodel::Affinity::kNone;

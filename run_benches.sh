@@ -18,7 +18,8 @@
 #                          cells are emitted strictly in roster order as they
 #                          complete, so output bytes never depend on N.
 #   BENCHES="a b ..."      override the roster (for harness tests and quick
-#                          subset runs). Order is preserved.
+#                          subset runs). Order is preserved; a roster that
+#                          names a bench twice is rejected (exit 2).
 #   RACE_DETECT=1          pass --race-detect=1 to every bench: the
 #                          simulated-thread race detector runs and any
 #                          report makes that bench exit 1. Detection costs
@@ -84,11 +85,6 @@ if [[ ${RACE_DETECT:-0} != 0 ]]; then
   )
   echo "run_benches.sh: race detection enabled (--race-detect=1)"
 fi
-if [[ -n $json_dir ]]; then
-  mkdir -p "$json_dir" || exit 1
-  echo "run_benches.sh: structured export enabled; merged document:" \
-       "$json_dir/BENCH_results.json" >&2
-fi
 benches=(bench_machines bench_fig2_alloc_micro bench_fig3_affinity_variance
          bench_fig4_sparse_dense bench_table3_profile bench_fig5_os_config
          bench_fig6_allocators bench_fig7_indexes bench_fig8_tpch
@@ -103,6 +99,22 @@ if [[ -n ${BENCHES:-} ]]; then
   read -r -a benches <<< "$BENCHES"
 fi
 n=${#benches[@]}
+# Each cell owns $spool_dir/<bench>.* and <json_dir>/<bench>.json, so a
+# bench named twice would have two cells writing the same files.
+declare -A in_roster=()
+for b in "${benches[@]}"; do
+  if [[ -n ${in_roster[$b]:-} ]]; then
+    echo "run_benches.sh: roster names '$b' twice; each bench may run" \
+         "once per invocation" >&2
+    exit 2
+  fi
+  in_roster[$b]=1
+done
+if [[ -n $json_dir ]]; then
+  mkdir -p "$json_dir" || exit 1
+  echo "run_benches.sh: structured export enabled; merged document:" \
+       "$json_dir/BENCH_results.json" >&2
+fi
 
 script_dir=$(cd "$(dirname "$0")" && pwd)
 cell_runner=$script_dir/scripts/parallel_run.sh

@@ -4,10 +4,10 @@
 // A default-constructed plan is inert: enabled() is false, no subsystem
 // attaches a FaultLab, and every run is bit-identical to a build without
 // faultlab at all. A non-default plan is threaded through SimContext into
-// SimOS (capacity + spill + offline nodes + migration failure), MemSystem
-// (degraded interconnect links) and the allocator chain (allocation-failure
-// injection). All randomness the plan triggers flows through the run's
-// seeded RNG, so the same seed + plan reproduces the identical RunResult.
+// SimOS (capacity + spill + offline nodes) and the allocator chain
+// (allocation-failure injection). All randomness the plan triggers flows
+// through the run's seeded RNG, so the same seed + plan reproduces the
+// identical RunResult.
 //
 // This header is pure configuration — no simulator dependencies — so
 // RunConfig can include it without dragging mem/ into every translation
@@ -31,43 +31,21 @@ struct NodeOffline {
 };
 
 struct FaultPlan {
-  /// Uniform per-node capacity multiplier applied to
-  /// Machine::node_memory_bytes (0.25 simulates 4x memory pressure).
-  double capacity_scale = 1.0;
-  /// Absolute per-node capacity override in bytes; 0 = off. Applied after
-  /// capacity_scale, so tests can pin tiny capacities regardless of the
-  /// machine's real size.
+  /// Per-node capacity cap in bytes; 0 = uncapped (the machine's real
+  /// Machine::node_memory_bytes).
   uint64_t node_capacity_bytes = 0;
-  /// Per-node multipliers (indexed by node id, missing entries = 1.0),
-  /// composed with capacity_scale — models asymmetric pressure.
-  std::vector<double> node_capacity_scale;
 
   /// Probability that one allocator call fails with a simulated ENOMEM.
   /// Drawn once per SimAllocator::TryAlloc from a worker thread.
   double alloc_fail_prob = 0.0;
-  /// Probability that one AutoNUMA page migration silently fails (the
-  /// kernel's migrate_pages can fail on pinned/busy pages).
-  double migration_fail_prob = 0.0;
 
   /// Nodes withdrawn from allocation at a virtual cycle.
   std::vector<NodeOffline> offline;
 
-  /// Interconnect link ids (Machine::links) whose traversals get their DRAM
-  /// latency multiplied by link_latency_scale — a flaky or downtrained link.
-  std::vector<int> degraded_links;
-  double link_latency_scale = 1.0;
-
-  /// Mixed into the run seed so two plans on the same config draw
-  /// independent fault sequences.
-  uint64_t seed_salt = 0;
-
-  /// True when any field differs from the inert default (seed_salt alone
-  /// does not enable a plan).
+  /// True when any field differs from the inert default.
   bool enabled() const {
-    return capacity_scale != 1.0 || node_capacity_bytes != 0 ||
-           !node_capacity_scale.empty() || alloc_fail_prob != 0.0 ||
-           migration_fail_prob != 0.0 || !offline.empty() ||
-           !degraded_links.empty();
+    return node_capacity_bytes != 0 || alloc_fail_prob != 0.0 ||
+           !offline.empty();
   }
 };
 

@@ -8,8 +8,8 @@ namespace faultlab {
 namespace {
 // Mirrors the scheduler's per-run-index perturbation (sim_context.cc) with
 // a distinct odd multiplier so fault draws and scheduler noise decorrelate.
-uint64_t MixSeed(uint64_t seed, uint64_t run_index, uint64_t salt) {
-  SplitMix64 sm(seed ^ (run_index * 0x9e3779b97f4a7c15ULL) ^ salt);
+uint64_t MixSeed(uint64_t seed, uint64_t run_index) {
+  SplitMix64 sm(seed ^ (run_index * 0x9e3779b97f4a7c15ULL));
   sm.Next();
   return sm.Next();
 }
@@ -19,20 +19,12 @@ constexpr uint64_t kSmallPageBytes = 4096;
 FaultLab::FaultLab(const FaultPlan& plan, uint64_t seed, uint64_t run_index,
                    perf::SystemCounters* sys)
     : plan_(plan),
-      rng_(MixSeed(seed, run_index, plan.seed_salt)),
+      rng_(MixSeed(seed, run_index)),
       sys_(sys) {}
 
-uint64_t FaultLab::NodeCapacityBytes(int node, uint64_t machine_bytes) const {
-  if (plan_.node_capacity_bytes != 0) {
-    return std::max(plan_.node_capacity_bytes, kSmallPageBytes);
-  }
-  double scale = plan_.capacity_scale;
-  if (static_cast<size_t>(node) < plan_.node_capacity_scale.size()) {
-    scale *= plan_.node_capacity_scale[static_cast<size_t>(node)];
-  }
-  auto capped = static_cast<uint64_t>(static_cast<double>(machine_bytes) *
-                                      scale);
-  return std::max(capped, kSmallPageBytes);
+uint64_t FaultLab::NodeCapacityBytes(uint64_t machine_bytes) const {
+  if (plan_.node_capacity_bytes == 0) return machine_bytes;
+  return std::max(plan_.node_capacity_bytes, kSmallPageBytes);
 }
 
 bool FaultLab::NodeOnline(int node, uint64_t now) const {
@@ -46,13 +38,6 @@ bool FaultLab::DrawAllocFailure() {
   if (plan_.alloc_fail_prob <= 0.0) return false;
   if (!rng_.Bernoulli(plan_.alloc_fail_prob)) return false;
   ++sys_->alloc_failures_injected;
-  return true;
-}
-
-bool FaultLab::DrawMigrationFailure() {
-  if (plan_.migration_fail_prob <= 0.0) return false;
-  if (!rng_.Bernoulli(plan_.migration_fail_prob)) return false;
-  ++sys_->migration_failures_injected;
   return true;
 }
 

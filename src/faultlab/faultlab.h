@@ -1,5 +1,5 @@
 // FaultLab — per-run runtime behind a FaultPlan: owns the seeded fault RNG,
-// answers capacity/online queries, and draws injected failures.
+// answers capacity/online queries, and draws injected allocation failures.
 //
 // One FaultLab exists per SimContext when the run's plan is enabled; every
 // consumer (SimOS, the allocator chain) holds a raw pointer that is null in
@@ -7,10 +7,10 @@
 // branch — the same zero-cost contract as the race detector.
 //
 // Determinism: all draws come from one xoshiro stream seeded from
-// (seed, run_index, seed_salt). Draw order is defined by the simulation
-// itself (allocation order, migration order), which the scalar/span memory
-// paths keep identical by the span-parity contract, so the same seed + plan
-// reproduces the identical RunResult on either path.
+// (seed, run_index). Draw order is defined by the simulation itself
+// (allocation order), which the scalar/span memory paths keep identical by
+// the span-parity contract, so the same seed + plan reproduces the
+// identical RunResult on either path.
 
 #ifndef NUMALAB_FAULTLAB_FAULTLAB_H_
 #define NUMALAB_FAULTLAB_FAULTLAB_H_
@@ -34,12 +34,10 @@ class FaultLab {
   FaultLab(const FaultLab&) = delete;
   FaultLab& operator=(const FaultLab&) = delete;
 
-  const FaultPlan& plan() const { return plan_; }
-
-  /// Effective capacity of `node` given the machine's per-node size:
-  /// absolute override if set, else machine_bytes x capacity_scale x
-  /// node_capacity_scale[node]. Never below one small page.
-  uint64_t NodeCapacityBytes(int node, uint64_t machine_bytes) const;
+  /// Effective capacity of every node given the machine's per-node size:
+  /// the plan's cap (never below one small page) if set, else
+  /// machine_bytes.
+  uint64_t NodeCapacityBytes(uint64_t machine_bytes) const;
 
   /// False once an offline event for `node` has fired (now >= at_cycle).
   bool NodeOnline(int node, uint64_t now) const;
@@ -47,9 +45,6 @@ class FaultLab {
   /// One Bernoulli draw per allocator call; consumes RNG only when
   /// alloc_fail_prob > 0 so inert dimensions stay draw-free.
   bool DrawAllocFailure();
-
-  /// One Bernoulli draw per attempted page migration.
-  bool DrawMigrationFailure();
 
  private:
   FaultPlan plan_;

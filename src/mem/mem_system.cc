@@ -27,6 +27,17 @@ constexpr uint8_t kReplicateThreshold = 3;
 // Placement: cycles charged to a writer per invalidated replica (IPI +
 // remote TLB flush + freeing the copy).
 constexpr uint64_t kReplicaShootdownCycles = 1200;
+// Placement: minimum page heat (saturating per-fault accumulator, decayed
+// each AutoNUMA scan wave) before a page counts as hot for replication.
+constexpr uint16_t kMinHeat = 16;
+// Placement: noise margin on the cost-aware migration gate — modeled
+// savings must exceed kMigrateHysteresis x the modeled cost before a page
+// moves. Uniform hash-spread routing means cold store pages are shared
+// about equally by all nodes, so the per-node sample counts random-walk
+// and a 1x (break-even) gate lets a transient lead trigger a move whose
+// copy stalls readers behind migrating_until; demand a sustained 4x-cost
+// imbalance instead.
+constexpr int64_t kMigrateHysteresis = 4;
 
 }  // namespace
 
@@ -47,30 +58,6 @@ MemSystem::MemSystem(const topology::Machine* machine, sim::Engine* engine,
           static_cast<uint64_t>(
               static_cast<double>(machine->dram_latency_cycles()) *
               machine->LatencyFactor(s, d) / kMlp);
-    }
-  }
-}
-
-void MemSystem::ApplyLinkDegradation(const std::vector<int>& links,
-                                     double scale) {
-  if (links.empty() || scale == 1.0) return;
-  for (int s = 0; s < machine_->num_nodes(); ++s) {
-    for (int d = 0; d < machine_->num_nodes(); ++d) {
-      if (s == d) continue;
-      bool crosses = false;
-      for (int hop : machine_->Route(s, d)) {
-        for (int bad : links) {
-          if (hop == bad) {
-            crosses = true;
-            break;
-          }
-        }
-        if (crosses) break;
-      }
-      if (crosses) {
-        auto& cell = lat_table_[static_cast<size_t>(s)][static_cast<size_t>(d)];
-        cell = static_cast<uint64_t>(static_cast<double>(cell) * scale);
-      }
     }
   }
 }
@@ -254,7 +241,7 @@ void MemSystem::SampleAutoNumaFault(sim::VThread* vt, Region* region,
     // cost. Each visit stands for ~kHintingFaultStride DRAM lines.
     if (!write && !head.huge && accessor_node != head.node && head.node >= 0 &&
         !((head.replica_mask >> accessor_node) & 1) &&
-        head.heat >= placement_cfg_.min_heat &&
+        head.heat >= kMinHeat &&
         v >= kReplicateThreshold &&
         head.reads >= kReadWriteRatio * std::max<uint32_t>(head.writes, 1)) {
       int64_t gain_per_line =
@@ -321,10 +308,8 @@ void MemSystem::SampleAutoNumaFault(sim::VThread* vt, Region* region,
               static_cast<double>(bytes) /
               machine_->mem_ctrl_bytes_per_cycle());
           do_migrate =
-              savings >
-              static_cast<int64_t>(
-                  std::max<uint32_t>(placement_cfg_.migrate_hysteresis, 1) *
-                  (kPageMigrationCycles + copy));
+              savings > kMigrateHysteresis *
+                            static_cast<int64_t>(kPageMigrationCycles + copy);
         }
         if (!do_migrate) ++sys_->migrations_vetoed;
       }

@@ -30,7 +30,6 @@
 #include "src/mem/caches.h"
 #include "src/mem/contention.h"
 #include "src/mem/cost_model.h"
-#include "src/mem/placement.h"
 #include "src/mem/sim_os.h"
 #include "src/mem/tlb.h"
 #include "src/perf/counters.h"
@@ -54,15 +53,11 @@ class MemSystem {
   /// Enables AutoNUMA page-placement sampling (kernel numa_balancing).
   void SetAutoNumaSampling(bool on) { autonuma_ = on; }
 
-  /// Adaptive placement (src/mem/placement.h): hot/cold tracking on the
+  /// Adaptive placement (DESIGN.md section 12): hot/cold tracking on the
   /// hinting-fault hook, per-node read replicas and the cost-aware
   /// migration gate. Sampled state only accrues while AutoNUMA sampling is
   /// on (SimContext starts the daemon whenever placement is enabled).
-  void SetPlacement(const PlacementConfig& pc) {
-    placement_cfg_ = pc;
-    placement_ = pc.enabled;
-  }
-  const PlacementConfig& placement() const { return placement_cfg_; }
+  void SetPlacement(bool on) { placement_ = on; }
 
   /// Starts a new NUMA-hinting fault wave (the kernel's periodic PTE
   /// scan): advances the placement heat-decay epoch. Called by the
@@ -98,12 +93,6 @@ class MemSystem {
   }
   /// Pure CPU work (hashing, comparisons) — no memory modelling.
   void Compute(sim::VThread* vt, uint64_t cycles) { vt->Charge(cycles); }
-
-  /// faultlab link degradation: multiplies the precomputed DRAM latency of
-  /// every (src, dst) pair whose route crosses one of `links` by `scale`
-  /// (truncated). A static table rewrite, so the scalar and span paths stay
-  /// bit-identical and the no-fault path never pays for it.
-  void ApplyLinkDegradation(const std::vector<int>& links, double scale);
 
   /// Routes Access/AccessSpan through the unbatched reference
   /// implementation. The span parity tests run fixed workloads under both
@@ -202,7 +191,6 @@ class MemSystem {
   bool autonuma_ = false;
   bool scalar_reference_ = false;
   bool placement_ = false;
-  PlacementConfig placement_cfg_;
   uint64_t wave_epoch_ = 0;  ///< heat-decay epoch, bumped per scan wave
   sanity::RaceDetector* race_ = nullptr;
   std::vector<std::array<uint64_t, kMaxNumaNodes>> node_traffic_;

@@ -35,7 +35,7 @@ struct PageRec {
   uint8_t huge = 0;             ///< member of a collapsed 2M run
   uint8_t visits[kMaxNumaNodes] = {0};  ///< AutoNUMA access samples by node
 
-  // Adaptive placement state (src/mem/placement.h); all zero and never
+  // Adaptive placement state (DESIGN.md section 12); all zero and never
   // read while placement is disabled. Only non-huge pages ever carry a
   // replica_mask: THP collapse refuses replicated members.
   //

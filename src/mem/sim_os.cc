@@ -15,8 +15,7 @@ SimOS::SimOS(const topology::Machine* machine, sim::Engine* engine,
       sys_(sys),
       slot_region_(kSlabBytes / kSlotBytes, nullptr),
       node_bound_bytes_(static_cast<size_t>(machine->num_nodes()), 0),
-      node_cap_(static_cast<size_t>(machine->num_nodes()),
-                machine->node_memory_bytes()),
+      node_cap_(machine->node_memory_bytes()),
       node_replica_bytes_(static_cast<size_t>(machine->num_nodes()), 0),
       replica_stack_(static_cast<size_t>(machine->num_nodes())) {
   sys_->capacity_bytes_total =
@@ -41,14 +40,11 @@ SimOS::SimOS(const topology::Machine* machine, sim::Engine* engine,
 
 void SimOS::SetFaultLab(faultlab::FaultLab* faults) {
   faults_ = faults;
-  sys_->capacity_bytes_total = 0;
-  for (int n = 0; n < machine_->num_nodes(); ++n) {
-    node_cap_[static_cast<size_t>(n)] =
-        faults != nullptr
-            ? faults->NodeCapacityBytes(n, machine_->node_memory_bytes())
-            : machine_->node_memory_bytes();
-    sys_->capacity_bytes_total += node_cap_[static_cast<size_t>(n)];
-  }
+  node_cap_ = faults != nullptr
+                  ? faults->NodeCapacityBytes(machine_->node_memory_bytes())
+                  : machine_->node_memory_bytes();
+  sys_->capacity_bytes_total =
+      static_cast<uint64_t>(machine_->num_nodes()) * node_cap_;
 }
 
 SimOS::~SimOS() {
@@ -369,14 +365,12 @@ void SimOS::MigratePage(Region* region, size_t idx, int to_node,
   PageRec& head = region->pages[eff];
   if (head.node == to_node) return;
   if (faults_ != nullptr) {
-    // An offline node takes no new pages, and migrate_pages can fail on
-    // pinned/busy pages — both leave the page where it is (counted by the
-    // draw); the kernel retries via later hinting faults.
+    // An offline node takes no new pages: the page stays where it is and
+    // the kernel retries via later hinting faults.
     if (!faults_->NodeOnline(to_node, now)) {
       ++sys_->migration_failures_injected;
       return;
     }
-    if (faults_->DrawMigrationFailure()) return;
   }
   // The moving copy supersedes any replicas; readers re-replicate at the
   // new home if the page stays read-hot.

@@ -50,10 +50,10 @@ class SimOS {
   /// run faults in the whole run as one huge page on one node.
   void SetThpFaultAlloc(bool on) { thp_fault_alloc_ = on; }
 
-  /// Attaches the faultlab runtime: per-node capacities are rescaled per
-  /// the plan and offline/migration-failure events become live. Null (the
-  /// default) keeps capacities at Machine::node_memory_bytes and costs one
-  /// branch on the bind slow path.
+  /// Attaches the faultlab runtime: per-node capacities are capped per
+  /// the plan and offline events become live. Null (the default) keeps
+  /// capacities at Machine::node_memory_bytes and costs one branch on the
+  /// bind slow path.
   void SetFaultLab(faultlab::FaultLab* faults);
 
   /// Maps `bytes` (rounded up to 4K; regions are 2M-aligned within the
@@ -69,12 +69,6 @@ class SimOS {
   /// binds walk this order when their desired node is full or offline.
   const std::vector<int>& Zonelist(int node) const {
     return zonelist_[static_cast<size_t>(node)];
-  }
-
-  /// Effective per-node capacity being enforced (machine size, or the
-  /// faultlab-scaled value when a plan is attached).
-  uint64_t NodeCapacityBytes(int node) const {
-    return node_cap_[static_cast<size_t>(node)];
   }
 
   /// Unmaps; the address range is recycled for future mappings.
@@ -167,8 +161,7 @@ class SimOS {
   /// `desired` unchanged in the no-pressure common case.
   int BindWithSpill(int desired, uint64_t bytes = kSmallPageBytes);
   bool NodeHasRoom(int node, uint64_t bytes) const {
-    return node_bound_bytes_[static_cast<size_t>(node)] + bytes <=
-           node_cap_[static_cast<size_t>(node)];
+    return node_bound_bytes_[static_cast<size_t>(node)] + bytes <= node_cap_;
   }
   /// NodeHasRoom, after reclaiming replicas on `node` if that is what it
   /// takes — replicas are droppable cache, real pages are not.
@@ -200,7 +193,7 @@ class SimOS {
   std::vector<uint64_t> node_bound_bytes_;
 
   faultlab::FaultLab* faults_ = nullptr;
-  std::vector<uint64_t> node_cap_;            ///< enforced capacity per node
+  uint64_t node_cap_ = 0;                     ///< enforced capacity per node
   std::vector<std::vector<int>> zonelist_;    ///< [node] -> fallback order
 
   // Adaptive placement replica accounting. The per-node stacks record

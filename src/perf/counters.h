@@ -9,7 +9,6 @@
 #define NUMALAB_PERF_COUNTERS_H_
 
 #include <cstdint>
-#include <string>
 
 namespace numalab {
 namespace perf {
@@ -87,7 +86,7 @@ struct SystemCounters {
   uint64_t bytes_mapped_peak = 0;
   uint64_t balancer_migrations = 0;   ///< load-balancer thread moves
 
-  // Adaptive placement (src/mem/placement.h; all zero when disabled).
+  // Adaptive placement (DESIGN.md section 12; all zero when disabled).
   uint64_t pages_replicated = 0;       ///< per-node replica copies created
   uint64_t replica_reads = 0;          ///< DRAM reads served by a local replica
   uint64_t replica_writes = 0;         ///< writes that hit a replicated page
@@ -119,8 +118,6 @@ struct PerfReport {
     return static_cast<double>(threads.local_dram) /
            static_cast<double>(total);
   }
-
-  std::string ToString() const;
 };
 
 }  // namespace perf

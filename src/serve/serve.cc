@@ -50,6 +50,7 @@ constexpr uint64_t kBatchSortCycles = 12;  // per batched request
 constexpr uint64_t kIdlePollCycles = 400;  // empty-queue poll
 constexpr uint64_t kBatchPollCycles = 120; // batch-window poll
 constexpr int kTpchQuery = 6;              // RequestType::kTpch runs Q6
+constexpr double kTpchScale = 0.01;        // minidb dataset scale for Q6
 
 struct Request {
   RequestType type = RequestType::kPointGet;
@@ -57,7 +58,6 @@ struct Request {
   uint32_t rows = 0;       // kRangeAgg only
   int target_node = -1;    // set by routing on (each) admission attempt
   int attempts = 0;
-  int session = -1;        // closed-loop session id, -1 for open loop
   uint64_t arrival = 0;    // first submission cycle
 };
 
@@ -88,11 +88,6 @@ struct NodeQueue {
   uint64_t depth() const { return tail - head; }
 };
 
-struct ClosedSession {
-  uint32_t next = 0;  // next request id in this session's block
-  uint32_t end = 0;
-};
-
 using ProbeTable = index::ConcurrentHashTable<uint64_t>;
 
 struct ServeState {
@@ -113,8 +108,7 @@ struct ServeState {
   // Request plane.
   std::vector<Request> reqs;
   std::vector<NodeQueue> queues;
-  std::vector<ClosedSession> sessions;
-  std::vector<uint64_t> open_offsets;  // open-loop arrival offsets
+  std::vector<uint64_t> open_offsets;  // arrival offsets
   uint64_t arrival_base = 0;  // serving-open cycle the offsets count from
   uint64_t arrival_seq = 0;   // event seq reserved for arrival 0
   uint64_t peak_pending_events = 0;  // see ServeResult
@@ -175,20 +169,6 @@ uint64_t EffectiveCap(const ServeState& s) {
   return cap;
 }
 
-void SubmitRequest(ServeState& s, uint32_t id, uint64_t now);
-
-void ResolveForSession(ServeState& s, const Request& r, uint64_t now) {
-  if (r.session < 0) return;
-  ClosedSession& sess = s.sessions[static_cast<size_t>(r.session)];
-  if (sess.next >= sess.end) return;
-  uint32_t next_id = sess.next++;
-  s.ctx->engine()->ScheduleEvent(now + s.sc->think_cycles,
-                                 [&s, next_id, now] {
-                                   SubmitRequest(s, next_id,
-                                                 now + s.sc->think_cycles);
-                                 });
-}
-
 /// One admission attempt. Runs in event context (arrivals, retries), so it
 /// charges no server cycles — the server pays on dispatch. Rejections
 /// schedule a retry-after (exponential backoff) until the budget is spent,
@@ -242,7 +222,6 @@ void SubmitRequest(ServeState& s, uint32_t id, uint64_t now) {
     } else {
       ++s.st.dropped;
       --s.outstanding;
-      ResolveForSession(s, r, now);
     }
     return;
   }
@@ -333,27 +312,9 @@ void GenerateRequests(ServeState& s, Rng& rng) {
     }
   }
 
-  if (sc.arrival == Arrival::kClosed) {
-    int nsess = std::max(1, sc.sessions);
-    uint64_t per = sc.requests / static_cast<uint64_t>(nsess);
-    s.sessions.resize(static_cast<size_t>(nsess));
-    uint64_t next = 0;
-    for (int i = 0; i < nsess; ++i) {
-      uint64_t end = i == nsess - 1 ? sc.requests : next + per;
-      s.sessions[static_cast<size_t>(i)] = {
-          static_cast<uint32_t>(next), static_cast<uint32_t>(end)};
-      for (uint64_t j = next; j < end; ++j) s.reqs[j].session = i;
-      next = end;
-    }
-    return;
-  }
-
   s.open_offsets.resize(sc.requests);
   uint64_t gap = std::max<uint64_t>(1, sc.mean_gap_cycles);
   switch (sc.arrival) {
-    case Arrival::kFixed:
-      for (uint64_t i = 0; i < sc.requests; ++i) s.open_offsets[i] = i * gap;
-      break;
     case Arrival::kPoisson: {
       uint64_t t = 0;
       for (uint64_t i = 0; i < sc.requests; ++i) {
@@ -371,14 +332,12 @@ void GenerateRequests(ServeState& s, Rng& rng) {
       }
       break;
     }
-    case Arrival::kClosed:
-      break;  // handled above
   }
 }
 
-/// Schedules open-loop arrival `i` on its reserved seq. Each arrival
-/// schedules its successor before it submits, so the event heap holds one
-/// pending arrival rather than the whole stream. The offsets are
+/// Schedules arrival `i` on its reserved seq. Each arrival schedules its
+/// successor before it submits, so the event heap holds one pending
+/// arrival rather than the whole stream. The offsets are
 /// non-decreasing and the seqs increasing, so arrival i+1 is always pushed
 /// before it can be due, and (when, seq) order makes it pop exactly where
 /// it would have popped had the whole stream been scheduled up front
@@ -398,20 +357,6 @@ void ScheduleArrival(ServeState& s, uint32_t i) {
 /// warmup barrier, so serving opens only when the data plane is built.
 void StartClients(ServeState& s, uint64_t base) {
   sim::Engine* eng = s.ctx->engine();
-  if (s.sc->arrival == Arrival::kClosed) {
-    for (size_t i = 0; i < s.sessions.size(); ++i) {
-      ClosedSession& sess = s.sessions[i];
-      if (sess.next >= sess.end) continue;
-      uint32_t id = sess.next++;
-      // Stagger session starts so the initial wave is not one burst.
-      uint64_t at = base + (static_cast<uint64_t>(i) + 1) *
-                               std::max<uint64_t>(1, s.sc->think_cycles /
-                                                         (s.sessions.size() +
-                                                          1));
-      eng->ScheduleEvent(at, [&s, id, at] { SubmitRequest(s, id, at); });
-    }
-    return;
-  }
   if (s.open_offsets.empty()) return;
   s.arrival_base = base;
   s.arrival_seq = eng->ReserveEventSeqs(s.open_offsets.size());
@@ -422,8 +367,8 @@ void StartClients(ServeState& s, uint64_t base) {
 // Dispatch + execution.
 
 /// Records a completion: sojourn into the exact per-type vector and the
-/// worker's mergeable histogram, response digest into the order-independent
-/// checksum, and (closed loop) the session's next submission.
+/// worker's mergeable histogram and response digest into the
+/// order-independent checksum.
 void OnCompleted(ServeState& s, Env& env, const Request& r,
                  uint64_t response) {
   uint64_t now = env.self->clock;
@@ -434,7 +379,6 @@ void OnCompleted(ServeState& s, Env& env, const Request& r,
   s.worker_hist[static_cast<size_t>(env.worker_index)].Add(sojourn);
   s.st.checksum += response + index::HashKey(r.key);
   --s.outstanding;
-  ResolveForSession(s, r, now);
 }
 
 uint64_t PointValue(uint64_t key) {
@@ -683,23 +627,10 @@ using trace::Appendf;
 
 const char* ArrivalName(Arrival a) {
   switch (a) {
-    case Arrival::kFixed: return "fixed";
     case Arrival::kPoisson: return "poisson";
     case Arrival::kBurst: return "burst";
-    case Arrival::kClosed: return "closed";
   }
   return "?";
-}
-
-bool ArrivalFromName(const std::string& name, Arrival* out) {
-  for (Arrival a : {Arrival::kFixed, Arrival::kPoisson, Arrival::kBurst,
-                    Arrival::kClosed}) {
-    if (name == ArrivalName(a)) {
-      *out = a;
-      return true;
-    }
-  }
-  return false;
 }
 
 const char* RequestTypeName(RequestType t) {
@@ -763,7 +694,7 @@ ServeResult RunServing(const workloads::RunConfig& rc,
 
   // minidb database for the analytic slice of the mix.
   if (sc.mix_tpch > 0) {
-    const minidb::HostDb& host = minidb::GenerateTpch(sc.tpch_scale, rc.seed);
+    const minidb::HostDb& host = minidb::GenerateTpch(kTpchScale, rc.seed);
     s.db = minidb::LoadTpch(host, ctx.allocator(), ctx.memsys());
     s.prof = &minidb::ProfileByName("columnar-vec");
   }

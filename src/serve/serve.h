@@ -3,7 +3,7 @@
 //
 // The batch workloads (W1-W5) each run one closed-form job to completion;
 // this subsystem puts a serving front-end over the same kernels: seeded
-// open- and closed-loop clients emit a mixed stream of point lookups, range
+// open-loop clients emit a mixed stream of point lookups, range
 // aggregations, hash-table probes/upserts and minidb TPC-H queries; each
 // request is routed to the per-NUMA-node queue owning its data partition;
 // a bounded-queue admission controller sheds load (with retry-after
@@ -33,24 +33,15 @@
 namespace numalab {
 namespace serve {
 
-/// \brief Client arrival processes.
-///
-/// The open-loop generators (fixed/poisson/burst) submit requests on a
-/// pre-drawn schedule regardless of completions — the load a server cannot
-/// push back on, which is what makes admission control necessary. The
-/// closed-loop generator models `sessions` users who each wait for their
-/// previous request (plus think time) before issuing the next, so offered
-/// load self-limits like Fig. 3's repeated runs do.
+/// \brief Client arrival processes. Both are open loop: requests arrive on
+/// a pre-drawn schedule regardless of completions — the load a server
+/// cannot push back on, which is what makes admission control necessary.
 enum class Arrival {
-  kFixed,    ///< constant inter-arrival gap
-  kPoisson,  ///< exponential gaps (memoryless), same mean as kFixed
+  kPoisson,  ///< exponential gaps (memoryless) at the mean rate
   kBurst,    ///< whole bursts arrive back-to-back at the mean rate
-  kClosed,   ///< closed loop: per-session issue -> serve -> think cycle
 };
 
 const char* ArrivalName(Arrival a);
-/// Parses "fixed" / "poisson" / "burst" / "closed"; false on anything else.
-bool ArrivalFromName(const std::string& name, Arrival* out);
 
 /// \brief The request mix. Weights are relative (normalized internally).
 enum class RequestType {
@@ -67,10 +58,10 @@ const char* RequestTypeName(RequestType t);
 /// which supplies machine/threads/affinity/policy/allocator/seed).
 struct ServeConfig {
   Arrival arrival = Arrival::kPoisson;
-  /// Total requests offered (split evenly over sessions in closed loop).
+  /// Total requests offered.
   uint64_t requests = 2000;
-  /// Mean inter-arrival gap in cycles for the open-loop processes; the
-  /// offered rate is 1/mean_gap_cycles requests per cycle.
+  /// Mean inter-arrival gap in cycles; the offered rate is
+  /// 1/mean_gap_cycles requests per cycle.
   uint64_t mean_gap_cycles = 12'000;
   /// Requests per burst for Arrival::kBurst (the burst period is
   /// burst_size * mean_gap_cycles, preserving the mean rate).
@@ -109,12 +100,6 @@ struct ServeConfig {
   uint64_t range_rows = 256;
   /// Build side of the shared probe table (built during warmup).
   uint64_t probe_build_rows = 8192;
-  /// minidb dataset scale for RequestType::kTpch (the query is TPC-H Q6).
-  double tpch_scale = 0.01;
-
-  /// Closed-loop population and think time.
-  int sessions = 16;
-  uint64_t think_cycles = 20'000;
 
   /// Admission control: per-node queue bound, retry budget and the base
   /// retry-after backoff (doubled per attempt).
@@ -207,9 +192,9 @@ struct ServeResult {
   /// Filled iff ServeConfig::storage.enabled (zero-initialized otherwise).
   storage::StorageStats storage;
   /// Host-side diagnostic, not a simulated outcome: the most engine events
-  /// pending as any open-loop arrival was scheduled. The lazily chained
-  /// arrival stream keeps it at a few (one arrival, the OS daemon ticks,
-  /// retries in flight) however long the stream is.
+  /// pending as any arrival was scheduled. The lazily chained arrival
+  /// stream keeps it at a few (one arrival, the OS daemon ticks, retries in
+  /// flight) however long the stream is.
   uint64_t peak_pending_events = 0;
 };
 

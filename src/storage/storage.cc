@@ -37,11 +37,13 @@ constexpr uint64_t kIoWriteCycles = 13'000;
 constexpr uint64_t kIoJitterCycles = 512;
 
 // WAL: per-record append cost (buffered), flush base + per-record cost,
-// and the group-commit window: the buffer is flushed once its oldest
-// record has waited this long, even below group_commit_records.
+// and group commit: the buffer is flushed once it holds
+// kGroupCommitRecords records, or once its oldest record has waited
+// kGroupCommitWindowCycles, whichever comes first.
 constexpr uint64_t kWalAppendCycles = 60;
 constexpr uint64_t kWalFlushBaseCycles = 6'000;
 constexpr uint64_t kWalFlushPerRecordCycles = 90;
+constexpr uint64_t kGroupCommitRecords = 16;
 constexpr uint64_t kGroupCommitWindowCycles = 24'000;
 
 // Logical on-device size of one WAL record: lsn + page + slot + key + value
@@ -176,7 +178,7 @@ void StorageEngine::WalAppend(workloads::Env& env, uint64_t page,
   *lsn_out = r.lsn;
   // Group commit: flush when the group fills or the oldest buffered record
   // has waited out the virtual-cycle window.
-  if (wal_buf_.size() >= cfg_.group_commit_records ||
+  if (wal_buf_.size() >= kGroupCommitRecords ||
       env.self->clock - buf_open_cycle_ >= kGroupCommitWindowCycles) {
     FlushWal(env);
   }

@@ -81,11 +81,6 @@ struct StorageConfig {
   uint64_t frames_per_shard = 24;
   ShardPlacement placement = ShardPlacement::kLocal;
 
-  /// Group commit: flush the WAL when the buffer reaches this many
-  /// records, or once the oldest buffered record has waited out the
-  /// group-commit window (a constant of storage.cc).
-  uint64_t group_commit_records = 16;
-
   /// Sharp checkpoint every N WAL records (0 disables checkpoints): flush
   /// the WAL, write back every dirty frame, truncate the log. Smaller
   /// intervals bound recovery work at the price of extra writeback — the

@@ -89,7 +89,7 @@ void AppendConfig(std::string* out, const workloads::RunConfig& c,
           ",\"placement\":%s,\"storage\":%s}",
           c.seed, c.run_index, workloads::kQuantumCycles,
           c.scalar_mem_path ? "true" : "false", c.deadline_cycles,
-          c.placement.enabled ? "true" : "false",
+          c.placement ? "true" : "false",
           storage ? "true" : "false");
 }
 

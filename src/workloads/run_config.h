@@ -12,7 +12,6 @@
 #include "src/faultlab/fault_plan.h"
 #include "src/mem/cost_model.h"
 #include "src/mem/page.h"
-#include "src/mem/placement.h"
 #include "src/osmodel/os_config.h"
 #include "src/perf/counters.h"
 #include "src/trace/span.h"
@@ -80,12 +79,12 @@ struct RunConfig {
   /// Ablation switches: each turns one model layer off (DESIGN.md §7).
   mem::CostModel costs;
 
-  /// Adaptive placement (hot-page replication + cost-aware migration).
-  /// Disabled by default: stock AutoNUMA code paths, bit-identical to the
-  /// pre-placement simulator. Enabling it also starts the AutoNuma daemon
-  /// (placement samples on the hinting-fault hook) even when `autonuma`
-  /// is false.
-  mem::PlacementConfig placement;
+  /// Adaptive placement (hot-page replication + cost-aware migration,
+  /// DESIGN.md section 12). Off by default: stock AutoNUMA code paths,
+  /// bit-identical to the pre-placement simulator. Enabling it also starts
+  /// the AutoNuma daemon (placement samples on the hinting-fault hook) even
+  /// when `autonuma` is false.
+  bool placement = false;
 
   /// Fault-injection plan (src/faultlab). A default (disabled) plan is
   /// guaranteed zero-cost: the run takes exactly the code paths — and

@@ -54,8 +54,6 @@ SimContext::SimContext(const RunConfig& config)
     faults_ = std::make_unique<faultlab::FaultLab>(
         plan, config.seed, static_cast<uint64_t>(config.run_index), &sys_);
     memsys_->os()->SetFaultLab(faults_.get());
-    memsys_->ApplyLinkDegradation(plan.degraded_links,
-                                  plan.link_latency_scale);
   }
   engine_.SetDeadline(config.deadline_cycles);
 
@@ -85,7 +83,7 @@ SimContext::SimContext(const RunConfig& config)
   }
   // Placement samples on the AutoNUMA hinting-fault hook, so enabling it
   // implies the daemon even when stock numa_balancing is off.
-  if (config.autonuma || config.placement.enabled) {
+  if (config.autonuma || config.placement) {
     autonuma_ = std::make_unique<osmodel::AutoNuma>(&machine_, &engine_,
                                                     memsys_.get(), &sched_);
     autonuma_->Start();

@@ -7,6 +7,7 @@
 // memory paths.
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,27 +24,35 @@ namespace {
 // ---------------------------------------------------------------------------
 // FaultLab unit behaviour.
 
-TEST(FaultLabUnit, CapacityScaleComposesWithPerNodeScale) {
-  faultlab::FaultPlan plan;
-  plan.capacity_scale = 0.25;
-  plan.node_capacity_scale = {1.0, 0.5};
+// The absolute cap replaces the machine's own per-node size (the scale it
+// overrides), whether that size is above or below the cap.
+TEST(FaultLabUnit, AbsoluteCapacityOverridesScale) {
   perf::SystemCounters sys;
-  faultlab::FaultLab fl(plan, /*seed=*/1, /*run_index=*/0, &sys);
-  EXPECT_EQ(fl.NodeCapacityBytes(0, 1 << 20), (1u << 20) / 4);
-  EXPECT_EQ(fl.NodeCapacityBytes(1, 1 << 20), (1u << 20) / 8);
-  // Nodes past the per-node vector use capacity_scale alone.
-  EXPECT_EQ(fl.NodeCapacityBytes(2, 1 << 20), (1u << 20) / 4);
-  // Never below one small page.
-  EXPECT_EQ(fl.NodeCapacityBytes(0, 1024), 4096u);
+  // Uncapped: the machine's own per-node size.
+  faultlab::FaultPlan plan;
+  faultlab::FaultLab uncapped(plan, /*seed=*/1, /*run_index=*/0, &sys);
+  EXPECT_EQ(uncapped.NodeCapacityBytes(1ULL << 30), 1ULL << 30);
+  // Capped: the cap, whatever the machine's size.
+  plan.node_capacity_bytes = 123 << 12;
+  faultlab::FaultLab capped(plan, 1, 0, &sys);
+  EXPECT_EQ(capped.NodeCapacityBytes(1ULL << 30), 123u << 12);
+  EXPECT_EQ(capped.NodeCapacityBytes(1ULL << 20), 123u << 12);
 }
 
-TEST(FaultLabUnit, AbsoluteCapacityOverridesScale) {
-  faultlab::FaultPlan plan;
-  plan.capacity_scale = 0.25;
-  plan.node_capacity_bytes = 123 << 12;
+TEST(FaultLabUnit, CapacityCapIsFlooredAtOnePage) {
   perf::SystemCounters sys;
-  faultlab::FaultLab fl(plan, 1, 0, &sys);
-  EXPECT_EQ(fl.NodeCapacityBytes(0, 1ULL << 30), 123u << 12);
+  faultlab::FaultPlan plan;
+  // Never below one small page.
+  plan.node_capacity_bytes = 1024;
+  faultlab::FaultLab floored(plan, /*seed=*/1, /*run_index=*/0, &sys);
+  EXPECT_EQ(floored.NodeCapacityBytes(1ULL << 30), 4096u);
+  // A cap at or above one page is kept as is.
+  plan.node_capacity_bytes = 4096;
+  faultlab::FaultLab one_page(plan, 1, 0, &sys);
+  EXPECT_EQ(one_page.NodeCapacityBytes(1ULL << 30), 4096u);
+  plan.node_capacity_bytes = 4097;
+  faultlab::FaultLab above(plan, 1, 0, &sys);
+  EXPECT_EQ(above.NodeCapacityBytes(1ULL << 30), 4097u);
 }
 
 TEST(FaultLabUnit, NodeOfflineFiresAtCycle) {
@@ -62,8 +71,7 @@ TEST(FaultLabUnit, DrawSequenceIsSeedDeterministic) {
   perf::SystemCounters sys_a, sys_b, sys_c;
   faultlab::FaultLab a(plan, 7, 2, &sys_a);
   faultlab::FaultLab b(plan, 7, 2, &sys_b);
-  plan.seed_salt = 99;
-  faultlab::FaultLab c(plan, 7, 2, &sys_c);
+  faultlab::FaultLab c(plan, 7, 3, &sys_c);
   std::vector<bool> sa, sb, sc;
   for (int i = 0; i < 256; ++i) {
     sa.push_back(a.DrawAllocFailure());
@@ -71,7 +79,7 @@ TEST(FaultLabUnit, DrawSequenceIsSeedDeterministic) {
     sc.push_back(c.DrawAllocFailure());
   }
   EXPECT_EQ(sa, sb);                      // same stream, same draws
-  EXPECT_NE(sa, sc);                      // seed_salt decorrelates
+  EXPECT_NE(sa, sc);                      // run_index decorrelates
   EXPECT_EQ(sys_a.alloc_failures_injected, sys_b.alloc_failures_injected);
   EXPECT_GT(sys_a.alloc_failures_injected, 0u);
 }
@@ -204,8 +212,9 @@ TEST_F(FaultSpillTest, InterleaveUnchangedWhenFaultlabHasNoOfflineNodes) {
   for (const auto& p : plain->pages) want.push_back(p.node);
 
   Build(topology::MachineA());
-  faultlab::FaultPlan plan;  // enabled-but-benign: capacity scale only
-  plan.capacity_scale = 1.0;
+  // Enabled but benign: the one offline event never fires.
+  faultlab::FaultPlan plan;
+  plan.offline = {{/*node=*/3, /*at_cycle=*/UINT64_MAX}};
   faultlab::FaultLab fl(plan, 42, 0, &sys_);
   memsys_->os()->SetFaultLab(&fl);
   memsys_->os()->SetPolicy(mem::MemPolicy::kInterleave, 0);
@@ -318,8 +327,6 @@ TEST(FaultlabWorkload, SameSeedSamePlanIsBitReproducible) {
 
 TEST(FaultlabWorkload, ScalarAndSpanPathsAgreeUnderFaults) {
   workloads::RunConfig c = PressureConfig();
-  c.faults.degraded_links = {0};
-  c.faults.link_latency_scale = 2.0;
   workloads::RunResult span = workloads::RunW3HashJoin(c);
   c.scalar_mem_path = true;
   workloads::RunResult scalar = workloads::RunW3HashJoin(c);
@@ -340,18 +347,6 @@ TEST(FaultlabWorkload, InjectedAllocFailureBecomesStatusNotAbort) {
   EXPECT_EQ(r.status.code(), Status::Code::kOutOfMemory)
       << r.status.ToString();
   EXPECT_GT(r.report.system.alloc_failures_injected, 0u);
-}
-
-TEST(FaultlabWorkload, DegradedLinksSlowTheRunButKeepItCorrect) {
-  workloads::RunConfig c = PressureConfig();
-  c.faults = faultlab::FaultPlan{};
-  workloads::RunResult healthy = workloads::RunW3HashJoin(c);
-  c.faults.degraded_links = {0, 1, 2};
-  c.faults.link_latency_scale = 8.0;
-  workloads::RunResult degraded = workloads::RunW3HashJoin(c);
-  EXPECT_TRUE(degraded.status.ok());
-  EXPECT_EQ(degraded.checksum, healthy.checksum);
-  EXPECT_GT(degraded.cycles, healthy.cycles);
 }
 
 TEST(FaultlabWorkload, DeadlineCutsRunawayRunShort) {

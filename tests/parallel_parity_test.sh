@@ -75,6 +75,7 @@ cat > "$fake/bench/bench_ok" <<'EOF'
 echo "fake ok bench"
 exit 0
 EOF
+cp "$fake/bench/bench_ok" "$fake/bench/bench_ok2"
 cat > "$fake/bench/bench_fail7" <<'EOF'
 #!/bin/sh
 echo "fake failing bench"
@@ -93,7 +94,7 @@ EOF
 chmod +x "$fake"/bench/*
 
 # --- 2. failure propagation through the parallel path --------------------
-env BUILD_DIR="$fake" BENCHES="bench_ok bench_fail7 bench_ok" JOBS=4 \
+env BUILD_DIR="$fake" BENCHES="bench_ok bench_fail7 bench_ok2" JOBS=4 \
     ./run_benches.sh > "$tmp/fail.stdout" 2> "$tmp/fail.stderr"
 rc=$?
 if [[ $rc -eq 7 ]]; then

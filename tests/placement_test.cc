@@ -1,4 +1,4 @@
-// Adaptive placement tests (src/mem/placement.h, DESIGN.md section 12):
+// Adaptive placement tests (DESIGN.md section 12):
 // replica routing serves reads locally and invalidates on write
 // (read-your-writes), the hot-page gate replicates a read-hot remote page
 // end-to-end through the hinting-fault hook, capacity pressure reclaims
@@ -25,9 +25,7 @@ class PlacementTest : public ::testing::Test {
     // and hinting-fault sampling run on every touched line.
     costs.model_caches = false;
     memsys_ = std::make_unique<MemSystem>(&machine_, &engine_, costs, &sys_);
-    PlacementConfig pc;
-    pc.enabled = true;
-    memsys_->SetPlacement(pc);
+    memsys_->SetPlacement(true);
   }
 
   // Runs `fn` as a fresh virtual thread pinned to `hw` and returns the
@@ -234,7 +232,7 @@ TEST_F(PlacementTest, AddReplicaRefusesHomeNodeDuplicatesAndFullNodes) {
 // ---------------------------------------------------------------------------
 // Workload-level contracts.
 
-workloads::RunConfig PlacementConfig_() {
+workloads::RunConfig PlacementRun() {
   workloads::RunConfig c;
   c.machine = "A";
   c.threads = 8;
@@ -247,12 +245,12 @@ workloads::RunConfig PlacementConfig_() {
   c.cardinality = 512;
   c.build_rows = 10'000;
   c.probe_rows = 80'000;
-  c.placement.enabled = true;
+  c.placement = true;
   return c;
 }
 
 TEST(PlacementWorkload, SameSeedIsBitReproducible) {
-  workloads::RunConfig c = PlacementConfig_();
+  workloads::RunConfig c = PlacementRun();
   workloads::RunResult a = workloads::RunW3HashJoin(c);
   workloads::RunResult b = workloads::RunW3HashJoin(c);
   EXPECT_TRUE(a.status.ok()) << a.status.ToString();
@@ -268,7 +266,7 @@ TEST(PlacementWorkload, SameSeedIsBitReproducible) {
 }
 
 TEST(PlacementWorkload, ScalarAndSpanPathsAgreeUnderPlacement) {
-  workloads::RunConfig c = PlacementConfig_();
+  workloads::RunConfig c = PlacementRun();
   workloads::RunResult span = workloads::RunW3HashJoin(c);
   c.scalar_mem_path = true;
   workloads::RunResult scalar = workloads::RunW3HashJoin(c);
@@ -290,8 +288,8 @@ TEST(PlacementWorkload, ScalarAndSpanPathsAgreeUnderPlacement) {
 // Placement disabled is the seed simulator: bit-identical to a run that
 // never had the subsystem, with every replication counter zero.
 TEST(PlacementWorkload, DisabledPlacementIsZeroCost) {
-  workloads::RunConfig c = PlacementConfig_();
-  c.placement.enabled = false;
+  workloads::RunConfig c = PlacementRun();
+  c.placement = false;
   c.autonuma = true;  // exercise the stock sampling path
   workloads::RunResult r = workloads::RunW3HashJoin(c);
   EXPECT_TRUE(r.status.ok());

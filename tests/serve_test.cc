@@ -82,8 +82,7 @@ TEST(ServeTest, DifferentSeedsDiffer) {
 }
 
 TEST(ServeTest, EveryArrivalProcessCompletes) {
-  for (Arrival a : {Arrival::kFixed, Arrival::kPoisson, Arrival::kBurst,
-                    Arrival::kClosed}) {
+  for (Arrival a : {Arrival::kPoisson, Arrival::kBurst}) {
     ServeConfig sc = SmallConfig();
     sc.arrival = a;
     sc.requests = 200;
@@ -92,17 +91,6 @@ TEST(ServeTest, EveryArrivalProcessCompletes) {
     ExpectAdmissionInvariants(r.stats, 200);
     EXPECT_GT(r.stats.completed, 0u) << ArrivalName(a);
   }
-}
-
-TEST(ServeTest, ArrivalNamesRoundTrip) {
-  for (Arrival a : {Arrival::kFixed, Arrival::kPoisson, Arrival::kBurst,
-                    Arrival::kClosed}) {
-    Arrival parsed;
-    ASSERT_TRUE(ArrivalFromName(ArrivalName(a), &parsed));
-    EXPECT_EQ(parsed, a);
-  }
-  Arrival parsed;
-  EXPECT_FALSE(ArrivalFromName("zipf", &parsed));
 }
 
 TEST(ServeTest, OverloadShedsButBoundsQueuesAndLatency) {
@@ -187,7 +175,6 @@ TEST(ServeTest, TpchRequestsExecute) {
   sc.mix_point = 0.5;
   sc.mix_tpch = 0.5;
   sc.mix_range = sc.mix_probe = sc.mix_upsert = 0;
-  sc.tpch_scale = 0.002;
   ServeResult r = RunServing(SmallRun(), sc);
   ASSERT_TRUE(r.run.status.ok()) << r.run.status.ToString();
   ExpectAdmissionInvariants(r.stats, 60);
@@ -272,8 +259,6 @@ TEST(ServeTest, OpenLoopStreamsMatchParentResults) {
   base.max_retries = 2;
   base.retry_backoff_cycles = 7'000;
 
-  ServeConfig fixed = base;
-  fixed.arrival = Arrival::kFixed;
   ServeConfig poisson = base;
   poisson.arrival = Arrival::kPoisson;
   ServeConfig burst = base;
@@ -281,10 +266,6 @@ TEST(ServeTest, OpenLoopStreamsMatchParentResults) {
   burst.burst_size = 16;
   burst.mean_gap_cycles = 400;
   burst.retry_backoff_cycles = 6'400;  // one burst period
-  ServeConfig closed = base;
-  closed.arrival = Arrival::kClosed;
-  closed.sessions = 6;
-  closed.think_cycles = 4'000;
   ServeConfig stored = poisson;
   stored.mix_probe = 0;
   stored.storage.enabled = true;
@@ -296,18 +277,12 @@ TEST(ServeTest, OpenLoopStreamsMatchParentResults) {
     const ServeConfig* sc;
     const char* want;
   } cases[] = {
-      {"fixed", &fixed,
-       "500 500 6 6 0 500 4612 11852 16181 30823 387 189 4 352880 "
-       "7186229535055109726 451654 1685910 "},
       {"poisson", &poisson,
        "500 500 6 6 0 500 4995 12410 15403 25007 374 207 4 364226 "
        "7186229535055109726 462978 1727992 "},
       {"burst", &burst,
        "500 422 371 293 78 422 9307 35342 70897 129350 276 218 4 220888 "
        "1030722672291735089 319520 1150446 "},
-      {"closed", &closed,
-       "500 500 0 0 0 500 3876 10446 92081 165362 476 46 3 893398 "
-       "5029172750561862751 992600 3829575 "},
       {"poisson+storage", &stored,
        "500 380 381 261 120 380 9458 368880 965894 1049243 303 127 4 2038648 "
        "15286237417337836038 2139049 8437981 "},
@@ -324,7 +299,7 @@ TEST(ServeTest, OpenLoopStreamKeepsFewEventsPending) {
   // engine holds one pending arrival plus the OS daemon ticks, not the
   // whole stream. Uncontended, so no retries are in flight either.
   RunConfig rc = SmallRun();
-  for (Arrival a : {Arrival::kFixed, Arrival::kPoisson, Arrival::kBurst}) {
+  for (Arrival a : {Arrival::kPoisson, Arrival::kBurst}) {
     ServeConfig sc = SmallConfig();
     sc.arrival = a;
     sc.requests = 2'000;

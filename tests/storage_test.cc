@@ -175,7 +175,6 @@ TEST(StorageTest, CheckpointTruncatesTheLogAndBoundsRedo) {
   SimContext ctx(rc);
   StorageConfig cfg = SmallConfig();
   cfg.checkpoint_interval_records = 8;
-  cfg.group_commit_records = 4;
   StorageEngine eng(cfg, ctx.machine().num_nodes(), rc.seed, nullptr);
   ctx.SpawnWorkers([&](Env& env) { return CheckpointOps(env, &eng); });
   workloads::RunResult result;
