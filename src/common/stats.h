@@ -1,5 +1,5 @@
 // Latency statistics for the serving layer: the exact nearest-rank
-// percentile and a mergeable log2 histogram that reports the same rank.
+// percentile and a log2 histogram that reports the same rank.
 
 #ifndef NUMALAB_COMMON_STATS_H_
 #define NUMALAB_COMMON_STATS_H_
@@ -30,10 +30,9 @@ inline uint64_t PercentileSorted(const std::vector<uint64_t>& xs, double p) {
 /// \brief Fixed-bucket latency histogram with log2 buckets.
 ///
 /// Bucket 0 holds the value 0; bucket b (1..64) holds values in
-/// [2^(b-1), 2^b - 1]. Adding is O(1) and allocation-free, so per-thread
-/// instances can record every request of a serving run and be merged into
-/// one run-wide histogram afterwards (Merge is a counter add, making the
-/// result independent of which thread observed which sample).
+/// [2^(b-1), 2^b - 1]. Adding is O(1) and allocation-free, so one instance
+/// can record every request of a serving run; bucket counts are sums, so
+/// the result is independent of the order the samples arrive in.
 ///
 /// Percentile(p) returns the inclusive upper bound of the bucket holding
 /// the order statistic at NearestRank(p, count) — the one PercentileSorted
@@ -66,13 +65,6 @@ class Histogram {
   void Add(uint64_t v) {
     ++counts_[static_cast<size_t>(BucketOf(v))];
     ++total_;
-  }
-
-  /// Folds another histogram (e.g. a different thread's) into this one.
-  void Merge(const Histogram& o) {
-    for (int b = 0; b < kBuckets; ++b) counts_[static_cast<size_t>(b)] +=
-        o.counts_[static_cast<size_t>(b)];
-    total_ += o.total_;
   }
 
   uint64_t total() const { return total_; }

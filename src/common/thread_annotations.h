@@ -5,11 +5,11 @@
 // annotations cost nothing and the code stays portable.
 //
 // Conventions in this tree (see DESIGN.md section 13):
-//  * Capability types: `sim::VirtualLock` and `sim::SimMutex` are the two
-//    lock types. Both are *simulated* locks — they order virtual threads on
-//    the single host thread — but the acquire/release discipline around
-//    them is a real program contract (it is what the PR-2 race detector
-//    derives happens-before edges from), so it is annotated and checked
+//  * Capability type: `sim::VirtualLock` is the one lock type. It is a
+//    *simulated* lock — it orders virtual threads on the single host
+//    thread — but the acquire/release discipline around it is a real
+//    program contract (it is what the race detector derives
+//    happens-before edges from), so it is annotated and checked
 //    statically too.
 //  * VirtualLock critical sections are delimited by the Env::Lock /
 //    Env::LockReleased pair (the same calls that feed the race detector;
@@ -17,7 +17,7 @@
 //    NUMALAB_ACQUIRE/NUMALAB_RELEASE so clang verifies every
 //    path between them is balanced (e.g. the early-OOM return in
 //    ConcurrentHashTable::UpsertWith must release the stripe first).
-//  * Lock *implementations* (SimMutex::Unlock, the Env hooks) are annotated
+//  * Lock *implementations* (the Env hooks) are annotated
 //    at the boundary and carry NUMALAB_NO_THREAD_SAFETY_ANALYSIS on the
 //    body — the standard pattern for lock primitives, whose internals
 //    cannot be expressed in the annotation language.
@@ -45,15 +45,6 @@
 /// in the other annotations below.
 #define NUMALAB_CAPABILITY(name) NUMALAB_THREAD_ANNOTATION(capability(name))
 
-/// RAII types whose constructor acquires and destructor releases.
-#define NUMALAB_SCOPED_CAPABILITY NUMALAB_THREAD_ANNOTATION(scoped_lockable)
-
-/// Data member readable/writable only while holding the given capability.
-#define NUMALAB_GUARDED_BY(x) NUMALAB_THREAD_ANNOTATION(guarded_by(x))
-
-/// Pointer member whose *pointee* is guarded by the given capability.
-#define NUMALAB_PT_GUARDED_BY(x) NUMALAB_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /// Function acquires the capability and holds it past return.
 #define NUMALAB_ACQUIRE(...) \
   NUMALAB_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
@@ -61,19 +52,6 @@
 /// Function releases a capability the caller holds on entry.
 #define NUMALAB_RELEASE(...) \
   NUMALAB_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-/// Caller must hold the capability (exclusively) across the call.
-#define NUMALAB_REQUIRES(...) \
-  NUMALAB_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
-/// Caller must NOT hold the capability (the function acquires it itself,
-/// or would deadlock/double-charge if it were already held).
-#define NUMALAB_EXCLUDES(...) \
-  NUMALAB_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/// Function returns a reference to the given capability.
-#define NUMALAB_RETURN_CAPABILITY(x) \
-  NUMALAB_THREAD_ANNOTATION(lock_returned(x))
 
 /// Opts a function body out of the analysis. Reserved for lock
 /// implementations and for intentional, documented contract exceptions

@@ -6,7 +6,7 @@
 // accesses is separated by a perfectly ordered host-level context switch.
 // What host tools see as a clean sequential program can still be a racy
 // *simulated* program — two VThreads touching one cache line with no
-// SimMutex/SimBarrier/VirtualLock edge between them would be a genuine data
+// SimBarrier/VirtualLock edge between them would be a genuine data
 // race on the real machine the simulation stands in for, and would
 // invalidate every knob comparison the harness produces.
 //
@@ -14,9 +14,8 @@
 // layer:
 //  * every VThread (plus the setup/root context, tid -1) carries a vector
 //    clock; Engine::Spawn forks it, thread completion joins it back;
-//  * SimMutex lock/unlock, SimBarrier arrive/release and VirtualLock
-//    critical sections (via Env::Lock/LockReleased) are the
-//    release/acquire edges;
+//  * SimBarrier arrive/release and VirtualLock critical sections (via
+//    Env::Lock/LockReleased) are the release/acquire edges;
 //  * every simulated memory touch funnels through MemSystem::Access /
 //    AccessSpan, which forward (thread, sim address range, is-write) here.
 //
@@ -105,7 +104,7 @@ class RaceDetector {
 
   // -- synchronization edges -----------------------------------------------
   /// Acquire: the caller's clock joins the sync object's. Used by
-  /// SimMutex::Lock and Env::Lock (VirtualLock critical sections).
+  /// Env::Lock (VirtualLock critical sections).
   void OnAcquire(int tid, const void* sync);
   /// Release: the sync object's clock becomes the caller's; the caller's
   /// own component is bumped so later work is concurrent with the release.

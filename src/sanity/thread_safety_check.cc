@@ -7,9 +7,8 @@
 //  * check.sh stage 8 can compile this one TU with clang and
 //    -Werror=thread-safety, machine-checking the acquire/release balance
 //    of the real lock surfaces it exercises: Env::Lock/LockReleased
-//    around a VirtualLock (including an early-return path, the shape of
-//    ConcurrentHashTable::UpsertWith's OOM exit) and SimMutex Lock/Unlock
-//    with a GUARDED_BY member.
+//    around a VirtualLock, including an early-return path, the shape of
+//    ConcurrentHashTable::UpsertWith's OOM exit.
 //
 // If an annotation on sync.h/env.h/hash_table.h ever becomes inconsistent,
 // this TU is where clang reports it.
@@ -47,33 +46,6 @@ bool ThreadSafetyProbeEarlyReturn(workloads::Env& env,
   }
   env.LockReleased(&lock);
   return true;
-}
-
-/// SimMutex as a capability guarding a member. Add() is the full section;
-/// the *Locked accessors state their precondition with NUMALAB_REQUIRES so
-/// callers must already hold the mutex.
-class ThreadSafetyProbeTally {
- public:
-  explicit ThreadSafetyProbeTally(sim::Engine* engine) : mu_(engine) {}
-
-  void Add(uint64_t d) NUMALAB_EXCLUDES(mu_) {
-    mu_.Lock();  // contract probe only; real code must co_await Lock()
-    total_ += d;
-    mu_.Unlock();
-  }
-  void AddLocked(uint64_t d) NUMALAB_REQUIRES(mu_) { total_ += d; }
-  uint64_t TotalLocked() const NUMALAB_REQUIRES(mu_) { return total_; }
-
- private:
-  sim::SimMutex mu_;
-  uint64_t total_ NUMALAB_GUARDED_BY(mu_) = 0;
-};
-
-/// Keeps the class above fully instantiated under -fsyntax-only.
-uint64_t ThreadSafetyProbeTallyUse(sim::Engine* engine) {
-  ThreadSafetyProbeTally t(engine);
-  t.Add(1);
-  return sizeof(t);
 }
 
 }  // namespace sanity

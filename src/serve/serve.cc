@@ -118,7 +118,6 @@ struct ServeState {
   // Measurements (host-side bookkeeping; never read by simulated code).
   ServingStats st;
   std::vector<uint64_t> lat[kNumRequestTypes];  // sojourns per type
-  std::vector<Histogram> worker_hist;           // merged at Finish
 };
 
 // ---------------------------------------------------------------------------
@@ -367,8 +366,8 @@ void StartClients(ServeState& s, uint64_t base) {
 // Dispatch + execution.
 
 /// Records a completion: sojourn into the exact per-type vector and the
-/// worker's mergeable histogram and response digest into the
-/// order-independent checksum.
+/// run-wide histogram, and response digest into the order-independent
+/// checksum.
 void OnCompleted(ServeState& s, Env& env, const Request& r,
                  uint64_t response) {
   uint64_t now = env.self->clock;
@@ -376,7 +375,7 @@ void OnCompleted(ServeState& s, Env& env, const Request& r,
   ++s.st.completed;
   s.st.last_completion_cycle = std::max(s.st.last_completion_cycle, now);
   s.lat[static_cast<int>(r.type)].push_back(sojourn);
-  s.worker_hist[static_cast<size_t>(env.worker_index)].Add(sojourn);
+  s.st.latency.Add(sojourn);
   s.st.checksum += response + index::HashKey(r.key);
   --s.outstanding;
 }
@@ -655,7 +654,6 @@ ServeResult RunServing(const workloads::RunConfig& rc,
   s.ctx = &ctx;
   s.nodes = ctx.machine().num_nodes();
   s.st.nodes.resize(static_cast<size_t>(s.nodes));
-  s.worker_hist.resize(static_cast<size_t>(rc.threads));
 
   // --- Data plane. ---
   // Range-partitioned record store, one slab per node, first-touched on its
@@ -736,7 +734,6 @@ ServeResult RunServing(const workloads::RunConfig& rc,
 
   // --- Post-run reduction. ---
   ServingStats& st = s.st;
-  for (const Histogram& h : s.worker_hist) st.latency.Merge(h);
   // One sort per type; the all-types order is their linear merge.
   std::vector<uint64_t> all, merged;
   for (int t = 0; t < kNumRequestTypes; ++t) {

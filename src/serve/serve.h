@@ -10,9 +10,9 @@
 // backoff) and reacts to faultlab degradation; and server workers drain
 // their home queue with a dynamic batcher that coalesces compatible point
 // lookups into MemSystem::AccessSpan batched accesses under a latency
-// budget. Per-request sojourn latencies land in mergeable log2 Histograms
-// (stats.h) and are exported through numalab::trace as the "serving" JSON
-// section.
+// budget. Per-request sojourn latencies land in one run-wide log2
+// Histogram (stats.h) and are exported through numalab::trace as the
+// "serving" JSON section.
 //
 // Everything — arrival times, request payloads, routing, retries — derives
 // from the run seed, so two same-seed runs are bit-identical (the property
@@ -165,9 +165,9 @@ struct ServingStats {
   TypeStats types[kNumRequestTypes];
   std::vector<NodeStats> nodes;  ///< indexed by NUMA node
 
-  /// All sojourns, merged from the per-worker log2 histograms (stats.h) —
-  /// the mergeable-across-threads representation the exact vectors above
-  /// cross-check in tests/serve_test.cc.
+  /// All sojourns in one log2 histogram (stats.h), added at each
+  /// completion; tests/serve_test.cc cross-checks it against the exact
+  /// percentiles above.
   Histogram latency;
 
   /// Order-independent digest of every response (determinism anchor).

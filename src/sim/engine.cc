@@ -115,7 +115,7 @@ uint64_t Engine::Run() {
     if (next_event <= next_ready) {
       if (next_event == UINT64_MAX) {
         // Live threads but nothing ready and no events: a deadlock in the
-        // simulated program (e.g. a SimMutex never unlocked).
+        // simulated program (e.g. a SimBarrier some thread never reaches).
         NUMALAB_CHECK(false && "simulated deadlock: all threads blocked");
       }
       // Batch-drain every event due before the next thread resume without

@@ -214,7 +214,7 @@ class Engine {
   /// (or the last event time when no thread is live).
   uint64_t MinLiveClock() const;
 
-  /// Wakes a blocked thread at max(vt->clock, at). Used by SimMutex etc.
+  /// Wakes a blocked thread at max(vt->clock, at). Used by SimBarrier.
   void Wake(VThread* vt, uint64_t at);
 
   /// Marks the current thread blocked; the caller must arrange a Wake().

@@ -1,16 +1,17 @@
 // Synchronization primitives for virtual threads.
 //
-// Two families:
-//  * Suspending primitives (SimMutex, SimBarrier) — used by workload code;
-//    they block the virtual thread and hand control back to the engine, so
-//    waiting threads consume no virtual cycles while parked (like a futex).
-//  * VirtualLock — a non-suspending analytical lock used *inside* simulated
-//    components that are called from plain (non-coroutine) functions, e.g.
-//    allocator arenas. It models a lock as a reservation on the time line:
-//    an acquire at time t on a lock free at time f costs max(0, f - t) of
-//    queueing delay plus the critical-section hold. Because the engine keeps
-//    thread clocks within one quantum of each other, this reproduces lock
-//    convoys and contention collapse without suspension machinery.
+// Two kinds:
+//  * SimBarrier — a suspending primitive used by workload code; it blocks
+//    the virtual thread and hands control back to the engine, so waiting
+//    threads consume no virtual cycles while parked (like a futex).
+//  * VirtualLock — the one lock. It is non-suspending and analytical, so
+//    plain (non-coroutine) code such as allocator arenas can take it as
+//    well as workload code (through Env::Lock). It models a lock as a
+//    reservation on the time line: an acquire at time t on a lock free at
+//    time f costs max(0, f - t) of queueing delay plus the critical-section
+//    hold. Because the engine keeps thread clocks within one quantum of
+//    each other, this reproduces lock convoys and contention collapse
+//    without suspension machinery.
 
 #ifndef NUMALAB_SIM_SYNC_H_
 #define NUMALAB_SIM_SYNC_H_
@@ -32,88 +33,6 @@ namespace sim {
 inline constexpr uint64_t kLockAcquireCycles = 24;
 /// Cycles to hand a lock (and its cache line) to a waiter on another core.
 inline constexpr uint64_t kLockHandoffCycles = 120;
-
-/// \brief A mutex for virtual threads. FIFO wake-up, deterministic.
-///
-/// A capability for clang's thread-safety analysis: `co_await m.Lock()`
-/// acquires, `m.Unlock()` releases, and every path between them must
-/// balance. The acquisition really completes inside the co_await (the
-/// awaiter may suspend), but on the single host thread the caller observes
-/// the lock as held from the Lock() call on, which is what the annotation
-/// states.
-class NUMALAB_CAPABILITY("SimMutex") SimMutex {
- public:
-  explicit SimMutex(Engine* engine) : engine_(engine) {}
-
-  struct LockAwaiter {
-    SimMutex* m;
-    bool await_ready() const noexcept {
-      VThread* vt = m->engine_->current();
-      if (!m->held_) {
-        m->held_ = true;
-        // Virtual-time exclusion: even when no thread is *executing* inside
-        // the critical section right now, a previous owner may have held it
-        // up to `vfree_at_` on the virtual time line.
-        if (m->vfree_at_ > vt->clock) {
-          uint64_t wait = m->vfree_at_ - vt->clock;
-          vt->Charge(wait);
-          vt->counters.lock_wait_cycles += wait;
-        }
-        vt->Charge(kLockAcquireCycles);
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<>) noexcept {
-      VThread* vt = m->engine_->current();
-      m->waiters_.push_back(vt);
-      m->engine_->BlockCurrent();
-    }
-    void await_resume() const noexcept {
-      // Acquire edge: the releasing owner's clock (published in Unlock)
-      // happens-before everything after this lock acquisition. Runs on both
-      // the uncontended fast path and after a hand-off wake.
-      if (sanity::RaceDetector* rd = m->engine_->race()) {
-        rd->OnAcquire(m->engine_->current()->id, m);
-      }
-    }
-  };
-
-  /// co_await m.Lock();
-  LockAwaiter Lock() NUMALAB_ACQUIRE() NUMALAB_NO_THREAD_SAFETY_ANALYSIS {
-    return LockAwaiter{this};
-  }
-
-  /// Releases the lock at the caller's current clock; the longest-waiting
-  /// thread (if any) is woken after a cache-line handoff delay.
-  void Unlock() NUMALAB_RELEASE() NUMALAB_NO_THREAD_SAFETY_ANALYSIS {
-    VThread* vt = engine_->current();
-    if (sanity::RaceDetector* rd = engine_->race()) {
-      rd->OnRelease(vt->id, this);  // before any waiter can acquire
-    }
-    vfree_at_ = vt->clock;
-    if (!waiters_.empty()) {
-      VThread* next = waiters_.front();
-      waiters_.pop_front();
-      uint64_t wake_at = vt->clock + kLockHandoffCycles;
-      uint64_t waited_from = next->clock;
-      engine_->Wake(next, wake_at);
-      next->counters.lock_wait_cycles +=
-          next->clock > waited_from ? next->clock - waited_from : 0;
-      // held_ stays true; ownership passed directly.
-    } else {
-      held_ = false;
-    }
-  }
-
-  bool held() const { return held_; }
-
- private:
-  Engine* engine_;
-  bool held_ = false;
-  uint64_t vfree_at_ = 0;  ///< virtual time the last owner released at
-  std::deque<VThread*> waiters_;
-};
 
 /// \brief A reusable barrier for `n` virtual threads.
 class SimBarrier {

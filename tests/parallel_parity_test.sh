@@ -1,10 +1,13 @@
 #!/bin/bash
-# Harness-level contract tests for run_benches.sh parallel mode:
+# Harness-level contract tests for run_benches.sh parallel mode, on a tree
+# of fake benches (shell scripts), so it needs no build:
 #
-#   1. Parity: a 3-bench subset run serially (JOBS=1) and with --jobs=4
+#   1. Parity: a 3-bench roster run serially (JOBS=1) and with --jobs=4
 #      must produce byte-identical stdout AND a byte-identical merged
-#      BENCH_results.json — the bit-determinism contract the parallel
-#      harness must preserve at any job count.
+#      BENCH_results.json. The first bench sleeps longest, so at --jobs=4
+#      the cells complete out of roster order and the merge must put them
+#      back. (Parity of the real benches' bytes is check.sh stage 5: a
+#      JOBS-way suite run cmp'd against the serial golden.)
 #   2. Failure propagation: an injected bench failure (exit 7) must reach
 #      run_benches.sh's own exit status through the parallel path, with
 #      the roster's other cells still emitted.
@@ -16,13 +19,16 @@
 #   5. Partial-merge rejection: a failed cell is recorded in the merged
 #      JSON's "failures" and scripts/validate_bench_json.py refuses the
 #      document (no schema-valid partial merges).
+#   6. Duplicate roster: a roster that names a bench twice is refused with
+#      exit 2 before any cell runs. Every cell writes
+#      $spool_dir/<bench>.{stdout,stderr,status} (and, with JSON_OUT_DIR,
+#      <dir>/<bench>.json), so two cells of one bench would share those
+#      files and race.
 #
-# Usage: parallel_parity_test.sh BUILD_DIR
-# Registered as the `parallel_parity` ctest; needs the bench binaries from
-# BUILD_DIR (any configured build tree).
+# Usage: parallel_parity_test.sh
+# Registered as the `parallel_parity` ctest.
 set -u
 
-build_dir=${1:?usage: parallel_parity_test.sh BUILD_DIR}
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$repo_root" || exit 1
 
@@ -38,36 +44,7 @@ pass() {
   echo "parallel_parity_test: ok: $*"
 }
 
-subset="bench_machines bench_fig9_tpch_alloc bench_fig10_advisor"
-
-# --- 1. serial vs --jobs=4 byte parity (stdout and merged JSON) ----------
-env BUILD_DIR="$build_dir" BENCHES="$subset" JOBS=1 \
-    JSON_OUT_DIR="$tmp/serial" \
-    ./run_benches.sh > "$tmp/serial.stdout" 2> "$tmp/serial.stderr"
-rc_serial=$?
-env BUILD_DIR="$build_dir" BENCHES="$subset" \
-    JSON_OUT_DIR="$tmp/parallel" \
-    ./run_benches.sh --jobs=4 > "$tmp/parallel.stdout" 2> "$tmp/parallel.stderr"
-rc_parallel=$?
-if [[ $rc_serial -ne 0 ]]; then
-  fail "serial subset run exited $rc_serial (stderr: $(cat "$tmp/serial.stderr"))"
-fi
-if [[ $rc_parallel -ne 0 ]]; then
-  fail "--jobs=4 subset run exited $rc_parallel (stderr: $(cat "$tmp/parallel.stderr"))"
-fi
-if cmp -s "$tmp/serial.stdout" "$tmp/parallel.stdout"; then
-  pass "stdout byte-identical between JOBS=1 and --jobs=4"
-else
-  fail "stdout differs between JOBS=1 and --jobs=4"
-  diff "$tmp/serial.stdout" "$tmp/parallel.stdout" | head -20 >&2
-fi
-if cmp -s "$tmp/serial/BENCH_results.json" "$tmp/parallel/BENCH_results.json"; then
-  pass "merged BENCH_results.json byte-identical between JOBS=1 and --jobs=4"
-else
-  fail "merged BENCH_results.json differs between JOBS=1 and --jobs=4"
-fi
-
-# --- fake-bench tree for failure-path tests ------------------------------
+# --- fake-bench tree ----------------------------------------------------
 fake=$tmp/faketree
 mkdir -p "$fake/bench"
 cat > "$fake/bench/bench_ok" <<'EOF'
@@ -91,7 +68,50 @@ cat > "$fake/bench/bench_hang" <<'EOF'
 echo "fake hanging bench"
 sleep 600
 EOF
+# Parity benches: two stdout lines plus a per-bench export, after a delay.
+for spec in bench_slow:0.4 bench_fast:0 bench_mid:0.2; do
+  name=${spec%%:*}
+  cat > "$fake/bench/$name" <<EOF
+#!/bin/sh
+sleep ${spec#*:}
+echo "fake parity bench $name"
+echo "second line of $name"
+for arg in "\$@"; do
+  case \$arg in
+    --json-out=*) printf '{"bench":"%s"}' $name > "\${arg#--json-out=}" ;;
+  esac
+done
+EOF
+done
 chmod +x "$fake"/bench/*
+
+# --- 1. serial vs --jobs=4 byte parity (stdout and merged JSON) ----------
+parity="bench_slow bench_fast bench_mid"
+env BUILD_DIR="$fake" BENCHES="$parity" JOBS=1 \
+    JSON_OUT_DIR="$tmp/serial" \
+    ./run_benches.sh > "$tmp/serial.stdout" 2> "$tmp/serial.stderr"
+rc_serial=$?
+env BUILD_DIR="$fake" BENCHES="$parity" \
+    JSON_OUT_DIR="$tmp/parallel" \
+    ./run_benches.sh --jobs=4 > "$tmp/parallel.stdout" 2> "$tmp/parallel.stderr"
+rc_parallel=$?
+if [[ $rc_serial -ne 0 ]]; then
+  fail "serial run exited $rc_serial (stderr: $(cat "$tmp/serial.stderr"))"
+fi
+if [[ $rc_parallel -ne 0 ]]; then
+  fail "--jobs=4 run exited $rc_parallel (stderr: $(cat "$tmp/parallel.stderr"))"
+fi
+if cmp -s "$tmp/serial.stdout" "$tmp/parallel.stdout"; then
+  pass "stdout byte-identical between JOBS=1 and --jobs=4"
+else
+  fail "stdout differs between JOBS=1 and --jobs=4"
+  diff "$tmp/serial.stdout" "$tmp/parallel.stdout" | head -20 >&2
+fi
+if cmp -s "$tmp/serial/BENCH_results.json" "$tmp/parallel/BENCH_results.json"; then
+  pass "merged BENCH_results.json byte-identical between JOBS=1 and --jobs=4"
+else
+  fail "merged BENCH_results.json differs between JOBS=1 and --jobs=4"
+fi
 
 # --- 2. failure propagation through the parallel path --------------------
 env BUILD_DIR="$fake" BENCHES="bench_ok bench_fail7 bench_ok2" JOBS=4 \
@@ -164,6 +184,26 @@ if command -v python3 >/dev/null 2>&1; then
   fi
 else
   echo "parallel_parity_test: NOTICE: python3 missing; skipping validator case"
+fi
+
+# --- 6. a roster that names a bench twice is refused ---------------------
+env BUILD_DIR="$fake" BENCHES="bench_ok bench_ok" JOBS=4 \
+    ./run_benches.sh > "$tmp/dup.stdout" 2> "$tmp/dup.stderr"
+rc=$?
+if [[ $rc -eq 2 ]]; then
+  pass "duplicate roster refused with exit 2"
+else
+  fail "expected exit 2 from a duplicate roster, got $rc"
+fi
+if grep -q "roster names 'bench_ok' twice" "$tmp/dup.stderr"; then
+  pass "duplicate roster rejection names the bench"
+else
+  fail "no duplicate-roster rejection message (stderr: $(cat "$tmp/dup.stderr"))"
+fi
+if [[ -s $tmp/dup.stdout ]]; then
+  fail "a cell of the duplicate roster ran: $(cat "$tmp/dup.stdout")"
+else
+  pass "no cell of the duplicate roster ran"
 fi
 
 if [[ $fails -gt 0 ]]; then

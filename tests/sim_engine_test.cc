@@ -1,5 +1,5 @@
 // Unit tests for the discrete-event engine: scheduling order, checkpoint
-// quantum, events, mutexes, barriers and the VirtualLock model.
+// quantum, events, barriers and the VirtualLock model.
 
 #include <gtest/gtest.h>
 
@@ -232,30 +232,6 @@ TEST(Engine, EventsDoNotFireAfterAllThreadsDone) {
   });
   e.Run();
   EXPECT_EQ(fired, 0);
-}
-
-Task LockUnlock(VThread* vt, SimMutex* m, uint64_t hold,
-                std::vector<int>* order, int tag) {
-  co_await m->Lock();
-  order->push_back(tag);
-  vt->Charge(hold);
-  m->Unlock();
-}
-
-TEST(SimMutexTest, FifoAndExclusive) {
-  Engine e(/*quantum=*/1);
-  SimMutex m(&e);
-  std::vector<int> order;
-  for (int t = 0; t < 4; ++t) {
-    e.Spawn("t", t, [&, t](VThread* vt) {
-      return LockUnlock(vt, &m, 1000, &order, t);
-    });
-  }
-  uint64_t makespan = e.Run();
-  EXPECT_EQ(order.size(), 4u);
-  // Fully serialized: 4 x 1000 cycles of critical section plus handoffs.
-  EXPECT_GE(makespan, 4000u);
-  EXPECT_FALSE(m.held());
 }
 
 Task ArriveOnce(VThread* vt, SimBarrier* b, uint64_t work) {

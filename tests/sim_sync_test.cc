@@ -1,8 +1,8 @@
-// Deterministic handoff-ordering and cycle-charging tests for SimMutex and
-// SimBarrier: the exact kLockAcquireCycles / kLockHandoffCycles charges and
-// the FIFO wake order are contract, not implementation detail — the race
-// detector hangs its happens-before edges off these exact points, and the
-// golden benchmark numbers depend on the charges.
+// Deterministic release and cycle-charging tests for SimBarrier: the exact
+// kLockHandoffCycles charge and the release clock are contract, not
+// implementation detail — the race detector hangs its happens-before edge
+// off the release point, and the golden benchmark numbers depend on the
+// charge.
 
 #include <gtest/gtest.h>
 
@@ -14,133 +14,6 @@
 namespace numalab {
 namespace sim {
 namespace {
-
-struct AcqRecord {
-  int tag;
-  uint64_t clock_at_acquire;
-};
-
-Task UncontendedLocker(VThread* vt, SimMutex* m, uint64_t* clock_after) {
-  co_await m->Lock();
-  *clock_after = vt->clock;
-  m->Unlock();
-}
-
-TEST(SimMutexCharging, UncontendedAcquireChargesExactly) {
-  Engine e;
-  SimMutex m(&e);
-  uint64_t after = 0;
-  e.Spawn("t", 0, [&](VThread* vt) {
-    return UncontendedLocker(vt, &m, &after);
-  });
-  e.Run();
-  EXPECT_EQ(after, kLockAcquireCycles);
-}
-
-Task HoldAcrossCheckpoint(VThread* vt, Engine* engine, SimMutex* m,
-                          uint64_t hold, uint64_t* unlock_clock) {
-  co_await m->Lock();
-  co_await engine->Checkpoint();  // let the other thread block on the lock
-  vt->Charge(hold);
-  *unlock_clock = vt->clock;
-  m->Unlock();
-}
-
-Task BlockOnLock(VThread* vt, SimMutex* m, uint64_t head_start,
-                 AcqRecord* rec) {
-  vt->Charge(head_start);
-  co_await m->Lock();
-  rec->clock_at_acquire = vt->clock;
-  m->Unlock();
-}
-
-TEST(SimMutexCharging, HandoffWakesAtUnlockPlusHandoffExactly) {
-  Engine e(/*quantum=*/1);  // suspend at every checkpoint
-  SimMutex m(&e);
-  uint64_t unlock_clock = 0;
-  AcqRecord rec{1, 0};
-  e.Spawn("owner", 0, [&](VThread* vt) {
-    return HoldAcrossCheckpoint(vt, &e, &m, /*hold=*/1000, &unlock_clock);
-  });
-  e.Spawn("waiter", 1, [&](VThread* vt) {
-    return BlockOnLock(vt, &m, /*head_start=*/5, &rec);
-  });
-  e.Run();
-  // Owner: acquire (24) + hold (1000). Waiter resumes exactly one cache-line
-  // handoff after the unlock, and its wait shows up in lock_wait_cycles.
-  EXPECT_EQ(unlock_clock, kLockAcquireCycles + 1000);
-  EXPECT_EQ(rec.clock_at_acquire, unlock_clock + kLockHandoffCycles);
-  const VThread* waiter = e.threads()[1].get();
-  EXPECT_EQ(waiter->counters.lock_wait_cycles,
-            unlock_clock + kLockHandoffCycles - 5);
-}
-
-Task LockInOrder(VThread* vt, Engine* engine, SimMutex* m, int tag,
-                 std::vector<AcqRecord>* order) {
-  // One checkpoint first so every thread is spawned before anyone locks.
-  co_await engine->Checkpoint();
-  co_await m->Lock();
-  order->push_back({tag, vt->clock});
-  vt->Charge(500);
-  // Suspend *inside* the critical section so later threads genuinely block
-  // and take the FIFO handoff path (not the virtual-time-exclusion path).
-  co_await engine->Checkpoint();
-  m->Unlock();
-}
-
-TEST(SimMutexOrdering, FifoHandoffIsDeterministicAndSerialized) {
-  auto run = [] {
-    Engine e(/*quantum=*/1);
-    SimMutex m(&e);
-    std::vector<AcqRecord> order;
-    for (int t = 0; t < 4; ++t) {
-      e.Spawn("t", t, [&, t](VThread* vt) {
-        return LockInOrder(vt, &e, &m, t, &order);
-      });
-    }
-    e.Run();
-    return order;
-  };
-  std::vector<AcqRecord> a = run();
-  std::vector<AcqRecord> b = run();
-  ASSERT_EQ(a.size(), 4u);
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].tag, b[i].tag) << "non-deterministic handoff order";
-    EXPECT_EQ(a[i].clock_at_acquire, b[i].clock_at_acquire);
-  }
-  // Each handoff charges the full cache-line transfer: successive acquire
-  // clocks are exactly hold + handoff apart once the queue has formed.
-  for (size_t i = 2; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].clock_at_acquire - a[i - 1].clock_at_acquire,
-              500 + kLockHandoffCycles);
-  }
-}
-
-Task LockLate(VThread* vt, SimMutex* m, uint64_t at, uint64_t* acquired_at) {
-  vt->Charge(at);
-  co_await m->Lock();
-  *acquired_at = vt->clock;
-  m->Unlock();
-}
-
-TEST(SimMutexCharging, VirtualTimeExclusionChargesResidualHold) {
-  // The lock was released at virtual time T by a thread that ran earlier on
-  // the host; a later-scheduled thread whose clock is still < T must pay
-  // the residual wait even though nobody holds the lock "now".
-  Engine e;  // coarse quantum: first thread runs to completion
-  SimMutex m(&e);
-  uint64_t first_done = 0, second_acquired = 0;
-  e.Spawn("early", 0, [&](VThread* vt) {
-    return UncontendedLocker(vt, &m, &first_done);
-  });
-  e.Spawn("late", 1, [&](VThread* vt) {
-    return LockLate(vt, &m, /*at=*/5, &second_acquired);
-  });
-  e.Run();
-  // "late" starts at clock 5 < first_done, so it waits (first_done - 5)
-  // then pays its own acquire.
-  EXPECT_EQ(second_acquired, first_done + kLockAcquireCycles);
-}
 
 Task ArriveAfter(VThread* vt, SimBarrier* b, uint64_t work,
                  uint64_t* clock_after) {

@@ -127,21 +127,5 @@ TEST(HistogramTest, PercentileIsTheBucketOfTheExactOrderStatistic) {
   }
 }
 
-TEST(HistogramTest, MergeMatchesInterleavedAdds) {
-  Histogram a, b, all;
-  for (uint64_t v = 1; v < 4000; v += 7) {
-    (v % 2 == 0 ? a : b).Add(v);
-    all.Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.total(), all.total());
-  for (int i = 0; i < Histogram::kBuckets; ++i) {
-    EXPECT_EQ(a.count(i), all.count(i));
-  }
-  for (double p : {1.0, 50.0, 99.0}) {
-    EXPECT_EQ(a.Percentile(p), all.Percentile(p));
-  }
-}
-
 }  // namespace
 }  // namespace numalab

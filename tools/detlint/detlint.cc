@@ -8,14 +8,14 @@
 // then the rule passes walk the token stream. Everything is lexical — no
 // preprocessing, no type resolution — so each rule is scoped to patterns
 // whose false-positive rate on idiomatic code is near zero, and the escape
-// hatches (NOLINT-DET, baseline) are first-class.
+// hatch (NOLINT-DET) is first-class.
 
 #include "tools/detlint/detlint.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -43,7 +43,6 @@ struct Lexed {
   std::vector<Tok> toks;
   std::map<int, std::string> comments;   // line -> comment text (merged)
   std::vector<std::pair<int, std::string>> includes;  // line -> header name
-  std::vector<std::string> lines;        // raw source lines (1-based - 1)
 };
 
 bool IdentStart(char c) {
@@ -57,19 +56,6 @@ const char* kMultiPunct[] = {"::", "->", "+=", "-=", "*=", "/=", "%=", "&=",
 
 Lexed Lex(const std::string& src) {
   Lexed out;
-  {
-    std::string cur;
-    for (char c : src) {
-      if (c == '\n') {
-        out.lines.push_back(cur);
-        cur.clear();
-      } else {
-        cur.push_back(c);
-      }
-    }
-    out.lines.push_back(cur);
-  }
-
   size_t i = 0, n = src.size();
   int line = 1, col = 1;
   auto advance = [&](size_t k) {
@@ -341,21 +327,6 @@ bool IsBareCall(const Stream& s, size_t i) {
   return true;
 }
 
-std::string NormalizeWs(const std::string& s) {
-  std::string out;
-  bool in_ws = false;
-  for (char c : s) {
-    if (c == ' ' || c == '\t') {
-      in_ws = !out.empty();
-      continue;
-    }
-    if (in_ws) out.push_back(' ');
-    in_ws = false;
-    out.push_back(c);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Suppressions: `// NOLINT-DET(rule[,rule...]): reason`.
 
@@ -434,9 +405,6 @@ struct Scanner {
     f.line = line;
     f.col = col;
     f.message = message;
-    size_t idx = static_cast<size_t>(line - 1);
-    f.line_text =
-        idx < lx.lines.size() ? NormalizeWs(lx.lines[idx]) : std::string();
     raw.push_back(std::move(f));
   }
 
@@ -746,20 +714,13 @@ bool IsExempt(const std::string& rel_path, const std::string& rule) {
   }
   // The linter's own sources must name the hazards they detect (rule
   // tables, message strings, docs) — exempt from everything. The fixture
-  // corpus is NOT exempt: check.sh stage 8 depends on it flagging.
+  // corpus is NOT exempt: the detlint_rejects_* ctests depend on it
+  // flagging.
   if (rel_path.rfind("tools/detlint/", 0) == 0 &&
       rel_path.rfind("tools/detlint/testdata/", 0) != 0) {
     return true;
   }
   return false;
-}
-
-uint64_t Fnv1a(const std::string& s, uint64_t h) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 bool ReadFile(const std::string& path, std::string* out) {
@@ -769,28 +730,6 @@ bool ReadFile(const std::string& path, std::string* out) {
   ss << in.rdbuf();
   *out = ss.str();
   return true;
-}
-
-void JsonEscape(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\t': out->append("\\t"); break;
-      case '\r': out->append("\\r"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -842,9 +781,6 @@ std::vector<Finding> ScanSource(const std::string& rel_path,
       f.col = 1;
       f.message = "malformed NOLINT-DET (" + sup.why_malformed +
                   "); need NOLINT-DET(rule[,rule]): reason";
-      size_t idx = static_cast<size_t>(line - 1);
-      f.line_text = idx < lx.lines.size() ? NormalizeWs(lx.lines[idx])
-                                          : std::string();
       sc.raw.push_back(std::move(f));
     } else {
       sups[line] = std::move(sup);
@@ -911,108 +847,9 @@ bool CollectFiles(const std::string& root,
   return true;
 }
 
-bool FilesFromCompileCommands(const std::string& root,
-                              const std::string& json_path,
-                              std::vector<std::string>* out,
-                              std::string* error) {
-  std::string text;
-  if (!ReadFile(json_path, &text)) {
-    if (error != nullptr) *error = "cannot read " + json_path;
-    return false;
-  }
-  std::set<std::string> files;
-  const std::string key = "\"file\"";
-  fs::path rootp = fs::weakly_canonical(fs::path(root));
-  for (size_t pos = text.find(key); pos != std::string::npos;
-       pos = text.find(key, pos + key.size())) {
-    size_t colon = text.find(':', pos + key.size());
-    if (colon == std::string::npos) continue;
-    size_t q1 = text.find('"', colon);
-    if (q1 == std::string::npos) continue;
-    size_t q2 = text.find('"', q1 + 1);
-    if (q2 == std::string::npos) continue;
-    std::string file = text.substr(q1 + 1, q2 - q1 - 1);
-    std::error_code ec;
-    fs::path canon = fs::weakly_canonical(fs::path(file), ec);
-    if (ec) continue;
-    auto rel = fs::relative(canon, rootp, ec);
-    if (ec) continue;
-    std::string rels = rel.generic_string();
-    if (rels.rfind("..", 0) == 0) continue;  // outside the root
-    files.insert(rels);
-  }
-  out->assign(files.begin(), files.end());
-  return true;
-}
-
-std::string FingerprintHex(const Finding& f) {
-  uint64_t h = 1469598103934665603ULL;
-  h = Fnv1a(f.rule, h);
-  h = Fnv1a("\x1f", h);
-  h = Fnv1a(f.file, h);
-  h = Fnv1a("\x1f", h);
-  h = Fnv1a(f.line_text, h);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-bool LoadBaseline(const std::string& path, std::map<std::string, int>* out,
-                  std::string* error) {
-  std::string text;
-  if (!ReadFile(path, &text)) {
-    if (error != nullptr) *error = "cannot read baseline " + path;
-    return false;
-  }
-  std::stringstream ss(text);
-  std::string line;
-  while (std::getline(ss, line)) {
-    size_t a = line.find_first_not_of(" \t");
-    if (a == std::string::npos || line[a] == '#') continue;
-    size_t c1 = line.find(':', a);
-    size_t c2 = c1 == std::string::npos ? c1 : line.find(':', c1 + 1);
-    if (c2 == std::string::npos) {
-      if (error != nullptr) {
-        *error = "bad baseline entry (want rule:fingerprint:path): " + line;
-      }
-      return false;
-    }
-    // Keyed by rule + fingerprint; the trailing path is for humans.
-    ++(*out)[line.substr(a, c2 - a)];
-  }
-  return true;
-}
-
-std::string RenderBaseline(const std::vector<Finding>& findings) {
-  std::string out =
-      "# detlint baseline — grandfathered findings, one rule:fingerprint:"
-      "path per line.\n"
-      "# Regenerate with: detlint --root=. --write-baseline=tools/detlint/"
-      "baseline.txt <paths>\n"
-      "# The fingerprint hashes the normalized line text, so entries track "
-      "moved lines\n"
-      "# but expire as soon as the flagged code changes. Prefer fixing or "
-      "NOLINT-DET\n"
-      "# with a reason; the baseline is for pre-existing debt only.\n";
-  std::vector<std::string> lines;
-  lines.reserve(findings.size());
-  for (const Finding& f : findings) {
-    lines.push_back(f.rule + ":" + FingerprintHex(f) + ":" + f.file);
-  }
-  std::sort(lines.begin(), lines.end());
-  for (const std::string& l : lines) {
-    out += l;
-    out.push_back('\n');
-  }
-  return out;
-}
-
 bool ScanFiles(const std::string& root,
-               const std::vector<std::string>& rel_files,
-               const std::map<std::string, int>& baseline, ScanResult* out,
+               const std::vector<std::string>& rel_files, ScanResult* out,
                std::string* error) {
-  std::map<std::string, int> remaining = baseline;
   for (const std::string& rel : rel_files) {
     std::string src;
     if (!ReadFile((fs::path(root) / rel).string(), &src)) {
@@ -1021,12 +858,6 @@ bool ScanFiles(const std::string& root,
     }
     ++out->files_scanned;
     for (Finding& f : ScanSource(rel, src, &out->suppressed)) {
-      auto it = remaining.find(f.rule + ":" + FingerprintHex(f));
-      if (it != remaining.end() && it->second > 0) {
-        --it->second;
-        ++out->baselined;
-        continue;
-      }
       out->findings.push_back(std::move(f));
     }
   }
@@ -1038,32 +869,6 @@ bool ScanFiles(const std::string& root,
   return true;
 }
 
-std::string ToJson(const ScanResult& r) {
-  std::string out;
-  out += "{\"tool\":\"detlint\",\"schema_version\":1,";
-  out += "\"files_scanned\":" + std::to_string(r.files_scanned) + ",";
-  out += "\"suppressed\":" + std::to_string(r.suppressed) + ",";
-  out += "\"baselined\":" + std::to_string(r.baselined) + ",";
-  out += "\"findings\":[";
-  for (size_t i = 0; i < r.findings.size(); ++i) {
-    const Finding& f = r.findings[i];
-    if (i > 0) out.push_back(',');
-    out += "\n {\"file\":";
-    JsonEscape(&out, f.file);
-    out += ",\"line\":" + std::to_string(f.line);
-    out += ",\"col\":" + std::to_string(f.col);
-    out += ",\"rule\":";
-    JsonEscape(&out, f.rule);
-    out += ",\"fingerprint\":";
-    JsonEscape(&out, FingerprintHex(f));
-    out += ",\"message\":";
-    JsonEscape(&out, f.message);
-    out += "}";
-  }
-  out += "]}\n";
-  return out;
-}
-
 std::string ToHuman(const ScanResult& r) {
   std::string out;
   for (const Finding& f : r.findings) {
@@ -1071,8 +876,7 @@ std::string ToHuman(const ScanResult& r) {
            std::to_string(f.col) + ": [" + f.rule + "] " + f.message + "\n";
   }
   out += "detlint: " + std::to_string(r.findings.size()) + " finding(s) (" +
-         std::to_string(r.suppressed) + " suppressed, " +
-         std::to_string(r.baselined) + " baselined) in " +
+         std::to_string(r.suppressed) + " suppressed) in " +
          std::to_string(r.files_scanned) + " file(s)\n";
   return out;
 }

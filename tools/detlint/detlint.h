@@ -28,22 +28,20 @@
 //
 // Suppressions: `// NOLINT-DET(rule): reason` (or `NOLINT-DET(*): reason`)
 // on the offending line or the line above suppresses matching findings; a
-// missing rule list or empty reason is itself a finding. Grandfathered
-// sites live in a checked-in baseline (tools/detlint/baseline.txt) of
-// line-content fingerprints, so baselined findings survive unrelated line
-// shifts but resurface the moment the flagged line changes.
+// missing rule list or empty reason is itself a finding. There is no other
+// way to silence a finding: the tree scans clean, and nothing is
+// grandfathered.
 //
-// Output (human or --json) is deterministic: results are sorted, carry no
-// timestamps or pointers, and two runs over the same tree are
-// byte-identical — a property tools/detlint/detlint_test.cc asserts, since
-// a nondeterministic determinism linter would be its own counterexample.
+// Output is deterministic: results are sorted, carry no timestamps or
+// pointers, and two runs over the same tree are byte-identical — a
+// property tools/detlint/detlint_test.cc asserts, since a nondeterministic
+// determinism linter would be its own counterexample.
 
 #ifndef NUMALAB_TOOLS_DETLINT_DETLINT_H_
 #define NUMALAB_TOOLS_DETLINT_DETLINT_H_
 
-#include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace numalab {
@@ -55,14 +53,12 @@ struct Finding {
   int line = 1;
   int col = 1;
   std::string message;
-  std::string line_text;  ///< whitespace-normalized source line
 };
 
 struct ScanResult {
   std::vector<Finding> findings;  ///< sorted by (file, line, col, rule)
   int files_scanned = 0;
   int suppressed = 0;  ///< findings silenced by NOLINT-DET
-  int baselined = 0;   ///< findings silenced by the baseline
 };
 
 /// Rule ids in reporting order, and their one-line descriptions.
@@ -85,34 +81,14 @@ bool CollectFiles(const std::string& root,
                   const std::vector<std::string>& paths,
                   std::vector<std::string>* out, std::string* error);
 
-/// File list from a compile_commands.json (the build config clang-tidy
-/// shares — check.sh stage 3 emits it). Entries outside `root` are
-/// dropped; order is sorted and deduplicated.
-bool FilesFromCompileCommands(const std::string& root,
-                              const std::string& json_path,
-                              std::vector<std::string>* out,
-                              std::string* error);
-
-/// Scans `rel_files` under `root`, applying `baseline` (fingerprint ->
-/// allowed count). Returns false and sets `error` on an unreadable file.
+/// Scans `rel_files` under `root`. Returns false and sets `error` on an
+/// unreadable file.
 bool ScanFiles(const std::string& root,
-               const std::vector<std::string>& rel_files,
-               const std::map<std::string, int>& baseline, ScanResult* out,
+               const std::vector<std::string>& rel_files, ScanResult* out,
                std::string* error);
 
-/// Stable fingerprint of a finding: FNV-1a over rule, file and the
-/// normalized line text — line-number independent.
-std::string FingerprintHex(const Finding& f);
-
-/// Baseline file I/O. Format: one `rule:fingerprint:path` per line; '#'
-/// comments and blank lines ignored. Duplicate entries allow that many
-/// findings with the same fingerprint.
-bool LoadBaseline(const std::string& path, std::map<std::string, int>* out,
-                  std::string* error);
-std::string RenderBaseline(const std::vector<Finding>& findings);
-
-/// Deterministic renderings.
-std::string ToJson(const ScanResult& r);
+/// Deterministic report: one `file:line:col: [rule] message` line per
+/// finding, then a summary line.
 std::string ToHuman(const ScanResult& r);
 
 }  // namespace detlint

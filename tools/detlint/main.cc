@@ -1,19 +1,14 @@
 // detlint command-line driver.
 //
-//   detlint [--root=DIR] [--json | --json-out=FILE] [--baseline=FILE]
-//           [--write-baseline=FILE] [--compile-commands=FILE]
-//           [--list-rules] [PATH...]
+//   detlint [--root=DIR] [--list-rules] [PATH...]
 //
-// PATHs (files or directories, relative to --root, default: src bench
-// tests) are expanded to .h/.hpp/.cc/.cpp sources. Exit code: 0 clean
-// (or everything suppressed/baselined), 1 findings, 2 usage/IO error.
-// Output is deterministic — sorted, no timestamps — so two runs over the
-// same tree are byte-identical.
+// PATHs (files or directories, relative to --root) are expanded to
+// .h/.hpp/.cc/.cpp sources; with none, the whole gated tree (kTreePaths)
+// is scanned. Exit code: 0 clean (or everything suppressed), 1 findings,
+// 2 usage/IO error. Output is deterministic — sorted, no timestamps — so
+// two runs over the same tree are byte-identical.
 
-#include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -21,31 +16,23 @@
 
 namespace {
 
+/// What `detlint --root=<repo>` scans: every source tree that builds into
+/// a bench, test or example. tools/detlint itself is exempt (IsExempt).
+const std::vector<std::string> kTreePaths = {"src", "bench", "tests",
+                                             "examples"};
+
 constexpr const char* kUsage =
     "usage: detlint [options] [PATH...]\n"
     "\n"
     "Determinism lint for the numalab tree. PATHs are files or directories\n"
-    "relative to --root (default: src bench tests).\n"
+    "relative to --root (default: src bench tests examples).\n"
     "\n"
-    "  --root=DIR              repo root paths are resolved against (default .)\n"
-    "  --json                  JSON report on stdout instead of human text\n"
-    "  --json-out=FILE         also write the JSON report to FILE\n"
-    "  --baseline=FILE         suppress findings fingerprinted in FILE\n"
-    "  --write-baseline=FILE   write current findings as a new baseline\n"
-    "  --compile-commands=FILE scan the files listed in a compile_commands.json\n"
-    "                          (in addition to any PATHs)\n"
-    "  --list-rules            print the rule catalog and exit\n"
-    "  --help                  this text\n"
+    "  --root=DIR    repo root paths are resolved against (default .)\n"
+    "  --list-rules  print the rule catalog and exit\n"
+    "  --help        this text\n"
     "\n"
     "Suppress a single finding with `// NOLINT-DET(rule): reason` on the\n"
     "line or the line above. Exit: 0 clean, 1 findings, 2 error.\n";
-
-bool Flag(const std::string& arg, const char* name, std::string* value) {
-  std::string prefix = std::string(name) + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
 
 }  // namespace
 
@@ -53,14 +40,10 @@ int main(int argc, char** argv) {
   namespace dl = numalab::detlint;
 
   std::string root = ".";
-  std::string baseline_path, write_baseline_path, compile_commands_path,
-      json_out_path;
-  bool json = false;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    std::string v;
     if (arg == "--help" || arg == "-h") {
       std::fputs(kUsage, stdout);
       return 0;
@@ -69,14 +52,8 @@ int main(int argc, char** argv) {
         std::printf("%-16s %s\n", rule.c_str(), desc.c_str());
       }
       return 0;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (Flag(arg, "--root", &root) ||
-               Flag(arg, "--baseline", &baseline_path) ||
-               Flag(arg, "--write-baseline", &write_baseline_path) ||
-               Flag(arg, "--compile-commands", &compile_commands_path) ||
-               Flag(arg, "--json-out", &json_out_path)) {
-      // handled
+    } else if (arg.rfind("--root=", 0) == 0) {
+      root = arg.substr(std::char_traits<char>::length("--root="));
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "detlint: unknown option '%s'\n%s", arg.c_str(),
                    kUsage);
@@ -85,69 +62,16 @@ int main(int argc, char** argv) {
       paths.push_back(arg);
     }
   }
-  if (paths.empty() && compile_commands_path.empty()) {
-    paths = {"src", "bench", "tests"};
-  }
+  if (paths.empty()) paths = kTreePaths;
 
   std::string error;
   std::vector<std::string> files;
-  if (!paths.empty() && !dl::CollectFiles(root, paths, &files, &error)) {
-    std::fprintf(stderr, "detlint: %s\n", error.c_str());
-    return 2;
-  }
-  if (!compile_commands_path.empty()) {
-    std::vector<std::string> cc_files;
-    if (!dl::FilesFromCompileCommands(root, compile_commands_path, &cc_files,
-                                      &error)) {
-      std::fprintf(stderr, "detlint: %s\n", error.c_str());
-      return 2;
-    }
-    files.insert(files.end(), cc_files.begin(), cc_files.end());
-    std::sort(files.begin(), files.end());
-    files.erase(std::unique(files.begin(), files.end()), files.end());
-  }
-
-  std::map<std::string, int> baseline;
-  if (!baseline_path.empty() &&
-      !dl::LoadBaseline(baseline_path, &baseline, &error)) {
-    std::fprintf(stderr, "detlint: %s\n", error.c_str());
-    return 2;
-  }
-
   dl::ScanResult result;
-  if (!dl::ScanFiles(root, files,
-                     write_baseline_path.empty() ? baseline
-                                                 : std::map<std::string, int>{},
-                     &result, &error)) {
+  if (!dl::CollectFiles(root, paths, &files, &error) ||
+      !dl::ScanFiles(root, files, &result, &error)) {
     std::fprintf(stderr, "detlint: %s\n", error.c_str());
     return 2;
   }
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "detlint: cannot write %s\n",
-                   write_baseline_path.c_str());
-      return 2;
-    }
-    out << dl::RenderBaseline(result.findings);
-    std::fprintf(stderr, "detlint: wrote %zu baseline entr%s to %s\n",
-                 result.findings.size(),
-                 result.findings.size() == 1 ? "y" : "ies",
-                 write_baseline_path.c_str());
-    return 0;
-  }
-
-  std::string report = json ? dl::ToJson(result) : dl::ToHuman(result);
-  std::fputs(report.c_str(), stdout);
-  if (!json_out_path.empty()) {
-    std::ofstream out(json_out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "detlint: cannot write %s\n",
-                   json_out_path.c_str());
-      return 2;
-    }
-    out << dl::ToJson(result);
-  }
+  std::fputs(dl::ToHuman(result).c_str(), stdout);
   return result.findings.empty() ? 0 : 1;
 }

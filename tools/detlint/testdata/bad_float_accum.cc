@@ -1,5 +1,5 @@
 // Fixture: order-sensitive floating-point accumulation detlint must flag.
-// NOT part of any build — scanned by detlint_test and check.sh stage 8.
+// NOT part of any build — scanned by detlint_test and detlint_rejects_*.
 
 #include <cstdint>
 #include <string>

@@ -1,6 +1,6 @@
 // Fixture: unseeded numalab::Rng construction detlint must flag.
 // NOT part of any build (never compiled) — scanned by detlint_test and
-// check.sh stage 8, so the Rng here is a lexical stand-in for
+// detlint_rejects_*, so the Rng here is a lexical stand-in for
 // src/common/rng.h's.
 
 #include <cstdint>
