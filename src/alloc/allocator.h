@@ -20,15 +20,13 @@
 #include <vector>
 
 #include "src/alloc/framework.h"
-#include "src/topology/machine.h"
 
 namespace numalab {
 namespace alloc {
 
 class SimAllocator {
  public:
-  SimAllocator(AllocEnv env, const topology::Machine* machine)
-      : env_(env), machine_(machine) {}
+  explicit SimAllocator(AllocEnv env) : env_(env) {}
   virtual ~SimAllocator() = default;
 
   SimAllocator(const SimAllocator&) = delete;
@@ -68,7 +66,6 @@ class SimAllocator {
   void FreeLarge(void* p);
 
   AllocEnv env_;
-  const topology::Machine* machine_;
   AllocStats stats_;
   BackingSource backing_;  ///< shared source of small-object chunks
 
@@ -87,8 +84,7 @@ const std::vector<std::string>& AllAllocatorNames();
 
 /// Creates the named allocator; CHECK-fails on unknown names.
 std::unique_ptr<SimAllocator> MakeAllocator(const std::string& name,
-                                            AllocEnv env,
-                                            const topology::Machine* machine);
+                                            AllocEnv env);
 
 }  // namespace alloc
 }  // namespace numalab

@@ -1,7 +1,5 @@
 #include "src/alloc/framework.h"
 
-#include "src/topology/machine.h"
-
 namespace numalab {
 namespace alloc {
 
@@ -22,9 +20,8 @@ std::pair<mem::Region*, uint64_t> BackingSource::Take(AllocEnv* env,
   return {current_, off};
 }
 
-void* ClassPool::Carve(AllocEnv* env, const topology::Machine& machine,
-                       int cls, size_t chunk_bytes, uint32_t owner,
-                       BackingSource* backing) {
+void* ClassPool::Carve(AllocEnv* env, int cls, size_t chunk_bytes,
+                       uint32_t owner, BackingSource* backing) {
   size_t stride = sizeof(ObjHeader) + SizeClasses::ClassSize(cls);
   NUMALAB_CHECK(stride <= chunk_bytes);
 
@@ -40,7 +37,6 @@ void* ClassPool::Carve(AllocEnv* env, const topology::Machine& machine,
     chunk->cls = cls;
     chunk->next = chunks_head_;
     chunks_head_ = chunk;
-    ++nchunks_;
   }
 
   Chunk* chunk = chunks_head_;
@@ -51,7 +47,7 @@ void* ClassPool::Carve(AllocEnv* env, const topology::Machine& machine,
 
   // Writing the header is the first touch of these pages: they become
   // resident and (under first-touch) bound to the carving thread's node.
-  int node = env->CurNode(machine);
+  int node = env->CurNode();
   uint64_t first = (reinterpret_cast<uint64_t>(raw) - chunk->region->base) /
                    mem::kSmallPageBytes;
   uint64_t last =
@@ -66,6 +62,17 @@ void* ClassPool::Carve(AllocEnv* env, const topology::Machine& machine,
   hdr->owner = owner;
   hdr->chunk = chunk;
   return raw + sizeof(ObjHeader);
+}
+
+void ClassPool::Purge(AllocEnv* env, uint64_t now) const {
+  for (Chunk* c = chunks_head_; c != nullptr; c = c->next) {
+    if (c->carved > 0 && c->live * 4 < c->carved) {
+      env->os->MadviseDontNeed(
+          c->region, static_cast<uint64_t>(c->base - c->region->host),
+          static_cast<uint64_t>(c->bump - c->base), now);
+      env->Charge(mem::kSyscallCycles);
+    }
+  }
 }
 
 }  // namespace alloc

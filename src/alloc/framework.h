@@ -9,12 +9,17 @@
 //  1. Synchronization topology — which VirtualLocks an operation crosses
 //     (one global lock, per-arena, per-class central lists, per-thread
 //     caches, lock-free remote-free lists...), charged in virtual cycles.
-//  2. Pool geometry — chunk sizes, refill batches, per-thread dedication —
-//     which drives the memory-overhead metric (resident / requested) and
-//     page placement (which thread first touches a page).
+//     Every lock is entered through AllocEnv::Lock.
+//  2. Pool geometry — chunk sizes, refill batches (TakeBatch), per-thread
+//     dedication — which drives the memory-overhead metric (resident /
+//     requested) and page placement (which thread first touches a page).
 //  3. OS interaction — how eagerly freed pages are returned with
-//     MADV_DONTNEED, which is what makes Transparent Hugepages hurt some
-//     allocators (Fig. 5c) and also forces re-faulting and re-binding.
+//     MADV_DONTNEED (ClassPool::Purge), which is what makes Transparent
+//     Hugepages hurt some allocators (Fig. 5c) and also forces re-faulting
+//     and re-binding.
+//
+// Each model names only its topology and constants; the mechanics of the
+// three dimensions live here, once.
 //
 // First-touch fidelity: carving a chunk writes free-list links into it, so
 // pages become resident and NUMA-bound when the *allocator* first walks
@@ -24,6 +29,7 @@
 #ifndef NUMALAB_ALLOC_FRAMEWORK_H_
 #define NUMALAB_ALLOC_FRAMEWORK_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -61,16 +67,25 @@ struct AllocEnv {
     sim::VThread* vt = engine->current();
     if (vt != nullptr) vt->Charge(cycles);
   }
-  void ChargeLockWait(uint64_t cycles) const {
+  /// Enters `lock` for a `hold`-cycle critical section: charges the
+  /// queueing delay (also counted as lock wait), then `work`, the
+  /// caller's bookkeeping under the lock. Returns the queueing delay.
+  /// `handoff` as in VirtualLock::Acquire.
+  uint64_t Lock(sim::VirtualLock* lock, uint64_t hold, uint64_t work = 0,
+                uint64_t handoff = sim::kLockHandoffCycles) const {
     sim::VThread* vt = engine->current();
+    uint64_t wait =
+        lock->Acquire(vt != nullptr ? vt->clock : 0, hold, handoff);
     if (vt != nullptr) {
-      vt->Charge(cycles);
-      vt->counters.lock_wait_cycles += cycles;
+      vt->Charge(wait);
+      vt->counters.lock_wait_cycles += wait;
+      vt->Charge(work);
     }
+    return wait;
   }
-  int CurNode(const topology::Machine& m) const {
+  int CurNode() const {
     sim::VThread* vt = engine->current();
-    return vt != nullptr ? m.NodeOfHwThread(vt->hw_thread) : 0;
+    return vt != nullptr ? os->machine().NodeOfHwThread(vt->hw_thread) : 0;
   }
 };
 
@@ -189,6 +204,23 @@ inline void* FreePop(FreeList* list) {
   return p;
 }
 
+/// One free list per size class: a thread cache, or an arena's bins.
+using ClassBins = std::array<FreeList, SizeClasses::kNumClasses>;
+
+/// Batch refill: returns the object `take()` yields and pushes up to
+/// `extra` more onto `bin`, stopping early when `take()` returns nullptr
+/// (backing exhausted).
+template <typename Take>
+void* TakeBatch(FreeList* bin, size_t extra, Take take) {
+  void* first = take();
+  for (size_t i = 0; first != nullptr && i < extra; ++i) {
+    void* p = take();
+    if (p == nullptr) break;
+    FreePush(bin, p);
+  }
+  return first;
+}
+
 /// \brief Unsynchronized per-class object source: a chunk list with bump
 /// carving. Owners wrap it with their own locking scheme.
 class ClassPool {
@@ -204,10 +236,8 @@ class ClassPool {
   }
   ClassPool(const ClassPool&) = delete;
   ClassPool& operator=(const ClassPool&) = delete;
-  ClassPool(ClassPool&& o) noexcept
-      : chunks_head_(o.chunks_head_), nchunks_(o.nchunks_) {
+  ClassPool(ClassPool&& o) noexcept : chunks_head_(o.chunks_head_) {
     o.chunks_head_ = nullptr;
-    o.nchunks_ = 0;
   }
 
   /// Carves one object (header + payload) for class `cls`; takes a new
@@ -216,11 +246,14 @@ class ClassPool {
   /// write is the first touch). Returns the payload pointer, or nullptr
   /// when the backing source cannot map a fresh chunk — allocator impls
   /// must propagate the nullptr (and never FreePush it).
-  void* Carve(AllocEnv* env, const topology::Machine& machine, int cls,
-              size_t chunk_bytes, uint32_t owner, BackingSource* backing);
+  void* Carve(AllocEnv* env, int cls, size_t chunk_bytes, uint32_t owner,
+              BackingSource* backing);
 
-  /// Number of chunks mapped so far.
-  size_t chunks() const { return nchunks_; }
+  /// Dirty-run decay: returns the pages of every mostly-dead chunk to the
+  /// OS (MADV_DONTNEED at `now`) even though a few objects are still live
+  /// (their pages simply re-fault on next touch, as with real page-run
+  /// purging). Callers sweeping many pools pass one `now` for the sweep.
+  void Purge(AllocEnv* env, uint64_t now) const;
 
   /// True when the current chunk can serve one more object of this class
   /// without mapping (i.e. Carve will not need the OS or a global heap).
@@ -230,11 +263,8 @@ class ClassPool {
            chunks_head_->bump + stride <= chunks_head_->end;
   }
 
-  Chunk* chunk_list() const { return chunks_head_; }
-
  private:
   Chunk* chunks_head_ = nullptr;
-  size_t nchunks_ = 0;
 };
 
 /// \brief Statistics every allocator maintains.

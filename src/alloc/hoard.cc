@@ -21,28 +21,25 @@ constexpr size_t kSuperblockBytes = 64ULL << 10;
 
 class Hoard : public SimAllocator {
  public:
-  Hoard(AllocEnv env, const topology::Machine* m)
-      : SimAllocator(env, m),
-        heaps_(static_cast<size_t>(2 * m->num_cores())) {}
+  explicit Hoard(AllocEnv env)
+      : SimAllocator(env),
+        heaps_(static_cast<size_t>(2 * env.os->machine().num_cores())) {}
 
  protected:
   void* AllocSmall(int cls) override {
     uint32_t hid = HeapFor(env_.Tid());
     Heap& heap = heaps_[hid];
-    uint64_t wait = heap.lock.Acquire(env_.Now(), kHeapHoldCycles);
-    env_.ChargeLockWait(wait);
-    env_.Charge(kHeapWorkCycles);
+    env_.Lock(&heap.lock, kHeapHoldCycles, kHeapWorkCycles);
 
     if (void* p = FreePop(&heap.bins[cls])) return p;
 
     // Bump-fill from the heap's current superblock; the global hoard (and
     // its lock) is only involved when a *new* superblock must be acquired.
     if (!heap.pools[cls].HasSpace(cls)) {
-      uint64_t gwait = global_lock_.Acquire(env_.Now(), kGlobalHoldCycles);
-      env_.ChargeLockWait(gwait);
+      env_.Lock(&global_lock_, kGlobalHoldCycles);
     }
-    return heap.pools[cls].Carve(&env_, *machine_, cls, kSuperblockBytes,
-                                 hid, &heap.backing);
+    return heap.pools[cls].Carve(&env_, cls, kSuperblockBytes, hid,
+                                 &heap.backing);
   }
 
   void FreeSmall(void* p, int cls) override {
@@ -50,16 +47,14 @@ class Hoard : public SimAllocator {
     // sharing — Hoard's signature property).
     uint32_t hid = HeaderOf(p)->owner;
     Heap& heap = heaps_[hid];
-    uint64_t wait = heap.lock.Acquire(env_.Now(), kHeapHoldCycles);
-    env_.ChargeLockWait(wait);
-    env_.Charge(kHeapWorkCycles);
+    env_.Lock(&heap.lock, kHeapHoldCycles, kHeapWorkCycles);
     FreePush(&heap.bins[cls], p);
   }
 
  private:
   struct Heap {
     sim::VirtualLock lock;
-    FreeList bins[SizeClasses::kNumClasses];
+    ClassBins bins;
     ClassPool pools[SizeClasses::kNumClasses];
     BackingSource backing;  // heap-segregated address space
   };
@@ -77,9 +72,8 @@ class Hoard : public SimAllocator {
 
 }  // namespace
 
-std::unique_ptr<SimAllocator> MakeHoard(AllocEnv env,
-                                        const topology::Machine* m) {
-  return std::make_unique<Hoard>(env, m);
+std::unique_ptr<SimAllocator> MakeHoard(AllocEnv env) {
+  return std::make_unique<Hoard>(env);
 }
 
 }  // namespace alloc

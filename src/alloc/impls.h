@@ -12,20 +12,13 @@
 namespace numalab {
 namespace alloc {
 
-std::unique_ptr<SimAllocator> MakePtMalloc(AllocEnv env,
-                                           const topology::Machine* m);
-std::unique_ptr<SimAllocator> MakeJeMalloc(AllocEnv env,
-                                           const topology::Machine* m);
-std::unique_ptr<SimAllocator> MakeTcMalloc(AllocEnv env,
-                                           const topology::Machine* m);
-std::unique_ptr<SimAllocator> MakeHoard(AllocEnv env,
-                                        const topology::Machine* m);
-std::unique_ptr<SimAllocator> MakeTbbMalloc(AllocEnv env,
-                                            const topology::Machine* m);
-std::unique_ptr<SimAllocator> MakeSuperMalloc(AllocEnv env,
-                                              const topology::Machine* m);
-std::unique_ptr<SimAllocator> MakeMcMalloc(AllocEnv env,
-                                           const topology::Machine* m);
+std::unique_ptr<SimAllocator> MakePtMalloc(AllocEnv env);
+std::unique_ptr<SimAllocator> MakeJeMalloc(AllocEnv env);
+std::unique_ptr<SimAllocator> MakeTcMalloc(AllocEnv env);
+std::unique_ptr<SimAllocator> MakeHoard(AllocEnv env);
+std::unique_ptr<SimAllocator> MakeTbbMalloc(AllocEnv env);
+std::unique_ptr<SimAllocator> MakeSuperMalloc(AllocEnv env);
+std::unique_ptr<SimAllocator> MakeMcMalloc(AllocEnv env);
 
 /// Grows `v` on demand and returns the per-thread slot for `tid`.
 template <typename T>

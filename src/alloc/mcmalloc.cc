@@ -27,7 +27,7 @@ constexpr uint64_t kFrequentThreshold = 384;
 
 class McMalloc : public SimAllocator {
  public:
-  McMalloc(AllocEnv env, const topology::Machine* m) : SimAllocator(env, m) {}
+  explicit McMalloc(AllocEnv env) : SimAllocator(env) {}
 
  protected:
   void* AllocSmall(int cls) override {
@@ -52,24 +52,16 @@ class McMalloc : public SimAllocator {
       size_t stride = sizeof(ObjHeader) + SizeClasses::ClassSize(cls);
       size_t count = std::max<size_t>(batch / stride, 1);
       env_.Charge(kOwnerAllocCycles);
-      void* first = pool.dedicated[cls].Carve(&env_, *machine_, cls, batch,
-                                              static_cast<uint32_t>(tid), &backing_);
-      for (size_t i = 1; first != nullptr && i < count; ++i) {
-        void* extra = pool.dedicated[cls].Carve(
-            &env_, *machine_, cls, batch, static_cast<uint32_t>(tid),
-            &backing_);
-        if (extra == nullptr) break;  // backing exhausted mid-batch
-        FreePush(&pool.bins[cls], extra);
-      }
-      return first;
+      return TakeBatch(&pool.bins[cls], count - 1, [&] {
+        return pool.dedicated[cls].Carve(&env_, cls, batch,
+                                         static_cast<uint32_t>(tid), &backing_);
+      });
     }
 
     // Infrequent class: size-segregated global pool behind a lock.
-    uint64_t wait = global_lock_[cls].Acquire(env_.Now(), kGlobalHoldCycles);
-    env_.ChargeLockWait(wait);
-    env_.Charge(kGlobalWorkCycles);
+    env_.Lock(&global_lock_[cls], kGlobalHoldCycles, kGlobalWorkCycles);
     if (void* p = FreePop(&global_bins_[cls])) return p;
-    return global_pools_[cls].Carve(&env_, *machine_, cls, kBatchBaseBytes,
+    return global_pools_[cls].Carve(&env_, cls, kBatchBaseBytes,
                                     static_cast<uint32_t>(tid), &backing_);
   }
 
@@ -84,22 +76,21 @@ class McMalloc : public SimAllocator {
   struct Pool {
     bool seen = false;
     uint64_t requests[SizeClasses::kNumClasses] = {0};
-    FreeList bins[SizeClasses::kNumClasses];
+    ClassBins bins;
     ClassPool dedicated[SizeClasses::kNumClasses];
   };
 
   std::vector<std::unique_ptr<Pool>> pools_;
   int active_threads_ = 0;
   sim::VirtualLock global_lock_[SizeClasses::kNumClasses];
-  FreeList global_bins_[SizeClasses::kNumClasses];
+  ClassBins global_bins_;
   ClassPool global_pools_[SizeClasses::kNumClasses];
 };
 
 }  // namespace
 
-std::unique_ptr<SimAllocator> MakeMcMalloc(AllocEnv env,
-                                           const topology::Machine* m) {
-  return std::make_unique<McMalloc>(env, m);
+std::unique_ptr<SimAllocator> MakeMcMalloc(AllocEnv env) {
+  return std::make_unique<McMalloc>(env);
 }
 
 }  // namespace alloc

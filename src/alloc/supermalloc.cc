@@ -22,8 +22,7 @@ constexpr size_t kChunkBytes = 1ULL << 20;
 
 class SuperMalloc : public SimAllocator {
  public:
-  SuperMalloc(AllocEnv env, const topology::Machine* m)
-      : SimAllocator(env, m) {}
+  explicit SuperMalloc(AllocEnv env) : SimAllocator(env) {}
 
  protected:
   // HTM transactions do not bounce a lock cache line on conflict.
@@ -31,34 +30,27 @@ class SuperMalloc : public SimAllocator {
 
   void* AllocSmall(int cls) override {
     env_.Charge(kPrefetchCycles);
-    uint64_t wait =
-        global_.Acquire(env_.Now(), kCriticalHoldCycles, kHtmRetryCycles);
-    env_.ChargeLockWait(wait);
-    env_.Charge(kWorkCycles);
+    env_.Lock(&global_, kCriticalHoldCycles, kWorkCycles, kHtmRetryCycles);
     if (void* p = FreePop(&bins_[cls])) return p;
-    return pools_[cls].Carve(&env_, *machine_, cls, kChunkBytes, 0, &backing_);
+    return pools_[cls].Carve(&env_, cls, kChunkBytes, 0, &backing_);
   }
 
   void FreeSmall(void* p, int cls) override {
     env_.Charge(kPrefetchCycles);
-    uint64_t wait =
-        global_.Acquire(env_.Now(), kCriticalHoldCycles, kHtmRetryCycles);
-    env_.ChargeLockWait(wait);
-    env_.Charge(kWorkCycles);
+    env_.Lock(&global_, kCriticalHoldCycles, kWorkCycles, kHtmRetryCycles);
     FreePush(&bins_[cls], p);
   }
 
  private:
   sim::VirtualLock global_;
-  FreeList bins_[SizeClasses::kNumClasses];
+  ClassBins bins_;
   ClassPool pools_[SizeClasses::kNumClasses];
 };
 
 }  // namespace
 
-std::unique_ptr<SimAllocator> MakeSuperMalloc(AllocEnv env,
-                                              const topology::Machine* m) {
-  return std::make_unique<SuperMalloc>(env, m);
+std::unique_ptr<SimAllocator> MakeSuperMalloc(AllocEnv env) {
+  return std::make_unique<SuperMalloc>(env);
 }
 
 }  // namespace alloc

@@ -24,14 +24,13 @@ constexpr uint64_t kCleanupFrees = 16384;
 
 class TbbMalloc : public SimAllocator {
  public:
-  TbbMalloc(AllocEnv env, const topology::Machine* m)
-      : SimAllocator(env, m) {}
+  explicit TbbMalloc(AllocEnv env) : SimAllocator(env) {}
 
  protected:
   void* AllocSmall(int cls) override {
     int tid = env_.Tid();
     Pool& pool = PerTid(&pools_, tid);
-    if (++ops_ % kCleanupFrees == 0) MaybeCleanup(&pool, /*force=*/true);
+    if (++ops_ % kCleanupFrees == 0) Cleanup(&pool);
     if (void* p = FreePop(&pool.bins[cls])) {
       env_.Charge(kOwnerAllocCycles);
       return p;
@@ -46,7 +45,7 @@ class TbbMalloc : public SimAllocator {
       return FreePop(&pool.bins[cls]);
     }
     env_.Charge(kOwnerAllocCycles);
-    return pool.slabs[cls].Carve(&env_, *machine_, cls, kSlabBytes,
+    return pool.slabs[cls].Carve(&env_, cls, kSlabBytes,
                                  static_cast<uint32_t>(tid), &backing_);
   }
 
@@ -57,7 +56,7 @@ class TbbMalloc : public SimAllocator {
       env_.Charge(kOwnerFreeCycles);
       Pool& pool = PerTid(&pools_, tid);
       FreePush(&pool.bins[cls], p);
-      MaybeCleanup(&pool);
+      if (++pool.frees % kCleanupFrees == 0) Cleanup(&pool);
     } else {
       env_.Charge(kRemoteFreeCycles);
       Pool& pool = PerTid(&pools_, owner);
@@ -67,28 +66,15 @@ class TbbMalloc : public SimAllocator {
 
  private:
   struct Pool {
-    FreeList bins[SizeClasses::kNumClasses];
-    FreeList returned[SizeClasses::kNumClasses];  // lock-free mailbox
+    ClassBins bins;
+    ClassBins returned;  // lock-free mailbox
     ClassPool slabs[SizeClasses::kNumClasses];
     uint64_t frees = 0;
   };
 
-  void MaybeCleanup(Pool* pool, bool force = false) {
-    if (!force && ++pool->frees % kCleanupFrees != 0) return;
+  void Cleanup(Pool* pool) {
     uint64_t now = env_.Now();
-    for (auto& slabs : pool->slabs) {
-      for (Chunk* c = slabs.chunk_list(); c != nullptr; c = c->next) {
-        // Dirty-run decay: a mostly-dead chunk gets its pages returned
-        // even though a few objects are still live (their pages simply
-        // re-fault on next touch, as with real page-run purging).
-        if (c->carved > 0 && c->live * 4 < c->carved) {
-          env_.os->MadviseDontNeed(
-              c->region, static_cast<uint64_t>(c->base - c->region->host),
-              static_cast<uint64_t>(c->bump - c->base), now);
-          env_.Charge(mem::kSyscallCycles);
-        }
-      }
-    }
+    for (const ClassPool& slabs : pool->slabs) slabs.Purge(&env_, now);
   }
 
   std::vector<std::unique_ptr<Pool>> pools_;
@@ -97,9 +83,8 @@ class TbbMalloc : public SimAllocator {
 
 }  // namespace
 
-std::unique_ptr<SimAllocator> MakeTbbMalloc(AllocEnv env,
-                                            const topology::Machine* m) {
-  return std::make_unique<TbbMalloc>(env, m);
+std::unique_ptr<SimAllocator> MakeTbbMalloc(AllocEnv env) {
+  return std::make_unique<TbbMalloc>(env);
 }
 
 }  // namespace alloc

@@ -10,6 +10,8 @@
 #ifndef NUMALAB_MEM_CACHES_H_
 #define NUMALAB_MEM_CACHES_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -20,27 +22,33 @@
 namespace numalab {
 namespace mem {
 
-class LineCache {
+/// \brief A direct-mapped tag array: the private caches, the LLCs and both
+/// TLB levels are each one. `tag` is a line or page number.
+class TagArray {
  public:
-  explicit LineCache(uint64_t capacity_bytes) {
-    size_t lines = static_cast<size_t>(capacity_bytes / kCacheLineBytes);
-    tags_.assign(std::max<size_t>(lines, 1), kEmpty);
+  explicit TagArray(size_t entries) {
+    tags_.assign(std::max<size_t>(entries, 1), kEmpty);
     mod_ = FastMod32(static_cast<uint32_t>(tags_.size()));
   }
 
-  bool Probe(uint64_t line) const {
-    return tags_[Slot(line)] == line;
-  }
+  bool Probe(uint64_t tag) const { return tags_[Slot(tag)] == tag; }
 
-  void Insert(uint64_t line) { tags_[Slot(line)] = line; }
+  void Insert(uint64_t tag) { tags_[Slot(tag)] = tag; }
+
+  /// Drops `tag` if present.
+  void Invalidate(uint64_t tag) {
+    size_t s = Slot(tag);
+    if (tags_[s] == tag) tags_[s] = kEmpty;
+  }
 
   void Flush() { std::fill(tags_.begin(), tags_.end(), kEmpty); }
 
  private:
   static constexpr uint64_t kEmpty = ~0ULL;
-  size_t Slot(uint64_t line) const {
-    // The hash fits 32 bits, so FastMod32 matches `% tags_.size()` exactly.
-    return mod_.Mod((line * 0x9e3779b97f4a7c15ULL) >> 32);
+  size_t Slot(uint64_t tag) const {
+    // Fibonacci hash spreads sequential tags across the array; the hash
+    // fits 32 bits, so FastMod32 gives the same slot as `% size` would.
+    return mod_.Mod((tag * 0x9e3779b97f4a7c15ULL) >> 32);
   }
   std::vector<uint64_t> tags_;
   FastMod32 mod_;
@@ -52,19 +60,19 @@ class CacheModel {
  public:
   explicit CacheModel(const topology::Machine& m) {
     for (int c = 0; c < m.num_cores(); ++c) {
-      private_.emplace_back(m.private_cache_bytes());
+      private_.emplace_back(m.private_cache_bytes() / kCacheLineBytes);
     }
     for (int n = 0; n < m.num_nodes(); ++n) {
-      llc_.emplace_back(m.llc_bytes_per_node());
+      llc_.emplace_back(m.llc_bytes_per_node() / kCacheLineBytes);
     }
   }
 
-  LineCache& Private(int core) { return private_[static_cast<size_t>(core)]; }
-  LineCache& Llc(int node) { return llc_[static_cast<size_t>(node)]; }
+  TagArray& Private(int core) { return private_[static_cast<size_t>(core)]; }
+  TagArray& Llc(int node) { return llc_[static_cast<size_t>(node)]; }
 
  private:
-  std::vector<LineCache> private_;
-  std::vector<LineCache> llc_;
+  std::vector<TagArray> private_;
+  std::vector<TagArray> llc_;
 };
 
 }  // namespace mem

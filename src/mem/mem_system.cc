@@ -365,13 +365,13 @@ void MemSystem::AccessScalar(sim::VThread* vt, const void* addr_p,
   uint64_t last_line = (rel + bytes - 1) / kCacheLineBytes;
   for (uint64_t line = first_line; line <= last_line; ++line) {
     if (costs_.model_caches) {
-      LineCache& priv = caches_.Private(core);
+      TagArray& priv = caches_.Private(core);
       if (priv.Probe(line)) {
         ++vt->counters.private_hits;
         vt->Charge(kPrivateHitCycles);
         continue;
       }
-      LineCache& llc = caches_.Llc(my_node);
+      TagArray& llc = caches_.Llc(my_node);
       if (llc.Probe(line)) {
         ++vt->counters.llc_hits;
         vt->Charge(kLlcHitCycles);
@@ -563,7 +563,7 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
           vt->Charge(kPrivateHitCycles);
           continue;
         }
-        LineCache& priv = caches_.Private(core);
+        TagArray& priv = caches_.Private(core);
         if (priv.Probe(line)) {
           ++vt->counters.private_hits;
           vt->Charge(kPrivateHitCycles);
@@ -571,7 +571,7 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
           memo_line = line;
           continue;
         }
-        LineCache& llc = caches_.Llc(my_node);
+        TagArray& llc = caches_.Llc(my_node);
         if (llc.Probe(line)) {
           ++vt->counters.llc_hits;
           vt->Charge(kLlcHitCycles);

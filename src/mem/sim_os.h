@@ -45,6 +45,7 @@ class SimOS {
     preferred_node_ = preferred_node;
   }
   MemPolicy policy() const { return policy_; }
+  const topology::Machine& machine() const { return *machine_; }
 
   /// THP fault path: when on, the first touch of an untouched 2M-aligned
   /// run faults in the whole run as one huge page on one node.

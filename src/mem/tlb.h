@@ -9,11 +9,12 @@
 #ifndef NUMALAB_MEM_TLB_H_
 #define NUMALAB_MEM_TLB_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "src/mem/caches.h"
 #include "src/mem/cost_model.h"
-#include "src/mem/fastmod.h"
 #include "src/topology/machine.h"
 
 namespace numalab {
@@ -21,67 +22,46 @@ namespace mem {
 
 class Tlb {
  public:
-  explicit Tlb(const topology::Machine& m) {
-    int cap4k = m.tlb_4k().l1_entries + m.tlb_4k().l2_entries;
-    int cap2m = m.tlb_2m().l1_entries + m.tlb_2m().l2_entries;
-    tags_4k_.assign(static_cast<size_t>(std::max(cap4k, 1)), kEmpty);
-    tags_2m_.assign(static_cast<size_t>(std::max(cap2m, 1)), kEmpty);
-    mod_4k_ = FastMod32(static_cast<uint32_t>(tags_4k_.size()));
-    mod_2m_ = FastMod32(static_cast<uint32_t>(tags_2m_.size()));
-    has_2m_ = cap2m > 0;
-  }
+  explicit Tlb(const topology::Machine& m)
+      : tags_4k_(Entries(m.tlb_4k())),
+        tags_2m_(Entries(m.tlb_2m())),
+        has_2m_(m.tlb_2m().l1_entries + m.tlb_2m().l2_entries > 0) {}
 
   /// Probes both structures; true on hit.
   bool Lookup(uint64_t addr) const {
-    uint64_t vpn2m = addr / kHugePageBytes;
-    if (has_2m_ && tags_2m_[Slot(vpn2m, mod_2m_)] == vpn2m) {
-      return true;
-    }
-    uint64_t vpn4k = addr / kSmallPageBytes;
-    return tags_4k_[Slot(vpn4k, mod_4k_)] == vpn4k;
+    if (has_2m_ && tags_2m_.Probe(addr / kHugePageBytes)) return true;
+    return tags_4k_.Probe(addr / kSmallPageBytes);
   }
 
   /// Installs the translation after a page walk.
   void Insert(uint64_t addr, bool huge) {
     if (huge && has_2m_) {
-      uint64_t vpn = addr / kHugePageBytes;
-      tags_2m_[Slot(vpn, mod_2m_)] = vpn;
+      tags_2m_.Insert(addr / kHugePageBytes);
     } else {
-      uint64_t vpn = addr / kSmallPageBytes;
-      tags_4k_[Slot(vpn, mod_4k_)] = vpn;
+      tags_4k_.Insert(addr / kSmallPageBytes);
     }
   }
 
   /// Drops the translation covering `addr` (page migration / THP remap).
   void Invalidate(uint64_t addr) {
-    uint64_t vpn2m = addr / kHugePageBytes;
-    size_t s2 = Slot(vpn2m, mod_2m_);
-    if (tags_2m_[s2] == vpn2m) tags_2m_[s2] = kEmpty;
-    uint64_t vpn4k = addr / kSmallPageBytes;
-    size_t s4 = Slot(vpn4k, mod_4k_);
-    if (tags_4k_[s4] == vpn4k) tags_4k_[s4] = kEmpty;
+    tags_2m_.Invalidate(addr / kHugePageBytes);
+    tags_4k_.Invalidate(addr / kSmallPageBytes);
   }
 
   /// Full flush (thread migrated onto this core, or unmap shootdown).
   void Flush() {
-    std::fill(tags_4k_.begin(), tags_4k_.end(), kEmpty);
-    std::fill(tags_2m_.begin(), tags_2m_.end(), kEmpty);
+    tags_4k_.Flush();
+    tags_2m_.Flush();
   }
 
  private:
-  static constexpr uint64_t kEmpty = ~0ULL;
-
-  static size_t Slot(uint64_t vpn, const FastMod32& mod) {
-    // Fibonacci hash spreads sequential VPNs across the array; the hash
-    // fits 32 bits, so FastMod32 gives the same slot as `% size` would.
-    return mod.Mod((vpn * 0x9e3779b97f4a7c15ULL) >> 32);
+  static size_t Entries(const topology::TlbSpec& t) {
+    return static_cast<size_t>(std::max(t.l1_entries + t.l2_entries, 1));
   }
 
-  std::vector<uint64_t> tags_4k_;
-  std::vector<uint64_t> tags_2m_;
-  FastMod32 mod_4k_;
-  FastMod32 mod_2m_;
-  bool has_2m_ = false;
+  TagArray tags_4k_;  // tags are virtual page numbers
+  TagArray tags_2m_;
+  bool has_2m_;
 };
 
 }  // namespace mem

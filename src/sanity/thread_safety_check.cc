@@ -30,9 +30,9 @@ namespace sanity {
 uint64_t ThreadSafetyProbeVirtualLock(workloads::Env& env,
                                       sim::VirtualLock& lock) {
   env.Lock(&lock, /*hold=*/40);
-  uint64_t acquires = lock.total_acquires;
+  uint64_t free_at = lock.free_at;
   env.LockReleased(&lock);
-  return acquires;
+  return free_at;
 }
 
 /// Balanced early-return path — the UpsertWith OOM-exit shape. Deleting

@@ -92,12 +92,11 @@ class SimBarrier {
 /// delimited by the Env::Lock / Env::LockReleased pair (Env::Lock calls
 /// Acquire and charges the wait), which carry the
 /// NUMALAB_ACQUIRE/NUMALAB_RELEASE annotations and feed the dynamic race
-/// detector the same happens-before edge. The allocator models call
-/// Acquire directly: their locks have their own timing path.
+/// detector the same happens-before edge. The allocator models enter their
+/// locks through AllocEnv::Lock (src/alloc/framework.h), which charges the
+/// wait and the work under the lock but opens no race-detector section.
 struct NUMALAB_CAPABILITY("VirtualLock") VirtualLock {
   uint64_t free_at = 0;
-  uint64_t contended_acquires = 0;
-  uint64_t total_acquires = 0;
 
   /// Reserves the lock for `hold` cycles starting no earlier than `now`.
   /// Returns the queueing delay the caller must charge (the hold itself is
@@ -106,9 +105,7 @@ struct NUMALAB_CAPABILITY("VirtualLock") VirtualLock {
   /// HTM-style synchronization that avoids lock-line bouncing.
   uint64_t Acquire(uint64_t now, uint64_t hold,
                    uint64_t handoff = kLockHandoffCycles) {
-    ++total_acquires;
     uint64_t wait = free_at > now ? free_at - now : 0;
-    if (wait > 0) ++contended_acquires;
     uint64_t start = std::max(free_at, now);
     free_at = start + hold;
     // A real queue cannot be longer than the thread count; bounding the

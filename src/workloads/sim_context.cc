@@ -74,7 +74,7 @@ SimContext::SimContext(const RunConfig& config)
   }
 
   alloc::AllocEnv aenv{&engine_, memsys_->os(), faults_.get()};
-  allocator_ = alloc::MakeAllocator(config.allocator, aenv, &machine_);
+  allocator_ = alloc::MakeAllocator(config.allocator, aenv);
 
   if (config.thp) {
     memsys_->os()->SetThpFaultAlloc(true);

@@ -21,7 +21,7 @@ class AllocOsTest : public ::testing::Test {
 
   std::unique_ptr<SimAllocator> Make(const char* name) {
     AllocEnv env{&engine_, memsys_.os()};
-    return MakeAllocator(name, env, &machine_);
+    return MakeAllocator(name, env);
   }
   void RunAs(int hw, const std::function<void()>& fn) {
     engine_.Spawn("t", hw, [&](sim::VThread*) { return Body(fn); });

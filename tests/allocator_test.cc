@@ -25,7 +25,7 @@ class AllocatorTest : public ::testing::TestWithParam<const char*> {
       : machine_(topology::MachineA()),
         memsys_(&machine_, &engine_, mem::CostModel{}, &sys_) {
     AllocEnv env{&engine_, memsys_.os()};
-    alloc_ = MakeAllocator(GetParam(), env, &machine_);
+    alloc_ = MakeAllocator(GetParam(), env);
   }
 
   void RunAs(int hw, const std::function<void()>& fn) {

@@ -16,6 +16,35 @@ TEST(AllocMicrobench, DeterministicPerSeed) {
   EXPECT_EQ(a.resident_peak, b.resident_peak);
 }
 
+// Pins every model's exact charges at 4 threads. 24,000 ops per thread
+// (about 72,000 allocations, 18,000 frees per thread) make jemalloc's decay
+// and tcmalloc's scavenge (every 32,768 allocations) sweep, and
+// tbbmalloc's cleanup (every 16,384 owner frees) sweep late in teardown,
+// when most slabs are dead: a no-op ClassPool::Purge moves all three pins.
+TEST(AllocMicrobench, ChargesArePinnedPerAllocator) {
+  struct Pin {
+    const char* allocator;
+    uint64_t cycles;
+    uint64_t lock_wait_cycles;
+    uint64_t resident_peak;
+  };
+  const Pin kPins[] = {
+      {"ptmalloc", 3'659'246, 3'819'964, 12'574'720},
+      {"jemalloc", 2'791'076, 1'126'992, 12'525'568},
+      {"tcmalloc", 10'205'188, 34'825'939, 13'352'960},
+      {"hoard", 3'339'414, 3'547'855, 12'169'216},
+      {"tbbmalloc", 2'233'079, 0, 12'140'544},
+      {"supermalloc", 10'084'837, 26'278'313, 9'961'472},
+      {"mcmalloc", 3'856'058, 3'909'616, 16'289'792},
+  };
+  for (const Pin& pin : kPins) {
+    auto r = RunAllocMicrobench(pin.allocator, "A", 4, 24'000, 42);
+    EXPECT_EQ(r.cycles, pin.cycles) << pin.allocator;
+    EXPECT_EQ(r.lock_wait_cycles, pin.lock_wait_cycles) << pin.allocator;
+    EXPECT_EQ(r.resident_peak, pin.resident_peak) << pin.allocator;
+  }
+}
+
 TEST(AllocMicrobench, SupermallocCollapsesUnderThreads) {
   // Fig. 2a's worst scaler: the single global critical section.
   auto s1 = RunAllocMicrobench("supermalloc", "A", 1, 30'000, 42);

@@ -260,7 +260,6 @@ TEST(VirtualLockTest, UncontendedIsCheap) {
   EXPECT_EQ(lock.Acquire(1000, 50), kLockAcquireCycles);
   // Re-acquire long after release: still uncontended.
   EXPECT_EQ(lock.Acquire(5000, 50), kLockAcquireCycles);
-  EXPECT_EQ(lock.contended_acquires, 0u);
 }
 
 TEST(VirtualLockTest, QueueingDelayAndCap) {
@@ -268,8 +267,7 @@ TEST(VirtualLockTest, QueueingDelayAndCap) {
   lock.Acquire(0, 100);
   // Second acquire at t=0 waits for the first's hold.
   uint64_t w = lock.Acquire(0, 100);
-  EXPECT_GE(w, 100u);
-  EXPECT_EQ(lock.contended_acquires, 1u);
+  EXPECT_EQ(w, 100u + kLockHandoffCycles);
   // A wildly stale acquire is capped at ~50 holds, not the full gap.
   VirtualLock lock2;
   lock2.free_at = 10'000'000;

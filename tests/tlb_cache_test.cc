@@ -53,7 +53,7 @@ TEST(Tlb, InvalidateAndFlush) {
 }
 
 TEST(LineCache, ProbeInsert) {
-  LineCache c(1 << 16);
+  TagArray c((1 << 16) / kCacheLineBytes);
   EXPECT_FALSE(c.Probe(42));
   c.Insert(42);
   EXPECT_TRUE(c.Probe(42));
@@ -62,7 +62,7 @@ TEST(LineCache, ProbeInsert) {
 }
 
 TEST(LineCache, WorkingSetBeyondCapacityMisses) {
-  LineCache small(64 * 64);  // 64 lines
+  TagArray small(64);  // 64 lines
   for (uint64_t l = 0; l < 640; ++l) small.Insert(l);
   uint64_t hits = 0;
   for (uint64_t l = 0; l < 640; ++l) {
