@@ -256,6 +256,23 @@ inline workloads::RunConfig DefaultBase(const std::string& machine,
   return c;
 }
 
+/// The paper's five allocators (Figs. 5c, 6, 7, 9), in table-row order.
+inline constexpr const char* kPaperAllocators[] = {
+    "ptmalloc", "jemalloc", "tcmalloc", "hoard", "tbbmalloc"};
+
+/// \brief A memory placement policy and its table label.
+struct NamedPolicy {
+  const char* name;
+  mem::MemPolicy policy;
+};
+
+/// The placement policies of the Fig. 5d, 6 and 7 tables, in column order
+/// (Fig. 5a/5b adds Preferred).
+inline constexpr NamedPolicy kPaperPolicies[] = {
+    {"FirstTouch", mem::MemPolicy::kFirstTouch},
+    {"Interleave", mem::MemPolicy::kInterleave},
+    {"Localalloc", mem::MemPolicy::kLocalAlloc}};
+
 inline double GCycles(uint64_t cycles) {
   return static_cast<double>(cycles) / 1e9;
 }

@@ -16,16 +16,21 @@
 
 using numalab::bench::FlagU64;
 using numalab::bench::GCycles;
+using numalab::bench::kPaperAllocators;
+using numalab::bench::kPaperPolicies;
+using numalab::bench::NamedPolicy;
 using numalab::bench::TunedBase;
 using namespace numalab::workloads;
 
 namespace {
 
-const std::vector<std::pair<const char*, numalab::mem::MemPolicy>> kPolicies =
-    {{"FirstTouch", numalab::mem::MemPolicy::kFirstTouch},
-     {"Interleave", numalab::mem::MemPolicy::kInterleave},
-     {"Localalloc", numalab::mem::MemPolicy::kLocalAlloc},
-     {"Preferred", numalab::mem::MemPolicy::kPreferred}};
+// Fig. 5a/5b's policy rows: the paper's three, then Preferred.
+std::vector<NamedPolicy> Fig5abPolicies() {
+  std::vector<NamedPolicy> p(std::begin(kPaperPolicies),
+                             std::end(kPaperPolicies));
+  p.push_back({"Preferred", numalab::mem::MemPolicy::kPreferred});
+  return p;
+}
 
 }  // namespace
 
@@ -39,7 +44,7 @@ int main(int argc, char** argv) {
               " placement policy\n");
   std::printf("%-12s %-14s %-14s %-10s %-10s\n", "policy", "on(Gcyc)",
               "off(Gcyc)", "LAR(on)", "LAR(off)");
-  for (const auto& [pname, policy] : kPolicies) {
+  for (const auto& [pname, policy] : Fig5abPolicies()) {
     RunConfig c = TunedBase("A", 16);
     c.num_records = records;
     c.cardinality = card;
@@ -59,8 +64,7 @@ int main(int argc, char** argv) {
               "(AutoNUMA off)\n");
   std::printf("%-12s %-14s %-14s %-8s\n", "allocator", "THP off", "THP on",
               "on/off");
-  for (const char* alloc :
-       {"ptmalloc", "jemalloc", "tcmalloc", "hoard", "tbbmalloc"}) {
+  for (const char* alloc : kPaperAllocators) {
     RunConfig c = TunedBase("A", 16);
     c.num_records = records;
     c.cardinality = card;
@@ -82,8 +86,7 @@ int main(int argc, char** argv) {
   std::printf("%-10s %-12s %-10s %-10s %-10s\n", "os-config", "policy", "A",
               "B", "C");
   for (bool enabled : {true, false}) {
-    for (const auto& [pname, policy] :
-         {kPolicies[0], kPolicies[1], kPolicies[2]}) {
+    for (const auto& [pname, policy] : kPaperPolicies) {
       std::printf("%-10s %-12s ", enabled ? "enabled" : "disabled", pname);
       for (const char* m : {"A", "B", "C"}) {
         RunConfig c = TunedBase(m, 16);

@@ -9,25 +9,17 @@
 // W1 improves up to 62/83/72% (A/B/C) and W3 up to 70/94/92% vs default
 // ptmalloc+FirstTouch; W2 gains 27-44%, almost entirely from Interleave.
 
-#include <vector>
-
 #include "bench/bench_common.h"
 #include "src/workloads/workloads.h"
 
 using numalab::bench::FlagU64;
 using numalab::bench::GCycles;
+using numalab::bench::kPaperAllocators;
+using numalab::bench::kPaperPolicies;
 using numalab::bench::TunedBase;
 using namespace numalab::workloads;
 
 namespace {
-
-const std::vector<std::pair<const char*, numalab::mem::MemPolicy>> kPolicies =
-    {{"FirstTouch", numalab::mem::MemPolicy::kFirstTouch},
-     {"Interleave", numalab::mem::MemPolicy::kInterleave},
-     {"Localalloc", numalab::mem::MemPolicy::kLocalAlloc}};
-
-const std::vector<const char*> kAllocs = {"ptmalloc", "jemalloc", "tcmalloc",
-                                          "hoard", "tbbmalloc"};
 
 using RunFn = RunResult (*)(const RunConfig&);
 
@@ -35,14 +27,14 @@ void Grid(const char* title, RunFn run, const char* machine,
           RunConfig base) {
   std::printf("%s — Machine %s (Gcycles)\n", title, machine);
   std::printf("%-12s", "allocator");
-  for (const auto& [pname, p] : kPolicies) std::printf("%14s", pname);
+  for (const auto& [pname, p] : kPaperPolicies) std::printf("%14s", pname);
   std::printf("\n");
   base.machine = machine;
   // Machines differ in hardware thread counts (Table II).
   base.threads = machine[0] == 'A' ? 16 : (machine[0] == 'B' ? 32 : 64);
-  for (const char* alloc : kAllocs) {
+  for (const char* alloc : kPaperAllocators) {
     std::printf("%-12s", alloc);
-    for (const auto& [pname, policy] : kPolicies) {
+    for (const auto& [pname, policy] : kPaperPolicies) {
       RunConfig c = base;
       c.allocator = alloc;
       c.policy = policy;
@@ -90,7 +82,7 @@ int main(int argc, char** argv) {
               " (Gcycles)\n");
   std::printf("%-12s %14s %14s %14s\n", "allocator", "MovingCluster",
               "Sequential", "Zipf");
-  for (const char* alloc : kAllocs) {
+  for (const char* alloc : kPaperAllocators) {
     std::printf("%-12s", alloc);
     for (Dataset d : {Dataset::kMovingCluster, Dataset::kSequential,
                       Dataset::kZipf}) {

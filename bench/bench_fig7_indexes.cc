@@ -15,20 +15,10 @@
 
 using numalab::bench::FlagU64;
 using numalab::bench::GCycles;
+using numalab::bench::kPaperAllocators;
+using numalab::bench::kPaperPolicies;
 using numalab::bench::TunedBase;
 using namespace numalab::workloads;
-
-namespace {
-
-const std::vector<std::pair<const char*, numalab::mem::MemPolicy>> kPolicies =
-    {{"FirstTouch", numalab::mem::MemPolicy::kFirstTouch},
-     {"Interleave", numalab::mem::MemPolicy::kInterleave},
-     {"Localalloc", numalab::mem::MemPolicy::kLocalAlloc}};
-
-const std::vector<const char*> kAllocs = {"ptmalloc", "jemalloc", "tcmalloc",
-                                          "hoard", "tbbmalloc"};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   uint64_t build = FlagU64(argc, argv, "build", 100'000);
@@ -47,12 +37,12 @@ int main(int argc, char** argv) {
     std::printf("Figure 7 (%s): W4 join time — Machine A (Gcycles)\n",
                 index);
     std::printf("%-12s", "allocator");
-    for (const auto& [pname, p] : kPolicies) std::printf("%14s", pname);
+    for (const auto& [pname, p] : kPaperPolicies) std::printf("%14s", pname);
     std::printf("\n");
     Best best;
-    for (const char* alloc : kAllocs) {
+    for (const char* alloc : kPaperAllocators) {
       std::printf("%-12s", alloc);
-      for (const auto& [pname, policy] : kPolicies) {
+      for (const auto& [pname, policy] : kPaperPolicies) {
         RunConfig c = TunedBase("A", 16);
         c.build_rows = build;
         c.probe_rows = probe;

@@ -16,8 +16,7 @@ int main(int argc, char** argv) {
   std::printf("Figure 9: TPC-H Q5/Q18 latency by allocator — MonetDB-like"
               " profile, Machine A, SF=%.2f (Gcycles)\n", kScale);
   std::printf("%-12s %12s %12s\n", "allocator", "Q5", "Q18");
-  for (const char* alloc :
-       {"ptmalloc", "jemalloc", "tcmalloc", "hoard", "tbbmalloc"}) {
+  for (const char* alloc : numalab::bench::kPaperAllocators) {
     std::printf("%-12s", alloc);
     for (int q : {5, 18}) {
       TpchOptions o;

@@ -25,7 +25,7 @@
 #      detlint_tree scan and one detlint_rejects_* test per bad fixture
 #      run in stages 1 and 2 with the rest of the suite.
 #
-# Stages 1 and 3 build with -DNUMALAB_WERROR=ON: compiler warnings are
+# Stages 1, 2 and 3 build with -DNUMALAB_WERROR=ON: compiler warnings are
 # errors in the gate (but not in a developer's plain ./build).
 #
 # Exits non-zero on the first failing stage. Build trees are kept under
@@ -60,7 +60,7 @@ run ctest --test-dir build-check --output-on-failure
 
 echo "==== stage 2/8: address,undefined sanitizers + ctest ===="
 run cmake -B build-check-asan -S . -G Ninja \
-    -DNUMALAB_SANITIZE=address,undefined
+    -DNUMALAB_SANITIZE=address,undefined -DNUMALAB_WERROR=ON
 run cmake --build build-check-asan
 run ctest --test-dir build-check-asan --output-on-failure
 

@@ -59,10 +59,7 @@ struct AllocEnv {
     sim::VThread* vt = engine->current();
     return vt != nullptr ? vt->id : 0;
   }
-  uint64_t Now() const {
-    sim::VThread* vt = engine->current();
-    return vt != nullptr ? vt->clock : 0;
-  }
+  uint64_t Now() const { return engine->Now(); }
   void Charge(uint64_t cycles) const {
     sim::VThread* vt = engine->current();
     if (vt != nullptr) vt->Charge(cycles);

@@ -44,7 +44,6 @@ class ResourceQueue {
   uint64_t Reserve(uint64_t now, uint64_t bytes, uint64_t max_delay) {
     Roll(now);
     bytes_cur_ += bytes;
-    total_bytes_ += bytes;
     double service = static_cast<double>(bytes) / bytes_per_cycle_;
     double rho = Utilization();
     double delay = service * rho / (1.0 - rho);
@@ -58,7 +57,6 @@ class ResourceQueue {
   void Book(uint64_t now, uint64_t bytes) {
     Roll(now);
     bytes_cur_ += bytes;
-    total_bytes_ += bytes;
   }
 
   /// Utilization of the last completed epoch, clamped below 1.
@@ -67,8 +65,6 @@ class ResourceQueue {
     double rho = static_cast<double>(bytes_prev_) / capacity;
     return std::min(rho, 0.97);
   }
-
-  uint64_t total_bytes() const { return total_bytes_; }
 
  private:
   void Roll(uint64_t now) {
@@ -89,7 +85,6 @@ class ResourceQueue {
   uint64_t cur_epoch_ = 0;
   uint64_t bytes_cur_ = 0;
   uint64_t bytes_prev_ = 0;
-  uint64_t total_bytes_ = 0;
 };
 
 /// \brief All bandwidth resources of one machine.
@@ -144,10 +139,6 @@ class ContentionModel {
   /// concurrent accessors experience the kernel's memory traffic.
   void Inject(int node, uint64_t now, uint64_t bytes) {
     controllers_[node].Reserve(now, bytes, 0);
-  }
-
-  const ResourceQueue& controller(int node) const {
-    return controllers_[node];
   }
 
  private:

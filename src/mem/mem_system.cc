@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <tuple>
 
 #include "src/sanity/race_detector.h"
 
@@ -128,29 +129,6 @@ const std::array<uint64_t, kMaxNumaNodes>& MemSystem::NodeTraffic(
 void MemSystem::ResetNodeTraffic(int vthread_id) {
   EnsureThreadState(vthread_id);
   node_traffic_[static_cast<size_t>(vthread_id)].fill(0);
-}
-
-MemSystem::SpanCursor& MemSystem::CursorFor(int vthread_id) {
-  if (static_cast<size_t>(vthread_id) >= cursors_.size()) {
-    cursors_.resize(static_cast<size_t>(vthread_id) + 1);
-  }
-  return cursors_[static_cast<size_t>(vthread_id)];
-}
-
-Region* MemSystem::ResolveRegion(SpanCursor& cursor, uint64_t host_addr) {
-  if (cursor.trans_gen == trans_gen_ &&
-      cursor.os_gen == os_->mutation_generation() &&
-      host_addr >= cursor.region_base && host_addr < cursor.region_end) {
-    return cursor.region;
-  }
-  auto [r, idx] = os_->Lookup(host_addr);
-  (void)idx;
-  cursor.region = r;
-  cursor.region_base = r->base;
-  cursor.region_end = r->end();
-  cursor.trans_gen = trans_gen_;
-  cursor.os_gen = os_->mutation_generation();
-  return r;
 }
 
 inline void MemSystem::SampleAutoNuma(sim::VThread* vt, Region* region,
@@ -463,7 +441,6 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
   const int core = machine_->CoreOfHwThread(vt->hw_thread);
   const int my_node = machine_->NodeOfHwThread(vt->hw_thread);
   Tlb& tlb = tlbs_[static_cast<size_t>(core)];
-  SpanCursor& cursor = CursorFor(vt->id);
 
   // Within-span memos (all conservatively droppable; dropping one only
   // falls back to the exact slow operation it elides).
@@ -544,8 +521,7 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
       } else {
         ++vt->counters.tlb_misses;
         vt->Charge(kPageWalkCycles);
-        Region* r = ResolveRegion(cursor, eaddr);
-        size_t pidx = r->PageIndex(eaddr);
+        auto [r, pidx] = os_->Lookup(eaddr);
         os_->Touch(r, pidx, my_node);
         tlb.Insert(erel, r->pages[pidx].huge);
         tlb_lo = erel & ~(kSmallPageBytes - 1);
@@ -595,8 +571,7 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
         busy = page_busy;
         if (autonuma_ || placement_) pidx = r->PageIndex(probe_addr);
       } else {
-        r = ResolveRegion(cursor, probe_addr);
-        pidx = r->PageIndex(probe_addr);
+        std::tie(r, pidx) = os_->Lookup(probe_addr);
         pnode = os_->Touch(r, pidx, my_node);
         bool huge = r->pages[pidx].huge;
         size_t eff = huge ? r->HugeHead(pidx) : pidx;
@@ -681,26 +656,6 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
   flush_pending();
 }
 
-void MemSystem::Access(sim::VThread* vt, const void* addr, uint64_t bytes,
-                       bool write) {
-  if (bytes == 0) return;
-  if (race_ != nullptr) {
-    race_->OnAccess(vt->id, os_->ToSimAddr(reinterpret_cast<uint64_t>(addr)),
-                    bytes, write, vt->clock);
-  }
-  // Single-line accesses (the per-record common case) are cheaper through
-  // the scalar path — the batched engine's memo setup only pays for itself
-  // once a span covers several cache lines. Both paths charge identically
-  // (see span_parity_test), so this is purely a host-speed dispatch.
-  uint64_t a = reinterpret_cast<uint64_t>(addr);
-  uint64_t lines = (a + bytes - 1) / kCacheLineBytes - a / kCacheLineBytes;
-  if (scalar_reference_ || lines < 3) {
-    AccessScalar(vt, addr, bytes, write);
-    return;
-  }
-  SpanFast(vt, a, bytes, bytes, write);
-}
-
 void MemSystem::AccessSpan(sim::VThread* vt, const void* addr, uint64_t bytes,
                            uint64_t stride, bool write) {
   if (bytes == 0) return;
@@ -711,10 +666,20 @@ void MemSystem::AccessSpan(sim::VThread* vt, const void* addr, uint64_t bytes,
     race_->OnAccess(vt->id, os_->ToSimAddr(reinterpret_cast<uint64_t>(addr)),
                     bytes, write, vt->clock);
   }
+  // A single access of under three lines (the per-record common case) is
+  // cheaper through the scalar path: the batched engine's memo setup only
+  // pays for itself once a span covers several cache lines. Both paths
+  // charge identically (see span_parity_test), so this is purely a
+  // host-speed dispatch. The single-element case is a tail call, not one
+  // trip of the loop below: every Access lands here.
   uint64_t base = reinterpret_cast<uint64_t>(addr);
   uint64_t lines =
       (base + bytes - 1) / kCacheLineBytes - base / kCacheLineBytes;
-  if (scalar_reference_ || (lines < 3 && stride == bytes)) {
+  if (stride == bytes && (scalar_reference_ || lines < 3)) {
+    AccessScalar(vt, addr, bytes, write);
+    return;
+  }
+  if (scalar_reference_) {
     for (uint64_t off = 0; off < bytes; off += stride) {
       AccessScalar(vt, reinterpret_cast<const void*>(base + off),
                    std::min(stride, bytes - off), write);

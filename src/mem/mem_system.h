@@ -6,13 +6,16 @@
 // page binding and AutoNUMA hinting-fault sampling happen on this path, just
 // as they do in the kernel's fault handlers.
 //
-// Two implementations of that contract exist:
+// Every charge enters through AccessSpan (Access is a span of one
+// element), which picks one of two implementations of that contract:
 //  - the scalar reference path (AccessScalar): one TLB probe, one cache
 //    probe chain and one contention charge per logical access / cache line,
-//    exactly as documented above; and
-//  - the batched span path (AccessSpan / Access): resolves the page table
-//    and TLB once per page, coalesces same-line accesses and charges runs
-//    of same-epoch DRAM lines with one latency/contention computation.
+//    exactly as documented above; it takes single accesses of under three
+//    cache lines, where the batched engine's setup would not pay off; and
+//  - the batched span path (SpanFast): resolves the page table (one
+//    SimOS::Lookup) and TLB once per page, coalesces same-line accesses and
+//    charges runs of same-epoch DRAM lines with one latency/contention
+//    computation. Its page and TLB memos live for one call.
 // The span path is bit-identical to the scalar path by contract — same
 // ThreadCounters, same virtual clocks, same cache/TLB/contention state —
 // which tests/span_parity_test.cc enforces. SetScalarReference(true)
@@ -48,7 +51,6 @@ class MemSystem {
             CostModel costs, perf::SystemCounters* sys);
 
   SimOS* os() { return os_.get(); }
-  ContentionModel* contention() { return &contention_; }
 
   /// Enables AutoNUMA page-placement sampling (kernel numa_balancing).
   void SetAutoNumaSampling(bool on) { autonuma_ = on; }
@@ -64,9 +66,11 @@ class MemSystem {
   /// AutoNuma daemon each tick.
   void ArmAutoNumaWave() { ++wave_epoch_; }
 
-  /// Charges one logical access of `bytes` at `addr` by the current thread.
-  /// Equivalent to AccessSpan(vt, addr, bytes, /*stride=*/bytes, write).
-  void Access(sim::VThread* vt, const void* addr, uint64_t bytes, bool write);
+  /// Charges one logical access of `bytes` at `addr` by the current thread:
+  /// a span of one element.
+  void Access(sim::VThread* vt, const void* addr, uint64_t bytes, bool write) {
+    AccessSpan(vt, addr, bytes, /*stride=*/bytes, write);
+  }
 
   /// Charges a batched run of logical accesses: one access of
   /// min(stride, remaining) bytes every `stride` bytes over [addr,
@@ -131,26 +135,10 @@ class MemSystem {
   std::string DescribeSimAddr(uint64_t sim_addr) const;
 
  private:
-  /// Last-translation cache of one virtual thread, used by the span path to
-  /// skip SimOS::Lookup while the cached Region provably still covers the
-  /// address. Trusted only while both generations match (thread migration /
-  /// TLB shootdown bump trans_gen_; unmap, madvise, page migration and THP
-  /// collapse/split bump SimOS::mutation_generation()).
-  struct SpanCursor {
-    Region* region = nullptr;
-    uint64_t region_base = 1;
-    uint64_t region_end = 0;  ///< empty range: never matches
-    uint64_t trans_gen = 0;
-    uint64_t os_gen = 0;
-  };
-
   /// Grows both per-thread AutoNUMA state vectors (node_traffic_ and
   /// fault_stride_) to cover `vthread_id`. Every consumer of that state
   /// must go through here, so neither vector is ever indexed short.
   void EnsureThreadState(int vthread_id);
-
-  SpanCursor& CursorFor(int vthread_id);
-  Region* ResolveRegion(SpanCursor& cursor, uint64_t host_addr);
 
   void AccessScalar(sim::VThread* vt, const void* addr, uint64_t bytes,
                     bool write);
@@ -200,7 +188,6 @@ class MemSystem {
   /// Bumped on thread migration and TLB shootdown; span-path memos compare
   /// against it before trusting a cached translation.
   uint64_t trans_gen_ = 0;
-  std::vector<SpanCursor> cursors_;  // per virtual thread
   std::array<std::array<uint64_t, kMaxNumaNodes>, kMaxNumaNodes> lat_table_{};
 };
 

@@ -152,6 +152,18 @@ std::pair<Region*, size_t> SimOS::Lookup(uint64_t addr) const {
   return {r, r->PageIndex(addr)};
 }
 
+void SimOS::TouchRange(uint64_t addr, uint64_t len, int node, bool migrate,
+                       uint64_t now) {
+  if (len == 0) return;
+  auto bind = [&](uint64_t a) {
+    auto [region, idx] = Lookup(a);
+    Touch(region, idx, node);
+    if (migrate) MigratePage(region, idx, node, now);
+  };
+  for (uint64_t a = addr; a < addr + len; a += kSmallPageBytes) bind(a);
+  bind(addr + len - 1);
+}
+
 int SimOS::ChooseBindNode(int accessor_node) {
   switch (policy_) {
     case MemPolicy::kFirstTouch:
@@ -168,8 +180,7 @@ int SimOS::ChooseBindNode(int accessor_node) {
       int n = interleave_cursor_;
       interleave_cursor_ = (interleave_cursor_ + 1) % nn;
       if (faults_ != nullptr) {
-        uint64_t now = 0;
-        if (sim::VThread* vt = engine_->current()) now = vt->clock;
+        uint64_t now = engine_->Now();
         for (int tries = 1; tries < nn && !faults_->NodeOnline(n, now);
              ++tries) {
           n = interleave_cursor_;
@@ -187,8 +198,7 @@ int SimOS::ChooseBindNode(int accessor_node) {
 }
 
 int SimOS::BindWithSpill(int desired, uint64_t bytes) {
-  uint64_t now = 0;
-  if (sim::VThread* vt = engine_->current()) now = vt->clock;
+  uint64_t now = engine_->Now();
   bool desired_online =
       faults_ == nullptr || faults_->NodeOnline(desired, now);
   if (desired_online && EnsureRoom(desired, bytes)) return desired;
@@ -254,8 +264,7 @@ bool SimOS::AddReplica(Region* region, size_t idx, int node) {
   PageRec& p = region->pages[idx];
   if (p.huge || !p.resident || p.node < 0) return false;
   if (p.node == node || ((p.replica_mask >> node) & 1)) return false;
-  uint64_t now = 0;
-  if (sim::VThread* vt = engine_->current()) now = vt->clock;
+  uint64_t now = engine_->Now();
   if (faults_ != nullptr && !faults_->NodeOnline(node, now)) return false;
   // Replicas are strictly opportunistic: they fill free capacity and are
   // never allowed to displace (spill) real pages.

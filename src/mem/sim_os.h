@@ -102,6 +102,14 @@ class SimOS {
     return TouchSlow(region, idx, accessor_node);
   }
 
+  /// Binds the pages backing [addr, addr+len) to `node`: Touch as `node`
+  /// (first touch binds there) the page of every 4K step from addr, then
+  /// the page of the last byte; with `migrate`, each Touch is followed by
+  /// MigratePage(to `node`, at `now`) for pages already bound elsewhere.
+  /// No-op when len is 0.
+  void TouchRange(uint64_t addr, uint64_t len, int node, bool migrate = false,
+                  uint64_t now = 0);
+
   /// Moves the 4K page (or whole huge run) to `to_node`: kernel copy traffic
   /// is injected into the contention model and subsequent accesses stall
   /// until the copy completes. Used by the AutoNUMA model. Any replicas of
@@ -148,8 +156,8 @@ class SimOS {
 
   /// Monotonic counter bumped whenever the page table mutates in a way that
   /// can invalidate a cached translation (unmap, madvise, page migration,
-  /// THP collapse/split). MemSystem's per-thread last-translation caches
-  /// compare against it before trusting a cached Region pointer.
+  /// THP collapse/split). MemSystem's span path drops its within-call page
+  /// memos when an AutoNUMA sample changes it.
   uint64_t mutation_generation() const { return mutation_gen_; }
 
  private:

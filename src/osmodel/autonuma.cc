@@ -3,8 +3,8 @@
 namespace numalab {
 namespace osmodel {
 
-void AutoNuma::Tick(uint64_t now) {
-  if (engine_->live_threads() == 0) return;
+bool AutoNuma::Tick() {
+  if (engine_->live_threads() == 0) return false;
 
   // Periodic PTE scan: a new hinting-fault wave.
   memsys_->ArmAutoNumaWave();
@@ -46,9 +46,7 @@ void AutoNuma::Tick(uint64_t now) {
       memsys_->ResetNodeTraffic(vt->id);
     }
   }
-
-  uint64_t when = std::max(now, engine_->MinLiveClock()) + period_;
-  engine_->ScheduleEvent(when, [this, when] { Tick(when); });
+  return true;
 }
 
 }  // namespace osmodel

@@ -33,18 +33,20 @@ class AutoNuma {
   /// Enables hinting-fault sampling and starts the task balancer.
   void Start() {
     memsys_->SetAutoNumaSampling(true);
-    uint64_t when = period_;
-    engine_->ScheduleEvent(when, [this, when] { Tick(when); });
+    engine_->SchedulePeriodic(kPeriodCycles,
+                              [this](uint64_t) { return Tick(); });
   }
 
  private:
-  void Tick(uint64_t now);
+  static constexpr uint64_t kPeriodCycles = 4'000'000;
+
+  /// One balancer pass; false once the run is over (stops the daemon).
+  bool Tick();
 
   const topology::Machine* machine_;
   sim::Engine* engine_;
   mem::MemSystem* memsys_;
   ThreadScheduler* sched_;
-  uint64_t period_ = 4'000'000;
 };
 
 }  // namespace osmodel

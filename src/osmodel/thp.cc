@@ -5,8 +5,8 @@
 namespace numalab {
 namespace osmodel {
 
-void ThpDaemon::Tick(uint64_t now) {
-  if (engine_->live_threads() == 0) return;
+bool ThpDaemon::Tick(uint64_t now) {
+  if (engine_->live_threads() == 0) return false;
 
   mem::SimOS* os = memsys_->os();
   int collapsed = 0;
@@ -33,9 +33,7 @@ void ThpDaemon::Tick(uint64_t now) {
       ++visited;
     }
   }
-
-  uint64_t when = std::max(now, engine_->MinLiveClock()) + period_;
-  engine_->ScheduleEvent(when, [this, when] { Tick(when); });
+  return true;
 }
 
 }  // namespace osmodel

@@ -29,16 +29,18 @@ class ThpDaemon {
       : engine_(engine), memsys_(memsys) {}
 
   void Start() {
-    uint64_t when = period_;
-    engine_->ScheduleEvent(when, [this, when] { Tick(when); });
+    engine_->SchedulePeriodic(kPeriodCycles,
+                              [this](uint64_t now) { return Tick(now); });
   }
 
  private:
-  void Tick(uint64_t now);
+  static constexpr uint64_t kPeriodCycles = 3'000'000;
+
+  /// One khugepaged scan; false once the run is over (stops the daemon).
+  bool Tick(uint64_t now);
 
   sim::Engine* engine_;
   mem::MemSystem* memsys_;
-  uint64_t period_ = 3'000'000;
   uint64_t region_cursor_ = 0;
   static constexpr int kMaxCollapsesPerScan = 32;
 };

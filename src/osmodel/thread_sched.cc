@@ -78,8 +78,8 @@ void ThreadScheduler::Register(sim::VThread* vt) {
 
 void ThreadScheduler::Start() {
   if (affinity_ != Affinity::kNone) return;
-  uint64_t when = balance_period_;
-  engine_->ScheduleEvent(when, [this, when] { BalanceTick(when); });
+  engine_->SchedulePeriodic(kBalancePeriodCycles,
+                            [this](uint64_t) { return BalanceTick(); });
 }
 
 int ThreadScheduler::LeastLoadedHw() {
@@ -125,12 +125,12 @@ void ThreadScheduler::RecomputeScales() {
   }
 }
 
-void ThreadScheduler::BalanceTick(uint64_t now) {
+bool ThreadScheduler::BalanceTick() {
   int live = 0;
   for (sim::VThread* vt : managed_) {
     if (vt->state != sim::VThreadState::kDone) ++live;
   }
-  if (live == 0) return;  // run over; stop rescheduling
+  if (live == 0) return false;  // run over; stop rescheduling
 
   // Periodic load balancing: pull a thread off the busiest hardware thread.
   int busiest = 0;
@@ -166,11 +166,7 @@ void ThreadScheduler::BalanceTick(uint64_t now) {
       ++sys_->balancer_migrations;
     }
   }
-
-  // Advance strictly from this tick's time: the balancer runs on wall time,
-  // not on the laggard thread's clock (which may be parked at a barrier).
-  uint64_t when = std::max(now, engine_->MinLiveClock()) + balance_period_;
-  engine_->ScheduleEvent(when, [this, when] { BalanceTick(when); });
+  return true;
 }
 
 }  // namespace osmodel

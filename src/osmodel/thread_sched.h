@@ -53,7 +53,11 @@ class ThreadScheduler {
   Affinity affinity() const { return affinity_; }
 
  private:
-  void BalanceTick(uint64_t now);
+  static constexpr uint64_t kBalancePeriodCycles = 2'000'000;  // ~1ms at 2GHz
+
+  /// One balancing pass; false once every managed thread is done (stops
+  /// the balancer).
+  bool BalanceTick();
   void RecomputeScales();
   int LeastLoadedHw();
 
@@ -65,7 +69,6 @@ class ThreadScheduler {
   perf::SystemCounters* sys_;
   std::vector<sim::VThread*> managed_;
   std::vector<int> hw_load_;
-  uint64_t balance_period_ = 2'000'000;  // ~1ms at 2GHz
 };
 
 }  // namespace osmodel

@@ -31,6 +31,7 @@
 #ifndef NUMALAB_SIM_ENGINE_H_
 #define NUMALAB_SIM_ENGINE_H_
 
+#include <algorithm>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -184,6 +185,18 @@ class Engine {
     return first;
   }
 
+  /// Starts a kernel daemon: `tick(now)` runs at virtual time `period`, and
+  /// every tick that returns true is re-armed one period after the later of
+  /// its own time and MinLiveClock(). The daemon keeps its own pace rather
+  /// than a laggard thread's clock (which may be parked at a barrier), but
+  /// never re-fires behind the slowest live thread. A tick that returns
+  /// false ends the chain. Each re-arm draws its event seq at the end of the
+  /// tick, after any event the tick itself scheduled.
+  template <typename Tick>
+  void SchedulePeriodic(uint64_t period, Tick tick) {
+    ScheduleEvent(period, Periodic<Tick>{this, period, period, tick});
+  }
+
   /// Schedules `fn` at `when` on a seq from an earlier ReserveEventSeqs
   /// (CHECKed). The caller must push it no later than the firing of any
   /// event or thread step it has to precede.
@@ -205,6 +218,9 @@ class Engine {
   /// Thread currently executing (only valid inside coroutine bodies /
   /// allocator callbacks reached from them).
   VThread* current() const { return current_; }
+
+  /// Clock of the current thread; 0 outside a coroutine (setup code).
+  uint64_t Now() const { return current_ != nullptr ? current_->clock : 0; }
 
   /// Suspension point; see CheckpointAwaiter. Cheap when the quantum has not
   /// elapsed (no suspension).
@@ -271,6 +287,21 @@ class Engine {
     bool operator()(const Event& a, const Event& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
+    }
+  };
+
+  /// The self-re-arming event behind SchedulePeriodic.
+  template <typename Tick>
+  struct Periodic {
+    Engine* engine;
+    uint64_t when;
+    uint64_t period;
+    Tick tick;
+    void operator()() {
+      if (!tick(when)) return;
+      Periodic next = *this;
+      next.when = std::max(when, engine->MinLiveClock()) + period;
+      engine->ScheduleEvent(next.when, next);
     }
   };
 

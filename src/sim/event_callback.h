@@ -47,8 +47,9 @@ namespace sim {
 /// allocating per event without failing to build.
 class EventCallback {
  public:
-  /// Generous for daemon ticks ([this, when] = 16 B) and serving-layer
-  /// closures ([&s, id, now, backoff] = 24 B), with headroom for tests.
+  /// Generous for daemon ticks (Engine::SchedulePeriodic's engine, when,
+  /// period and [this] tick = 32 B) and serving-layer closures
+  /// ([&s, id, now, backoff] = 24 B), with headroom for tests.
   static constexpr size_t kInlineBytes = 48;
 
   EventCallback() = default;
@@ -179,6 +180,7 @@ class FreeListPool {
 
   static void Deallocate(void* p, size_t size) {
 #ifdef NUMALAB_SIM_POOL_DISABLED
+    (void)size;
     ::operator delete(p);
 #else
     if (size > kMaxBlock) {

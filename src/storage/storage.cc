@@ -29,6 +29,14 @@ constexpr uint64_t PageFormatBytes(uint64_t slots) {
 static_assert(PageFormatBytes(kSlotsPerPage) <= kPageBytes &&
                   PageFormatBytes(kSlotsPerPage + 1) > kPageBytes,
               "kSlotsPerPage must be the most slots a page holds");
+// Byte offsets within a page of the bitmap word holding `slot`'s presence
+// bit and of `slot`'s (key, value) pair.
+constexpr uint64_t BitmapWordOffset(uint64_t slot) {
+  return 8 + 8 * (slot / 64);
+}
+constexpr uint64_t SlotOffset(uint64_t slot) {
+  return 8 + 8 * kBitmapWords + 16 * slot;
+}
 
 // Simulated I/O device (virtual cycles), charged to the calling worker.
 // Each device op adds a seeded jitter in [0, kIoJitterCycles).
@@ -127,10 +135,10 @@ uint64_t StorageEngine::ChargeIo(workloads::Env& env, uint64_t base) {
 void StorageEngine::ApplySlot(uint8_t* img, uint64_t lsn, uint32_t slot,
                               uint64_t key, uint64_t value) const {
   WriteU64(img, lsn);
-  uint64_t word = ReadU64(img + 8 + 8 * (slot / 64));
+  uint64_t word = ReadU64(img + BitmapWordOffset(slot));
   word |= 1ULL << (slot % 64);
-  WriteU64(img + 8 + 8 * (slot / 64), word);
-  uint8_t* s = img + 8 + 8 * kBitmapWords + 16 * slot;
+  WriteU64(img + BitmapWordOffset(slot), word);
+  uint8_t* s = img + SlotOffset(slot);
   WriteU64(s, key);
   WriteU64(s + 8, value);
 }
@@ -230,21 +238,9 @@ StorageEngine::Frame* StorageEngine::FetchLocked(workloads::Env& env,
       // previous owner touched it) is migrated, paying the kernel copy in
       // the contention model. An offline target leaves the page put
       // (counted as an injected migration failure), matching the kernel.
-      uint64_t base_addr = reinterpret_cast<uint64_t>(p);
-      for (uint64_t a = base_addr; a < base_addr + kPageBytes;
-           a += mem::kSmallPageBytes) {
-        auto [region, idx] = env.mem->os()->Lookup(a);
-        env.mem->os()->Touch(region, idx, touch_node);
-        env.mem->os()->MigratePage(region, idx, touch_node,
-                                   env.self->clock);
-      }
-      {
-        auto [region, idx] =
-            env.mem->os()->Lookup(base_addr + kPageBytes - 1);
-        env.mem->os()->Touch(region, idx, touch_node);
-        env.mem->os()->MigratePage(region, idx, touch_node,
-                                   env.self->clock);
-      }
+      env.mem->os()->TouchRange(reinterpret_cast<uint64_t>(p), kPageBytes,
+                                touch_node, /*migrate=*/true,
+                                env.self->clock);
       sh.frames.emplace_back();
       victim = &sh.frames.back();
       victim->data = static_cast<uint8_t*>(p);
@@ -328,8 +324,8 @@ bool StorageEngine::Upsert(workloads::Env& env, uint64_t key,
     ApplySlot(f.data, lsn, slot, key, value);
     // Charge the in-frame writes: header LSN + bitmap word + the slot.
     env.Write(f.data, 8);
-    env.Write(f.data + 8 + 8 * (slot / 64), 8);
-    env.Write(f.data + 8 + 8 * kBitmapWords + 16 * slot, 16);
+    env.Write(f.data + BitmapWordOffset(slot), 8);
+    env.Write(f.data + SlotOffset(slot), 16);
     f.page_lsn = lsn;
     f.dirty = true;
   });
@@ -347,10 +343,10 @@ bool StorageEngine::Get(workloads::Env& env, uint64_t key, uint64_t* value) {
   uint32_t slot = static_cast<uint32_t>(key % kSlotsPerPage);
   bool found = false;
   PageOutcome r = WithPage(env, page, [&](Frame& f) {
-    env.Read(f.data + 8 + 8 * (slot / 64), 8);
-    uint64_t word = ReadU64(f.data + 8 + 8 * (slot / 64));
+    env.Read(f.data + BitmapWordOffset(slot), 8);
+    uint64_t word = ReadU64(f.data + BitmapWordOffset(slot));
     if ((word >> (slot % 64)) & 1ULL) {
-      const uint8_t* s = f.data + 8 + 8 * kBitmapWords + 16 * slot;
+      const uint8_t* s = f.data + SlotOffset(slot);
       env.Read(s, 16);
       *value = ReadU64(s + 8);
       found = true;
@@ -375,10 +371,10 @@ uint64_t StorageEngine::ScanSum(workloads::Env& env, uint64_t key,
     uint64_t last = std::min(end, (page + 1) * kSlotsPerPage);
     uint32_t count = static_cast<uint32_t>(last - k);
     PageOutcome r = WithPage(env, page, [&](Frame& f) {
-      const uint8_t* base = f.data + 8 + 8 * kBitmapWords + 16 * first;
+      const uint8_t* base = f.data + SlotOffset(first);
       env.ReadSpan(base, 16ULL * count, 16);
       for (uint32_t i = 0; i < count; ++i) {
-        uint64_t word = ReadU64(f.data + 8 + 8 * ((first + i) / 64));
+        uint64_t word = ReadU64(f.data + BitmapWordOffset(first + i));
         if ((word >> ((first + i) % 64)) & 1ULL) {
           sum += ReadU64(base + 16ULL * i + 8);
         }
@@ -490,10 +486,9 @@ uint64_t StorageEngine::Checksum() const {
     uint64_t hi = std::min(cfg_.rows, lo + kSlotsPerPage);
     for (uint64_t key = lo; key < hi; ++key) {
       uint32_t slot = static_cast<uint32_t>(key - lo);
-      uint64_t word = ReadU64(img + 8 + 8 * (slot / 64));
+      uint64_t word = ReadU64(img + BitmapWordOffset(slot));
       if ((word >> (slot % 64)) & 1ULL) {
-        uint64_t value =
-            ReadU64(img + 8 + 8 * kBitmapWords + 16 * slot + 8);
+        uint64_t value = ReadU64(img + SlotOffset(slot) + 8);
         sum += SplitMix64(key * 0x9e3779b97f4a7c15ULL ^ value).Next();
       }
     }

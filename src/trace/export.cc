@@ -37,25 +37,21 @@ void AppendQuoted(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+// The fields of `table` as "name":value pairs, comma-separated, in list
+// order (src/perf/counters.h).
+template <typename Counters, size_t N>
+void AppendFields(std::string* out, const Counters& c,
+                  const perf::CounterField<Counters> (&table)[N]) {
+  for (size_t i = 0; i < N; ++i) {
+    Appendf(out, "%s\"%s\":%" PRIu64, i == 0 ? "" : ",", table[i].name,
+            c.*table[i].member);
+  }
+}
+
 void AppendCounters(std::string* out, const perf::ThreadCounters& c) {
-  Appendf(out,
-          "{\"cycles\":%" PRIu64 ",\"thread_migrations\":%" PRIu64
-          ",\"mem_accesses\":%" PRIu64 ",\"private_hits\":%" PRIu64
-          ",\"llc_hits\":%" PRIu64 ",\"llc_misses\":%" PRIu64,
-          c.cycles, c.thread_migrations, c.mem_accesses, c.private_hits,
-          c.llc_hits, c.llc_misses);
-  Appendf(out,
-          ",\"local_dram\":%" PRIu64 ",\"remote_dram\":%" PRIu64
-          ",\"tlb_hits\":%" PRIu64 ",\"tlb_misses\":%" PRIu64
-          ",\"hinting_faults\":%" PRIu64,
-          c.local_dram, c.remote_dram, c.tlb_hits, c.tlb_misses,
-          c.hinting_faults);
-  Appendf(out,
-          ",\"alloc_calls\":%" PRIu64 ",\"free_calls\":%" PRIu64
-          ",\"alloc_cycles\":%" PRIu64 ",\"lock_wait_cycles\":%" PRIu64
-          ",\"queue_delay_cycles\":%" PRIu64 "}",
-          c.alloc_calls, c.free_calls, c.alloc_cycles, c.lock_wait_cycles,
-          c.queue_delay_cycles);
+  out->push_back('{');
+  AppendFields(out, c, perf::kThreadCounterFields);
+  out->push_back('}');
 }
 
 bool HasSection(const CollectedRun& run, const char* key) {
@@ -112,33 +108,13 @@ void AppendRun(std::string* out, const CollectedRun& run, int id) {
   out->append(",\n     \"counters\":");
   AppendCounters(out, r.report.threads);
   const perf::SystemCounters& s = r.report.system;
-  Appendf(out,
-          ",\n     \"system\":{\"page_migrations\":%" PRIu64
-          ",\"thp_collapses\":%" PRIu64 ",\"thp_splits\":%" PRIu64
-          ",\"pages_mapped\":%" PRIu64 ",\"bytes_mapped\":%" PRIu64
-          ",\"bytes_mapped_peak\":%" PRIu64 ",\"balancer_migrations\":%" PRIu64,
-          s.page_migrations, s.thp_collapses, s.thp_splits, s.pages_mapped,
-          s.bytes_mapped, s.bytes_mapped_peak, s.balancer_migrations);
-  Appendf(out,
-          ",\n      \"pages_replicated\":%" PRIu64
-          ",\"replica_reads\":%" PRIu64 ",\"replica_writes\":%" PRIu64
-          ",\"replica_invalidations\":%" PRIu64 ",\"replica_drops\":%" PRIu64,
-          s.pages_replicated, s.replica_reads, s.replica_writes,
-          s.replica_invalidations, s.replica_drops);
-  Appendf(out,
-          ",\"replica_bytes_peak\":%" PRIu64 ",\"migrations_vetoed\":%" PRIu64
-          ",\"capacity_bytes_total\":%" PRIu64 "}",
-          s.replica_bytes_peak, s.migrations_vetoed, s.capacity_bytes_total);
-  Appendf(out,
-          ",\n     \"degradation\":{\"pages_spilled\":%" PRIu64
-          ",\"oom_last_resort_pages\":%" PRIu64
-          ",\"offline_redirects\":%" PRIu64
-          ",\"all_offline_binds\":%" PRIu64
-          ",\"alloc_failures_injected\":%" PRIu64
-          ",\"migration_failures_injected\":%" PRIu64 "}",
-          s.pages_spilled, s.oom_last_resort_pages, s.offline_redirects,
-          s.all_offline_binds, s.alloc_failures_injected,
-          s.migration_failures_injected);
+  out->append(",\n     \"system\":{");
+  AppendFields(out, s, perf::kOsCounterFields);
+  out->append(",\n      ");
+  AppendFields(out, s, perf::kPlacementCounterFields);
+  out->append("},\n     \"degradation\":{");
+  AppendFields(out, s, perf::kDegradationCounterFields);
+  out->append("}");
 
   out->append(",\n     \"threads\":[");
   for (size_t i = 0; i < r.trace.threads.size(); ++i) {

@@ -146,16 +146,7 @@ struct Env {
 /// Interleave results hinge on).
 inline void PretouchAsNode(mem::MemSystem* mem, const void* p, size_t len,
                            int node) {
-  uint64_t addr = reinterpret_cast<uint64_t>(p);
-  uint64_t end = addr + len;
-  for (uint64_t a = addr; a < end; a += mem::kSmallPageBytes) {
-    auto [region, idx] = mem->os()->Lookup(a);
-    mem->os()->Touch(region, idx, node);
-  }
-  if (len > 0) {
-    auto [region, idx] = mem->os()->Lookup(end - 1);
-    mem->os()->Touch(region, idx, node);
-  }
+  mem->os()->TouchRange(reinterpret_cast<uint64_t>(p), len, node);
 }
 
 /// \brief A half-open index range [lo, hi).

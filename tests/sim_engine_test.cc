@@ -234,10 +234,57 @@ TEST(Engine, EventsDoNotFireAfterAllThreadsDone) {
   EXPECT_EQ(fired, 0);
 }
 
+TEST(Engine, PeriodicReArmsBehindTheSlowestLiveThread) {
+  // One step jumps the only thread's clock past the next tick, so
+  // MinLiveClock leads the tick time: each re-arm lands one period after
+  // the thread's clock, not one period after the previous tick.
+  Engine e(/*quantum=*/1);
+  std::vector<uint64_t> ticks;
+  e.SchedulePeriodic(1000, [&](uint64_t now) {
+    ticks.push_back(now);
+    return true;
+  });
+  e.Spawn("w", 0, [&](VThread* vt) {
+    return ChargeNTimes(vt, &e, 10'500, 3, nullptr, 0);
+  });
+  e.Run();
+  EXPECT_EQ(ticks, (std::vector<uint64_t>{1000, 11'500, 22'000}));
+}
+
 Task ArriveOnce(VThread* vt, SimBarrier* b, uint64_t work) {
   vt->Charge(work);
   co_await b->Arrive();
   vt->Charge(1);
+}
+
+Task WorkThenArrive(VThread* vt, Engine* e, SimBarrier* b, uint64_t per_step,
+                    int steps) {
+  for (int i = 0; i < steps; ++i) {
+    vt->Charge(per_step);
+    co_await e->Checkpoint();
+  }
+  co_await b->Arrive();
+}
+
+TEST(Engine, PeriodicKeepsItsOwnPaceAndStopsOnFalse) {
+  // A thread parked at a barrier holds MinLiveClock at 0, behind every
+  // tick: the daemon keeps its own period instead of re-firing at the
+  // parked clock. The fifth tick returns false, which ends the chain while
+  // the worker still runs to 10000.
+  Engine e(/*quantum=*/1);
+  SimBarrier b(&e, 2);
+  std::vector<uint64_t> ticks;
+  e.SchedulePeriodic(1000, [&](uint64_t now) {
+    ticks.push_back(now);
+    return ticks.size() < 5;
+  });
+  e.Spawn("parked", 0, [&](VThread* vt) { return ArriveOnce(vt, &b, 0); });
+  e.Spawn("worker", 1, [&](VThread* vt) {
+    return WorkThenArrive(vt, &e, &b, 2500, 4);
+  });
+  e.Run();
+  EXPECT_EQ(ticks, (std::vector<uint64_t>{1000, 2000, 3000, 4000, 5000}));
+  EXPECT_EQ(e.pending_events(), 0u);
 }
 
 TEST(SimBarrierTest, ReleasesAtMaxClock) {

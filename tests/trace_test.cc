@@ -20,22 +20,9 @@ namespace {
 
 void ExpectSameCounters(const perf::ThreadCounters& a,
                         const perf::ThreadCounters& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.thread_migrations, b.thread_migrations);
-  EXPECT_EQ(a.mem_accesses, b.mem_accesses);
-  EXPECT_EQ(a.private_hits, b.private_hits);
-  EXPECT_EQ(a.llc_hits, b.llc_hits);
-  EXPECT_EQ(a.llc_misses, b.llc_misses);
-  EXPECT_EQ(a.local_dram, b.local_dram);
-  EXPECT_EQ(a.remote_dram, b.remote_dram);
-  EXPECT_EQ(a.tlb_hits, b.tlb_hits);
-  EXPECT_EQ(a.tlb_misses, b.tlb_misses);
-  EXPECT_EQ(a.hinting_faults, b.hinting_faults);
-  EXPECT_EQ(a.alloc_calls, b.alloc_calls);
-  EXPECT_EQ(a.free_calls, b.free_calls);
-  EXPECT_EQ(a.alloc_cycles, b.alloc_cycles);
-  EXPECT_EQ(a.lock_wait_cycles, b.lock_wait_cycles);
-  EXPECT_EQ(a.queue_delay_cycles, b.queue_delay_cycles);
+  for (const auto& f : perf::kThreadCounterFields) {
+    EXPECT_EQ(a.*f.member, b.*f.member) << f.name;
+  }
 }
 
 // Small, quick W3 cell; trace recorder attached per-run (not the process
