@@ -49,7 +49,7 @@ class ConcurrentHashTable {
   /// Env outside any coroutine; the bucket array is one large allocation,
   /// so the memory placement policy governs where it lands.
   ConcurrentHashTable(workloads::Env& env, uint64_t nbuckets)
-      : env0_(env), nbuckets_(RoundUpPow2(nbuckets)), mask_(nbuckets_ - 1) {
+      : nbuckets_(RoundUpPow2(nbuckets)), mask_(nbuckets_ - 1) {
     buckets_ = static_cast<Entry**>(
         env.alloc->Alloc(nbuckets_ * sizeof(Entry*)));
     for (uint64_t i = 0; i < nbuckets_; ++i) buckets_[i] = nullptr;
@@ -154,7 +154,6 @@ class ConcurrentHashTable {
     return p;
   }
 
-  workloads::Env& env0_;
   uint64_t nbuckets_;
   uint64_t mask_;
   Entry** buckets_;

@@ -29,19 +29,19 @@ int SystemProfile::WorkersFor(int query, int hw) const {
 
 const std::vector<SystemProfile>& AllProfiles() {
   static const std::vector<SystemProfile> kProfiles = {
-      {"columnar-vec", "MonetDB", /*vectorized=*/true,
+      {"columnar-vec", "MonetDB",
        /*per_tuple_cycles=*/14, /*scratch_per_row=*/144,
        /*thp_stays_on=*/false, /*parallel_kind=*/0},
-      {"row-mp", "PostgreSQL", /*vectorized=*/false,
+      {"row-mp", "PostgreSQL",
        /*per_tuple_cycles=*/30, /*scratch_per_row=*/8,
        /*thp_stays_on=*/false, /*parallel_kind=*/1},
-      {"row-st", "MySQL", /*vectorized=*/false,
+      {"row-st", "MySQL",
        /*per_tuple_cycles=*/40, /*scratch_per_row=*/8,
        /*thp_stays_on=*/false, /*parallel_kind=*/2},
-      {"hybrid-par", "DBMSx", /*vectorized=*/true,
+      {"hybrid-par", "DBMSx",
        /*per_tuple_cycles=*/8, /*scratch_per_row=*/96,
        /*thp_stays_on=*/true, /*parallel_kind=*/0},
-      {"hybrid-vec", "Quickstep", /*vectorized=*/true,
+      {"hybrid-vec", "Quickstep",
        /*per_tuple_cycles=*/22, /*scratch_per_row=*/16,
        /*thp_stays_on=*/false, /*parallel_kind=*/0},
   };
@@ -75,11 +75,7 @@ void ChargeScratch(QCtx& q, uint64_t rows) {
   q.env->Free(p);
 }
 
-void ChargeSort(QCtx& q, const void* buf, uint64_t n, uint64_t width) {
-  // `buf` is typically a host-side scratch vector (sort output staging),
-  // not simulated memory — charge compute plus one modelled pass of
-  // line-sized traffic, without touching the page table.
-  (void)buf;
+void ChargeSort(QCtx& q, uint64_t n, uint64_t width) {
   if (n < 2) return;
   double logn = std::log2(static_cast<double>(n));
   q.env->Compute(static_cast<uint64_t>(static_cast<double>(n) * logn * 4.0));

@@ -7,9 +7,10 @@
 //
 // Five "system profiles" (SystemProfile) make one engine behave like the
 // five architecturally divergent DBMSs of the paper's W5 experiment: they
-// control intra-query parallelism, per-tuple interpretation overhead,
-// vectorization, operator scratch allocation, and whether the tuned OS
-// configuration keeps THP on (the paper leaves THP enabled for DBMSx).
+// control intra-query parallelism, per-tuple interpretation overhead (the
+// cost that models vectorized versus tuple-at-a-time execution), operator
+// scratch allocation, and whether the tuned OS configuration keeps THP on
+// (the paper leaves THP enabled for DBMSx).
 
 #ifndef NUMALAB_MINIDB_EXEC_H_
 #define NUMALAB_MINIDB_EXEC_H_
@@ -28,7 +29,6 @@ struct SystemProfile {
   std::string name;
   /// Paper analogue, for documentation/reporting only.
   std::string models;
-  bool vectorized = true;
   uint64_t per_tuple_cycles = 4;  ///< interpretation overhead per row
   uint64_t scratch_per_row = 8;   ///< operator scratch bytes per visited row
   bool thp_stays_on = false;      ///< tuned config keeps THP enabled
@@ -57,7 +57,7 @@ struct Phase {
   std::function<void(QCtx&, uint64_t, uint64_t)> body;
 };
 
-/// \brief A full query: phases plus a name for reporting.
+/// \brief A full query: its phases, in execution order.
 struct QueryPlan {
   std::vector<Phase> phases;
 };
@@ -77,8 +77,9 @@ void ChargeScan(QCtx& q, std::initializer_list<const void*> cols,
 void ChargeScratch(QCtx& q, uint64_t rows);
 
 /// Charges a sort of n rows of `width` bytes (n log n compares plus one
-/// read+write pass over the buffer).
-void ChargeSort(QCtx& q, const void* buf, uint64_t n, uint64_t width);
+/// read+write pass over the buffer). The buffer is host-side staging, so
+/// the pass is modelled as compute without touching the page table.
+void ChargeSort(QCtx& q, uint64_t n, uint64_t width);
 
 /// \brief Open-addressing hash aggregation table in simulated memory.
 /// Per-worker (unsynchronized); merge locals in a serial phase.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "src/minidb/tpch_gen.h"
 
@@ -53,33 +54,88 @@ Phase Par(uint64_t rows,
   return Phase{rows, std::move(body)};
 }
 
-LocalAgg<AggVal>& Local(QueryState& st, QCtx& q) {
-  auto& l = st.locals[static_cast<size_t>(q.env->worker_index)];
-  if (!l.initialized()) l.Init(*q.env, 512);
-  return l;
-}
-LocalAgg<AggVal>& Local2(QueryState& st, QCtx& q) {
-  auto& l = st.locals2[static_cast<size_t>(q.env->worker_index)];
+// This worker's table in `locals`, created on first use.
+LocalAgg<AggVal>& Local(std::vector<LocalAgg<AggVal>>& locals, QCtx& q) {
+  auto& l = locals[static_cast<size_t>(q.env->worker_index)];
   if (!l.initialized()) l.Init(*q.env, 512);
   return l;
 }
 
-// Merges all per-worker locals into st.global, summing fields.
-Phase MergeLocals(QueryState& st,
+// This worker's slot in a per-worker scalar accumulator.
+double& Scalar(std::vector<double>& scalars, QCtx& q) {
+  return scalars[static_cast<size_t>(q.env->worker_index)];
+}
+
+// The sum of all workers' slots, in worker order.
+double Sum(const std::vector<double>& scalars) {
+  double total = 0;
+  for (double s : scalars) total += s;
+  return total;
+}
+
+// How MergeLocals combines two workers' values of one key.
+using Combine = void (*)(AggVal* dst, const AggVal* src);
+
+void AddFields(AggVal* dst, const AggVal* src) {
+  for (int i = 0; i < 6; ++i) dst->v[i] += src->v[i];
+  for (int i = 0; i < 2; ++i) dst->c[i] += src->c[i];
+}
+
+// Merges all per-worker locals into one table with `combine`.
+Phase MergeLocals(QueryState& st, Combine combine = AddFields,
                   std::vector<LocalAgg<AggVal>> QueryState::* which =
                       &QueryState::locals,
                   LocalAgg<AggVal> QueryState::* into = &QueryState::global) {
-  return Serial([&st, which, into](QCtx& q) {
+  return Serial([&st, combine, which, into](QCtx& q) {
     auto& dst = st.*into;
     if (!dst.initialized()) dst.Init(*q.env, 1024);
     for (auto& l : st.*which) {
       l.ForEach(*q.env, [&](uint64_t key, AggVal* src) {
-        AggVal* d = dst.Upsert(*q.env, key);
-        for (int i = 0; i < 6; ++i) d->v[i] += src->v[i];
-        for (int i = 0; i < 2; ++i) d->c[i] += src->c[i];
+        combine(dst.Upsert(*q.env, key), src);
       });
     }
   });
+}
+
+// What Fold and TopN take from one table entry; empty leaves it out.
+using Value = std::optional<double>;
+
+// Folds the entries of `table` that `term` maps to a value into a query
+// answer: rows counts them, digest sums their values in slot order.
+template <typename F>
+QueryOutput Fold(QCtx& q, LocalAgg<AggVal>& table, F&& term) {
+  QueryOutput out;
+  table.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
+    Value v = term(key, a);
+    if (!v.has_value()) return;
+    out.digest += *v;
+    ++out.rows;
+  });
+  return out;
+}
+
+// The final phase of a query whose answer is st.global folded by `term`.
+template <typename F>
+Phase FoldGlobal(QueryState& st, F term) {
+  return Serial([&st, term](QCtx& q) { st.out = Fold(q, st.global, term); });
+}
+
+// (value, key) pairs, ranked by value.
+using Ranked = std::vector<std::pair<double, uint64_t>>;
+
+// The `n` largest of the values `rank` gives st.global's entries (entries
+// it maps to no value are left out), in descending order. Charges the sort.
+template <typename F>
+Ranked TopN(QueryState& st, QCtx& q, uint64_t n, F&& rank) {
+  Ranked rows;
+  st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
+    Value v = rank(key, a);
+    if (v.has_value()) rows.emplace_back(*v, key);
+  });
+  ChargeSort(q, rows.size(), 16);
+  std::sort(rows.rbegin(), rows.rend());
+  rows.resize(std::min<uint64_t>(rows.size(), n));
+  return rows;
 }
 
 // Creates a shared hash table sized for ~n entries.
@@ -98,12 +154,12 @@ Phase MakeHt(QueryState& st,
 QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
   QueryState& st = *stp;
   const Database& db = *st.db;
-  const Table& L = *db.lineitem;
-  const Table& O = *db.orders;
-  const Table& C = *db.customer;
-  const Table& P = *db.part;
-  const Table& S = *db.supplier;
-  const Table& PS = *db.partsupp;
+  const Lineitem& L = db.lineitem;
+  const Orders& O = db.orders;
+  const Customer& C = db.customer;
+  const Part& P = db.part;
+  const Supplier& S = db.supplier;
+  const PartSupp& PS = db.partsupp;
 
   QueryPlan plan;
   auto& ph = plan.phases;
@@ -112,18 +168,18 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
     // ---------------------------------------------------------------- Q1
     case 1: {
       const int64_t cutoff = Date(1998, 9, 2);
-      ph.push_back(Par(L.rows(), [&st, &L, cutoff](QCtx& q, uint64_t lo,
-                                                   uint64_t hi) {
-        const auto* ship = L.I64("l_shipdate");
-        const auto* rf = L.I64("l_returnflag");
-        const auto* ls = L.I64("l_linestatus");
-        const auto* qty = L.I64("l_quantity");
-        const auto* price = L.F64("l_extendedprice");
-        const auto* disc = L.F64("l_discount");
-        const auto* tax = L.F64("l_tax");
+      ph.push_back(Par(L.rows, [&st, &L, cutoff](QCtx& q, uint64_t lo,
+                                                 uint64_t hi) {
+        const auto* ship = L.l_shipdate;
+        const auto* rf = L.l_returnflag;
+        const auto* ls = L.l_linestatus;
+        const auto* qty = L.l_quantity;
+        const auto* price = L.l_extendedprice;
+        const auto* disc = L.l_discount;
+        const auto* tax = L.l_tax;
         ChargeScan(q, {ship, rf, ls, qty, price, disc, tax}, lo, hi);
         ChargeScratch(q, hi - lo);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (ship[i] > cutoff) continue;
           AggVal* a = local.Upsert(*q.env,
@@ -137,27 +193,20 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
         }
       }));
       ph.push_back(MergeLocals(st));
-      ph.push_back(Serial([&st](QCtx& q) {
-        double digest = 0;
-        uint64_t rows = 0;
-        st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          digest += static_cast<double>(key + 1) * (a->v[3] / 1e6) +
-                    static_cast<double>(a->c[0]);
-          ++rows;
-        });
-        st.out = {rows, digest};
+      ph.push_back(FoldGlobal(st, [](uint64_t key, AggVal* a) {
+        return static_cast<double>(key + 1) * (a->v[3] / 1e6) +
+               static_cast<double>(a->c[0]);
       }));
       break;
     }
 
     // ---------------------------------------------------------------- Q2
     case 2: {
-      ph.push_back(MakeHt(st, &QueryState::ht1, P.rows() / 32));
-      ph.push_back(Par(P.rows(), [&st, &P](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* size = P.I64("p_size");
-        const auto* type = P.I64("p_type");
-        const auto* key = P.I64("p_partkey");
+      ph.push_back(MakeHt(st, &QueryState::ht1, P.rows / 32));
+      ph.push_back(Par(P.rows, [&st, &P](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* size = P.p_size;
+        const auto* type = P.p_type;
+        const auto* key = P.p_partkey;
         ChargeScan(q, {size, type, key}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (size[i] == 15 && type[i] % 5 == 2) {  // '%BRASS'
@@ -165,15 +214,15 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(Par(PS.rows(), [&st, &PS, &S](QCtx& q, uint64_t lo,
-                                                 uint64_t hi) {
-        const auto* pk = PS.I64("ps_partkey");
-        const auto* sk = PS.I64("ps_suppkey");
-        const auto* cost = PS.F64("ps_supplycost");
-        const auto* snat = S.I64("s_nationkey");
+      ph.push_back(Par(PS.rows, [&st, &PS, &S](QCtx& q, uint64_t lo,
+                                               uint64_t hi) {
+        const auto* pk = PS.ps_partkey;
+        const auto* sk = PS.ps_suppkey;
+        const auto* cost = PS.ps_supplycost;
+        const auto* snat = S.s_nationkey;
         ChargeScan(q, {pk, sk, cost}, lo, hi);
         ChargeScratch(q, hi - lo);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (st.ht1->Find(*q.env, static_cast<uint64_t>(pk[i])) == nullptr)
             continue;
@@ -187,29 +236,23 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           a->c[0] += 1;
         }
       }));
-      // Min across workers, then sum the winning suppliers' balances.
-      ph.push_back(Serial([&st, &S](QCtx& q) {
-        if (!st.global.initialized()) st.global.Init(*q.env, 1024);
-        for (auto& l : st.locals) {
-          l.ForEach(*q.env, [&](uint64_t key, AggVal* src) {
-            AggVal* d = st.global.Upsert(*q.env, key);
-            if (d->c[0] == 0 || src->v[0] < d->v[0]) {
-              d->v[0] = src->v[0];
-              d->v[1] = src->v[1];
-            }
-            d->c[0] += src->c[0];
-          });
+      // Min across workers, then sum the winning suppliers' balances, in
+      // one serial phase.
+      Phase min_merge = MergeLocals(st, [](AggVal* d, const AggVal* src) {
+        if (d->c[0] == 0 || src->v[0] < d->v[0]) {
+          d->v[0] = src->v[0];
+          d->v[1] = src->v[1];
         }
-        const auto* bal = S.F64("s_acctbal");
-        double digest = 0;
-        uint64_t rows = 0;
-        st.global.ForEach(*q.env, [&](uint64_t, AggVal* a) {
+        d->c[0] += src->c[0];
+      });
+      ph.push_back(Serial([&st, &S, min_merge](QCtx& q) {
+        min_merge.body(q, 0, 0);
+        const auto* bal = S.s_acctbal;
+        st.out = Fold(q, st.global, [&](uint64_t, AggVal* a) {
           auto s = static_cast<uint64_t>(a->v[1]);
           q.env->Read(&bal[s - 1], 8);
-          digest += bal[s - 1] + a->v[0];
-          ++rows;
+          return bal[s - 1] + a->v[0];
         });
-        st.out = {rows, digest};
       }));
       break;
     }
@@ -217,11 +260,10 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
     // ---------------------------------------------------------------- Q3
     case 3: {
       const int64_t cutoff = Date(1995, 3, 15);
-      ph.push_back(MakeHt(st, &QueryState::ht1, C.rows() / 4));
-      ph.push_back(Par(C.rows(), [&st, &C](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* seg = C.I64("c_mktsegment");
-        const auto* key = C.I64("c_custkey");
+      ph.push_back(MakeHt(st, &QueryState::ht1, C.rows / 4));
+      ph.push_back(Par(C.rows, [&st, &C](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* seg = C.c_mktsegment;
+        const auto* key = C.c_custkey;
         ChargeScan(q, {seg, key}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (seg[i] == kSegBuilding) {
@@ -229,12 +271,12 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(MakeHt(st, &QueryState::ht2, O.rows() / 2));
-      ph.push_back(Par(O.rows(), [&st, &O, cutoff](QCtx& q, uint64_t lo,
-                                                   uint64_t hi) {
-        const auto* okey = O.I64("o_orderkey");
-        const auto* cust = O.I64("o_custkey");
-        const auto* date = O.I64("o_orderdate");
+      ph.push_back(MakeHt(st, &QueryState::ht2, O.rows / 2));
+      ph.push_back(Par(O.rows, [&st, &O, cutoff](QCtx& q, uint64_t lo,
+                                                 uint64_t hi) {
+        const auto* okey = O.o_orderkey;
+        const auto* cust = O.o_custkey;
+        const auto* date = O.o_orderdate;
         ChargeScan(q, {okey, cust, date}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (date[i] < cutoff &&
@@ -243,15 +285,15 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(Par(L.rows(), [&st, &L, cutoff](QCtx& q, uint64_t lo,
-                                                   uint64_t hi) {
-        const auto* okey = L.I64("l_orderkey");
-        const auto* ship = L.I64("l_shipdate");
-        const auto* price = L.F64("l_extendedprice");
-        const auto* disc = L.F64("l_discount");
+      ph.push_back(Par(L.rows, [&st, &L, cutoff](QCtx& q, uint64_t lo,
+                                                 uint64_t hi) {
+        const auto* okey = L.l_orderkey;
+        const auto* ship = L.l_shipdate;
+        const auto* price = L.l_extendedprice;
+        const auto* disc = L.l_discount;
         ChargeScan(q, {okey, ship, price, disc}, lo, hi);
         ChargeScratch(q, hi - lo);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (ship[i] > cutoff &&
               st.ht2->Find(*q.env, static_cast<uint64_t>(okey[i]))) {
@@ -262,16 +304,11 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
       }));
       ph.push_back(MergeLocals(st));
       ph.push_back(Serial([&st](QCtx& q) {
-        std::vector<std::pair<double, uint64_t>> rows;
-        st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          rows.emplace_back(a->v[0], key);
-        });
-        ChargeSort(q, rows.data(), rows.size(), 16);
-        std::sort(rows.rbegin(), rows.rend());
+        Ranked top =
+            TopN(st, q, 10, [](uint64_t, AggVal* a) { return a->v[0]; });
         double digest = 0;
-        uint64_t n = std::min<uint64_t>(rows.size(), 10);
-        for (uint64_t i = 0; i < n; ++i) digest += rows[i].first;
-        st.out = {n, digest};
+        for (const auto& [revenue, okey] : top) digest += revenue;
+        st.out = {top.size(), digest};
       }));
       break;
     }
@@ -279,12 +316,11 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
     // ---------------------------------------------------------------- Q4
     case 4: {
       const int64_t lo_d = Date(1993, 7, 1), hi_d = Date(1993, 10, 1);
-      ph.push_back(MakeHt(st, &QueryState::ht1, O.rows() / 2));
-      ph.push_back(Par(L.rows(), [&st, &L](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* okey = L.I64("l_orderkey");
-        const auto* commit = L.I64("l_commitdate");
-        const auto* receipt = L.I64("l_receiptdate");
+      ph.push_back(MakeHt(st, &QueryState::ht1, O.rows / 2));
+      ph.push_back(Par(L.rows, [&st, &L](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* okey = L.l_orderkey;
+        const auto* commit = L.l_commitdate;
+        const auto* receipt = L.l_receiptdate;
         ChargeScan(q, {okey, commit, receipt}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (commit[i] < receipt[i]) {
@@ -292,13 +328,13 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(Par(O.rows(), [&st, &O, lo_d, hi_d](QCtx& q, uint64_t lo,
-                                                       uint64_t hi) {
-        const auto* okey = O.I64("o_orderkey");
-        const auto* date = O.I64("o_orderdate");
-        const auto* prio = O.I64("o_orderpriority");
+      ph.push_back(Par(O.rows, [&st, &O, lo_d, hi_d](QCtx& q, uint64_t lo,
+                                                     uint64_t hi) {
+        const auto* okey = O.o_orderkey;
+        const auto* date = O.o_orderdate;
+        const auto* prio = O.o_orderpriority;
         ChargeScan(q, {okey, date, prio}, lo, hi);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (date[i] >= lo_d && date[i] < hi_d &&
               st.ht1->Find(*q.env, static_cast<uint64_t>(okey[i]))) {
@@ -307,14 +343,8 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
         }
       }));
       ph.push_back(MergeLocals(st));
-      ph.push_back(Serial([&st](QCtx& q) {
-        double digest = 0;
-        uint64_t rows = 0;
-        st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          digest += static_cast<double>((key + 1) * a->c[0]);
-          ++rows;
-        });
-        st.out = {rows, digest};
+      ph.push_back(FoldGlobal(st, [](uint64_t key, AggVal* a) {
+        return static_cast<double>((key + 1) * a->c[0]);
       }));
       break;
     }
@@ -322,11 +352,10 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
     // ---------------------------------------------------------------- Q5
     case 5: {
       const int64_t y94 = Date(1994, 1, 1), y95 = Date(1995, 1, 1);
-      ph.push_back(MakeHt(st, &QueryState::ht1, C.rows() / 4));
-      ph.push_back(Par(C.rows(), [&st, &C](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* key = C.I64("c_custkey");
-        const auto* nat = C.I64("c_nationkey");
+      ph.push_back(MakeHt(st, &QueryState::ht1, C.rows / 4));
+      ph.push_back(Par(C.rows, [&st, &C](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* key = C.c_custkey;
+        const auto* nat = C.c_nationkey;
         ChargeScan(q, {key, nat}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (RegionOfNation(nat[i]) == kRegionAsia) {
@@ -334,12 +363,12 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(MakeHt(st, &QueryState::ht2, O.rows() / 8));
-      ph.push_back(Par(O.rows(), [&st, &O, y94, y95](QCtx& q, uint64_t lo,
-                                                     uint64_t hi) {
-        const auto* okey = O.I64("o_orderkey");
-        const auto* cust = O.I64("o_custkey");
-        const auto* date = O.I64("o_orderdate");
+      ph.push_back(MakeHt(st, &QueryState::ht2, O.rows / 8));
+      ph.push_back(Par(O.rows, [&st, &O, y94, y95](QCtx& q, uint64_t lo,
+                                                   uint64_t hi) {
+        const auto* okey = O.o_orderkey;
+        const auto* cust = O.o_custkey;
+        const auto* date = O.o_orderdate;
         ChargeScan(q, {okey, cust, date}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (date[i] < y94 || date[i] >= y95) continue;
@@ -350,16 +379,16 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(Par(L.rows(), [&st, &L, &S](QCtx& q, uint64_t lo,
-                                               uint64_t hi) {
-        const auto* okey = L.I64("l_orderkey");
-        const auto* supp = L.I64("l_suppkey");
-        const auto* price = L.F64("l_extendedprice");
-        const auto* disc = L.F64("l_discount");
-        const auto* snat = S.I64("s_nationkey");
+      ph.push_back(Par(L.rows, [&st, &L, &S](QCtx& q, uint64_t lo,
+                                             uint64_t hi) {
+        const auto* okey = L.l_orderkey;
+        const auto* supp = L.l_suppkey;
+        const auto* price = L.l_extendedprice;
+        const auto* disc = L.l_discount;
+        const auto* snat = S.s_nationkey;
         ChargeScan(q, {okey, supp, price, disc}, lo, hi);
         ChargeScratch(q, hi - lo);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           auto* e = st.ht2->Find(*q.env, static_cast<uint64_t>(okey[i]));
           if (e == nullptr) continue;
@@ -371,14 +400,8 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
         }
       }));
       ph.push_back(MergeLocals(st));
-      ph.push_back(Serial([&st](QCtx& q) {
-        double digest = 0;
-        uint64_t rows = 0;
-        st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          digest += a->v[0] + static_cast<double>(key);
-          ++rows;
-        });
-        st.out = {rows, digest};
+      ph.push_back(FoldGlobal(st, [](uint64_t key, AggVal* a) {
+        return a->v[0] + static_cast<double>(key);
       }));
       break;
     }
@@ -386,12 +409,12 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
     // ---------------------------------------------------------------- Q6
     case 6: {
       const int64_t y94 = Date(1994, 1, 1), y95 = Date(1995, 1, 1);
-      ph.push_back(Par(L.rows(), [&st, &L, y94, y95](QCtx& q, uint64_t lo,
-                                                     uint64_t hi) {
-        const auto* ship = L.I64("l_shipdate");
-        const auto* qty = L.I64("l_quantity");
-        const auto* price = L.F64("l_extendedprice");
-        const auto* disc = L.F64("l_discount");
+      ph.push_back(Par(L.rows, [&st, &L, y94, y95](QCtx& q, uint64_t lo,
+                                                   uint64_t hi) {
+        const auto* ship = L.l_shipdate;
+        const auto* qty = L.l_quantity;
+        const auto* price = L.l_extendedprice;
+        const auto* disc = L.l_discount;
         ChargeScan(q, {ship, qty, price, disc}, lo, hi);
         double sum = 0;
         for (uint64_t i = lo; i < hi; ++i) {
@@ -400,25 +423,21 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
             sum += price[i] * disc[i];
           }
         }
-        st.scalars[static_cast<size_t>(q.env->worker_index)] += sum;
+        Scalar(st.scalars, q) += sum;
       }));
-      ph.push_back(Serial([&st](QCtx&) {
-        double total = 0;
-        for (double s : st.scalars) total += s;
-        st.out = {1, total};
-      }));
+      ph.push_back(Serial([&st](QCtx&) { st.out = {1, Sum(st.scalars)}; }));
       break;
     }
 
     // ---------------------------------------------------------------- Q7
     case 7: {
       const int64_t y95 = Date(1995, 1, 1), y97 = Date(1997, 1, 1);
-      ph.push_back(MakeHt(st, &QueryState::ht3, O.rows() / 8));
-      ph.push_back(Par(O.rows(), [&st, &O, &C](QCtx& q, uint64_t lo,
-                                               uint64_t hi) {
-        const auto* okey = O.I64("o_orderkey");
-        const auto* cust = O.I64("o_custkey");
-        const auto* cnat = C.I64("c_nationkey");
+      ph.push_back(MakeHt(st, &QueryState::ht3, O.rows / 8));
+      ph.push_back(Par(O.rows, [&st, &O, &C](QCtx& q, uint64_t lo,
+                                             uint64_t hi) {
+        const auto* okey = O.o_orderkey;
+        const auto* cust = O.o_custkey;
+        const auto* cnat = C.c_nationkey;
         ChargeScan(q, {okey, cust}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           q.env->Read(&cnat[cust[i] - 1], 8);
@@ -428,17 +447,17 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(Par(L.rows(), [&st, &L, &S, y95, y97](
+      ph.push_back(Par(L.rows, [&st, &L, &S, y95, y97](
                                      QCtx& q, uint64_t lo, uint64_t hi) {
-        const auto* okey = L.I64("l_orderkey");
-        const auto* supp = L.I64("l_suppkey");
-        const auto* ship = L.I64("l_shipdate");
-        const auto* price = L.F64("l_extendedprice");
-        const auto* disc = L.F64("l_discount");
-        const auto* snat = S.I64("s_nationkey");
+        const auto* okey = L.l_orderkey;
+        const auto* supp = L.l_suppkey;
+        const auto* ship = L.l_shipdate;
+        const auto* price = L.l_extendedprice;
+        const auto* disc = L.l_discount;
+        const auto* snat = S.s_nationkey;
         ChargeScan(q, {okey, supp, ship, price, disc}, lo, hi);
         ChargeScratch(q, hi - lo);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (ship[i] < y95 || ship[i] >= y97) continue;
           auto* e = st.ht3->Find(*q.env, static_cast<uint64_t>(okey[i]));
@@ -455,14 +474,8 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
         }
       }));
       ph.push_back(MergeLocals(st));
-      ph.push_back(Serial([&st](QCtx& q) {
-        double digest = 0;
-        uint64_t rows = 0;
-        st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          digest += a->v[0] + static_cast<double>(key);
-          ++rows;
-        });
-        st.out = {rows, digest};
+      ph.push_back(FoldGlobal(st, [](uint64_t key, AggVal* a) {
+        return a->v[0] + static_cast<double>(key);
       }));
       break;
     }
@@ -470,11 +483,10 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
     // ---------------------------------------------------------------- Q8
     case 8: {
       const int64_t y95 = Date(1995, 1, 1), y97 = Date(1997, 1, 1);
-      ph.push_back(MakeHt(st, &QueryState::ht1, P.rows() / 64));
-      ph.push_back(Par(P.rows(), [&st, &P](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* type = P.I64("p_type");
-        const auto* key = P.I64("p_partkey");
+      ph.push_back(MakeHt(st, &QueryState::ht1, P.rows / 64));
+      ph.push_back(Par(P.rows, [&st, &P](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* type = P.p_type;
+        const auto* key = P.p_partkey;
         ChargeScan(q, {type, key}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (type[i] == kTypeEconomyAnodizedSteel) {
@@ -482,13 +494,13 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(MakeHt(st, &QueryState::ht3, O.rows() / 4));
-      ph.push_back(Par(O.rows(), [&st, &O, &C, y95, y97](
+      ph.push_back(MakeHt(st, &QueryState::ht3, O.rows / 4));
+      ph.push_back(Par(O.rows, [&st, &O, &C, y95, y97](
                                      QCtx& q, uint64_t lo, uint64_t hi) {
-        const auto* okey = O.I64("o_orderkey");
-        const auto* cust = O.I64("o_custkey");
-        const auto* date = O.I64("o_orderdate");
-        const auto* cnat = C.I64("c_nationkey");
+        const auto* okey = O.o_orderkey;
+        const auto* cust = O.o_custkey;
+        const auto* date = O.o_orderdate;
+        const auto* cnat = C.c_nationkey;
         ChargeScan(q, {okey, cust, date}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (date[i] < y95 || date[i] >= y97) continue;
@@ -499,16 +511,16 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(Par(L.rows(), [&st, &L, &S](QCtx& q, uint64_t lo,
-                                               uint64_t hi) {
-        const auto* okey = L.I64("l_orderkey");
-        const auto* part = L.I64("l_partkey");
-        const auto* supp = L.I64("l_suppkey");
-        const auto* price = L.F64("l_extendedprice");
-        const auto* disc = L.F64("l_discount");
-        const auto* snat = S.I64("s_nationkey");
+      ph.push_back(Par(L.rows, [&st, &L, &S](QCtx& q, uint64_t lo,
+                                             uint64_t hi) {
+        const auto* okey = L.l_orderkey;
+        const auto* part = L.l_partkey;
+        const auto* supp = L.l_suppkey;
+        const auto* price = L.l_extendedprice;
+        const auto* disc = L.l_discount;
+        const auto* snat = S.s_nationkey;
         ChargeScan(q, {okey, part, supp, price, disc}, lo, hi);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (st.ht1->Find(*q.env, static_cast<uint64_t>(part[i])) ==
               nullptr)
@@ -523,26 +535,19 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
         }
       }));
       ph.push_back(MergeLocals(st));
-      ph.push_back(Serial([&st](QCtx& q) {
-        double digest = 0;
-        uint64_t rows = 0;
-        st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          digest += (a->v[0] > 0 ? a->v[1] / a->v[0] : 0) +
-                    static_cast<double>(key);
-          ++rows;
-        });
-        st.out = {rows, digest};
+      ph.push_back(FoldGlobal(st, [](uint64_t key, AggVal* a) {
+        return (a->v[0] > 0 ? a->v[1] / a->v[0] : 0) +
+               static_cast<double>(key);
       }));
       break;
     }
 
     // ---------------------------------------------------------------- Q9
     case 9: {
-      ph.push_back(MakeHt(st, &QueryState::ht1, P.rows() / 64));
-      ph.push_back(Par(P.rows(), [&st, &P](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* color = P.I64("p_color");
-        const auto* key = P.I64("p_partkey");
+      ph.push_back(MakeHt(st, &QueryState::ht1, P.rows / 64));
+      ph.push_back(Par(P.rows, [&st, &P](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* color = P.p_color;
+        const auto* key = P.p_partkey;
         ChargeScan(q, {color, key}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (color[i] == kColorGreen) {
@@ -550,21 +555,21 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(Par(L.rows(), [&st, &L, &S, &O, &PS](
+      ph.push_back(Par(L.rows, [&st, &L, &S, &O, &PS](
                                      QCtx& q, uint64_t lo, uint64_t hi) {
-        const auto* okey = L.I64("l_orderkey");
-        const auto* part = L.I64("l_partkey");
-        const auto* supp = L.I64("l_suppkey");
-        const auto* qty = L.I64("l_quantity");
-        const auto* price = L.F64("l_extendedprice");
-        const auto* disc = L.F64("l_discount");
-        const auto* snat = S.I64("s_nationkey");
-        const auto* odate = O.I64("o_orderdate");
-        const auto* ps_supp = PS.I64("ps_suppkey");
-        const auto* ps_cost = PS.F64("ps_supplycost");
+        const auto* okey = L.l_orderkey;
+        const auto* part = L.l_partkey;
+        const auto* supp = L.l_suppkey;
+        const auto* qty = L.l_quantity;
+        const auto* price = L.l_extendedprice;
+        const auto* disc = L.l_discount;
+        const auto* snat = S.s_nationkey;
+        const auto* odate = O.o_orderdate;
+        const auto* ps_supp = PS.ps_suppkey;
+        const auto* ps_cost = PS.ps_supplycost;
         ChargeScan(q, {okey, part, supp, qty, price, disc}, lo, hi);
         ChargeScratch(q, hi - lo);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (st.ht1->Find(*q.env, static_cast<uint64_t>(part[i])) ==
               nullptr)
@@ -591,14 +596,8 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
         }
       }));
       ph.push_back(MergeLocals(st));
-      ph.push_back(Serial([&st](QCtx& q) {
-        double digest = 0;
-        uint64_t rows = 0;
-        st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          digest += a->v[0] / 1e3 + static_cast<double>(key);
-          ++rows;
-        });
-        st.out = {rows, digest};
+      ph.push_back(FoldGlobal(st, [](uint64_t key, AggVal* a) {
+        return a->v[0] / 1e3 + static_cast<double>(key);
       }));
       break;
     }
@@ -606,12 +605,12 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
     // --------------------------------------------------------------- Q10
     case 10: {
       const int64_t lo_d = Date(1993, 10, 1), hi_d = Date(1994, 1, 1);
-      ph.push_back(MakeHt(st, &QueryState::ht1, O.rows() / 16));
-      ph.push_back(Par(O.rows(), [&st, &O, lo_d, hi_d](QCtx& q, uint64_t lo,
-                                                       uint64_t hi) {
-        const auto* okey = O.I64("o_orderkey");
-        const auto* cust = O.I64("o_custkey");
-        const auto* date = O.I64("o_orderdate");
+      ph.push_back(MakeHt(st, &QueryState::ht1, O.rows / 16));
+      ph.push_back(Par(O.rows, [&st, &O, lo_d, hi_d](QCtx& q, uint64_t lo,
+                                                     uint64_t hi) {
+        const auto* okey = O.o_orderkey;
+        const auto* cust = O.o_custkey;
+        const auto* date = O.o_orderdate;
         ChargeScan(q, {okey, cust, date}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (date[i] >= lo_d && date[i] < hi_d) {
@@ -619,15 +618,14 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(Par(L.rows(), [&st, &L](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* okey = L.I64("l_orderkey");
-        const auto* rf = L.I64("l_returnflag");
-        const auto* price = L.F64("l_extendedprice");
-        const auto* disc = L.F64("l_discount");
+      ph.push_back(Par(L.rows, [&st, &L](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* okey = L.l_orderkey;
+        const auto* rf = L.l_returnflag;
+        const auto* price = L.l_extendedprice;
+        const auto* disc = L.l_discount;
         ChargeScan(q, {okey, rf, price, disc}, lo, hi);
         ChargeScratch(q, hi - lo);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (rf[i] != kFlagReturned) continue;
           auto* e = st.ht1->Find(*q.env, static_cast<uint64_t>(okey[i]));
@@ -639,35 +637,30 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
       }));
       ph.push_back(MergeLocals(st));
       ph.push_back(Serial([&st, &C](QCtx& q) {
-        std::vector<std::pair<double, uint64_t>> rows;
-        st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          rows.emplace_back(a->v[0], key);
-        });
-        ChargeSort(q, rows.data(), rows.size(), 16);
-        std::sort(rows.rbegin(), rows.rend());
-        const auto* bal = C.F64("c_acctbal");
+        Ranked top =
+            TopN(st, q, 20, [](uint64_t, AggVal* a) { return a->v[0]; });
+        const auto* bal = C.c_acctbal;
         double digest = 0;
-        uint64_t n = std::min<uint64_t>(rows.size(), 20);
-        for (uint64_t i = 0; i < n; ++i) {
-          q.env->Read(&bal[rows[i].second - 1], 8);
-          digest += rows[i].first + bal[rows[i].second - 1];
+        for (const auto& [revenue, cust] : top) {
+          q.env->Read(&bal[cust - 1], 8);
+          digest += revenue + bal[cust - 1];
         }
-        st.out = {n, digest};
+        st.out = {top.size(), digest};
       }));
       break;
     }
 
     // --------------------------------------------------------------- Q11
     case 11: {
-      ph.push_back(Par(PS.rows(), [&st, &PS, &S](QCtx& q, uint64_t lo,
-                                                 uint64_t hi) {
-        const auto* pk = PS.I64("ps_partkey");
-        const auto* sk = PS.I64("ps_suppkey");
-        const auto* qty = PS.I64("ps_availqty");
-        const auto* cost = PS.F64("ps_supplycost");
-        const auto* snat = S.I64("s_nationkey");
+      ph.push_back(Par(PS.rows, [&st, &PS, &S](QCtx& q, uint64_t lo,
+                                               uint64_t hi) {
+        const auto* pk = PS.ps_partkey;
+        const auto* sk = PS.ps_suppkey;
+        const auto* qty = PS.ps_availqty;
+        const auto* cost = PS.ps_supplycost;
+        const auto* snat = S.s_nationkey;
         ChargeScan(q, {pk, sk, qty, cost}, lo, hi);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         double sum = 0;
         for (uint64_t i = lo; i < hi; ++i) {
           q.env->Read(&snat[sk[i] - 1], 8);
@@ -676,27 +669,21 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           local.Upsert(*q.env, static_cast<uint64_t>(pk[i]))->v[0] += value;
           sum += value;
         }
-        st.scalars[static_cast<size_t>(q.env->worker_index)] += sum;
+        Scalar(st.scalars, q) += sum;
       }));
       ph.push_back(MergeLocals(st));
       ph.push_back(Serial([&st](QCtx& q) {
-        double total = 0;
-        for (double s : st.scalars) total += s;
+        double total = Sum(st.scalars);
         // The spec's FRACTION scales inversely with SF.
-        double scale = st.db->lineitem->rows() > 0
-                           ? static_cast<double>(st.db->customer->rows()) /
+        double scale = st.db->lineitem.rows > 0
+                           ? static_cast<double>(st.db->customer.rows) /
                                  150000.0
                            : 1.0;
         double threshold = total * 0.0001 / std::max(scale, 1e-6);
-        double digest = 0;
-        uint64_t rows = 0;
-        st.global.ForEach(*q.env, [&](uint64_t, AggVal* a) {
-          if (a->v[0] > threshold) {
-            digest += a->v[0];
-            ++rows;
-          }
+        st.out = Fold(q, st.global, [threshold](uint64_t, AggVal* a) -> Value {
+          if (a->v[0] > threshold) return a->v[0];
+          return std::nullopt;
         });
-        st.out = {rows, digest};
       }));
       break;
     }
@@ -704,16 +691,16 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
     // --------------------------------------------------------------- Q12
     case 12: {
       const int64_t y94 = Date(1994, 1, 1), y95 = Date(1995, 1, 1);
-      ph.push_back(Par(L.rows(), [&st, &L, &O, y94, y95](
+      ph.push_back(Par(L.rows, [&st, &L, &O, y94, y95](
                                      QCtx& q, uint64_t lo, uint64_t hi) {
-        const auto* okey = L.I64("l_orderkey");
-        const auto* mode = L.I64("l_shipmode");
-        const auto* ship = L.I64("l_shipdate");
-        const auto* commit = L.I64("l_commitdate");
-        const auto* receipt = L.I64("l_receiptdate");
-        const auto* prio = O.I64("o_orderpriority");
+        const auto* okey = L.l_orderkey;
+        const auto* mode = L.l_shipmode;
+        const auto* ship = L.l_shipdate;
+        const auto* commit = L.l_commitdate;
+        const auto* receipt = L.l_receiptdate;
+        const auto* prio = O.o_orderpriority;
         ChargeScan(q, {okey, mode, ship, commit, receipt}, lo, hi);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if ((mode[i] != kModeMail && mode[i] != kModeShip) ||
               commit[i] >= receipt[i] || ship[i] >= commit[i] ||
@@ -730,27 +717,20 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
         }
       }));
       ph.push_back(MergeLocals(st));
-      ph.push_back(Serial([&st](QCtx& q) {
-        double digest = 0;
-        uint64_t rows = 0;
-        st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          digest += static_cast<double>(key * 1000 + a->c[0] * 7 + a->c[1]);
-          ++rows;
-        });
-        st.out = {rows, digest};
+      ph.push_back(FoldGlobal(st, [](uint64_t key, AggVal* a) {
+        return static_cast<double>(key * 1000 + a->c[0] * 7 + a->c[1]);
       }));
       break;
     }
 
     // --------------------------------------------------------------- Q13
     case 13: {
-      ph.push_back(Par(O.rows(), [&st, &O](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* cust = O.I64("o_custkey");
-        const auto* special = O.I64("o_comment_special");
+      ph.push_back(Par(O.rows, [&st, &O](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* cust = O.o_custkey;
+        const auto* special = O.o_comment_special;
         ChargeScan(q, {cust, special}, lo, hi);
         ChargeScratch(q, hi - lo);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (special[i] == 0) {
             local.Upsert(*q.env, static_cast<uint64_t>(cust[i]))->c[0] += 1;
@@ -767,14 +747,10 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           dist.Upsert(*q.env, a->c[0])->c[0] += 1;
           ++with_orders;
         });
-        dist.Upsert(*q.env, 0)->c[0] += C.rows() - with_orders;
-        double digest = 0;
-        uint64_t rows = 0;
-        dist.ForEach(*q.env, [&](uint64_t k, AggVal* a) {
-          digest += static_cast<double>(k * a->c[0]);
-          ++rows;
+        dist.Upsert(*q.env, 0)->c[0] += C.rows - with_orders;
+        st.out = Fold(q, dist, [](uint64_t k, AggVal* a) {
+          return static_cast<double>(k * a->c[0]);
         });
-        st.out = {rows, digest};
       }));
       break;
     }
@@ -782,13 +758,13 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
     // --------------------------------------------------------------- Q14
     case 14: {
       const int64_t lo_d = Date(1995, 9, 1), hi_d = Date(1995, 10, 1);
-      ph.push_back(Par(L.rows(), [&st, &L, &P, lo_d, hi_d](
+      ph.push_back(Par(L.rows, [&st, &L, &P, lo_d, hi_d](
                                      QCtx& q, uint64_t lo, uint64_t hi) {
-        const auto* part = L.I64("l_partkey");
-        const auto* ship = L.I64("l_shipdate");
-        const auto* price = L.F64("l_extendedprice");
-        const auto* disc = L.F64("l_discount");
-        const auto* type = P.I64("p_type");
+        const auto* part = L.l_partkey;
+        const auto* ship = L.l_shipdate;
+        const auto* price = L.l_extendedprice;
+        const auto* disc = L.l_discount;
+        const auto* type = P.p_type;
         ChargeScan(q, {part, ship, price, disc}, lo, hi);
         double promo = 0, total = 0;
         for (uint64_t i = lo; i < hi; ++i) {
@@ -798,13 +774,11 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           q.env->Read(&type[part[i] - 1], 8);
           if (type[part[i] - 1] / 25 == 5) promo += vol;  // PROMO%
         }
-        st.scalars[static_cast<size_t>(q.env->worker_index)] += promo;
-        st.scalars2[static_cast<size_t>(q.env->worker_index)] += total;
+        Scalar(st.scalars, q) += promo;
+        Scalar(st.scalars2, q) += total;
       }));
       ph.push_back(Serial([&st](QCtx&) {
-        double promo = 0, total = 0;
-        for (double s : st.scalars) promo += s;
-        for (double s : st.scalars2) total += s;
+        double promo = Sum(st.scalars), total = Sum(st.scalars2);
         st.out = {1, total > 0 ? 100.0 * promo / total : 0.0};
       }));
       break;
@@ -813,14 +787,14 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
     // --------------------------------------------------------------- Q15
     case 15: {
       const int64_t lo_d = Date(1996, 1, 1), hi_d = Date(1996, 4, 1);
-      ph.push_back(Par(L.rows(), [&st, &L, lo_d, hi_d](QCtx& q, uint64_t lo,
-                                                       uint64_t hi) {
-        const auto* supp = L.I64("l_suppkey");
-        const auto* ship = L.I64("l_shipdate");
-        const auto* price = L.F64("l_extendedprice");
-        const auto* disc = L.F64("l_discount");
+      ph.push_back(Par(L.rows, [&st, &L, lo_d, hi_d](QCtx& q, uint64_t lo,
+                                                     uint64_t hi) {
+        const auto* supp = L.l_suppkey;
+        const auto* ship = L.l_shipdate;
+        const auto* price = L.l_extendedprice;
+        const auto* disc = L.l_discount;
         ChargeScan(q, {supp, ship, price, disc}, lo, hi);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (ship[i] >= lo_d && ship[i] < hi_d) {
             local.Upsert(*q.env, static_cast<uint64_t>(supp[i]))->v[0] +=
@@ -849,10 +823,9 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
     // --------------------------------------------------------------- Q16
     case 16: {
       ph.push_back(MakeHt(st, &QueryState::ht1, 256));
-      ph.push_back(Par(S.rows(), [&st, &S](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* key = S.I64("s_suppkey");
-        const auto* bad = S.I64("s_comment_complaints");
+      ph.push_back(Par(S.rows, [&st, &S](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* key = S.s_suppkey;
+        const auto* bad = S.s_comment_complaints;
         ChargeScan(q, {key, bad}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (bad[i] != 0) {
@@ -860,15 +833,15 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(Par(PS.rows(), [&st, &PS, &P](QCtx& q, uint64_t lo,
-                                                 uint64_t hi) {
-        const auto* pk = PS.I64("ps_partkey");
-        const auto* sk = PS.I64("ps_suppkey");
-        const auto* brand = P.I64("p_brand");
-        const auto* type = P.I64("p_type");
-        const auto* size = P.I64("p_size");
+      ph.push_back(Par(PS.rows, [&st, &PS, &P](QCtx& q, uint64_t lo,
+                                               uint64_t hi) {
+        const auto* pk = PS.ps_partkey;
+        const auto* sk = PS.ps_suppkey;
+        const auto* brand = P.p_brand;
+        const auto* type = P.p_type;
+        const auto* size = P.p_size;
         ChargeScan(q, {pk, sk}, lo, hi);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         static constexpr int64_t kSizes[] = {49, 14, 23, 45, 19, 3, 36, 9};
         for (uint64_t i = lo; i < hi; ++i) {
           uint64_t p = static_cast<uint64_t>(pk[i] - 1);
@@ -894,28 +867,23 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
         st.global.ForEach(*q.env, [&](uint64_t key, AggVal*) {
           counts.Upsert(*q.env, key / 100000)->c[0] += 1;
         });
-        double digest = 0;
-        uint64_t rows = 0;
-        counts.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          digest += static_cast<double>(key % 997) +
-                    static_cast<double>(a->c[0]);
-          ++rows;
+        st.out = Fold(q, counts, [](uint64_t key, AggVal* a) {
+          return static_cast<double>(key % 997) + static_cast<double>(a->c[0]);
         });
-        st.out = {rows, digest};
       }));
       break;
     }
 
     // --------------------------------------------------------------- Q17
     case 17: {
-      ph.push_back(Par(L.rows(), [&st, &L, &P](QCtx& q, uint64_t lo,
-                                               uint64_t hi) {
-        const auto* part = L.I64("l_partkey");
-        const auto* qty = L.I64("l_quantity");
-        const auto* brand = P.I64("p_brand");
-        const auto* cont = P.I64("p_container");
+      ph.push_back(Par(L.rows, [&st, &L, &P](QCtx& q, uint64_t lo,
+                                             uint64_t hi) {
+        const auto* part = L.l_partkey;
+        const auto* qty = L.l_quantity;
+        const auto* brand = P.p_brand;
+        const auto* cont = P.p_container;
         ChargeScan(q, {part, qty}, lo, hi);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           uint64_t p = static_cast<uint64_t>(part[i] - 1);
           q.env->Read(&brand[p], 8);
@@ -927,11 +895,10 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
         }
       }));
       ph.push_back(MergeLocals(st));
-      ph.push_back(Par(L.rows(), [&st, &L](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* part = L.I64("l_partkey");
-        const auto* qty = L.I64("l_quantity");
-        const auto* price = L.F64("l_extendedprice");
+      ph.push_back(Par(L.rows, [&st, &L](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* part = L.l_partkey;
+        const auto* qty = L.l_quantity;
+        const auto* price = L.l_extendedprice;
         ChargeScan(q, {part, qty, price}, lo, hi);
         double sum = 0;
         for (uint64_t i = lo; i < hi; ++i) {
@@ -941,25 +908,21 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           double avg = a->v[0] / static_cast<double>(a->c[0]);
           if (static_cast<double>(qty[i]) < 0.2 * avg) sum += price[i];
         }
-        st.scalars[static_cast<size_t>(q.env->worker_index)] += sum;
+        Scalar(st.scalars, q) += sum;
       }));
-      ph.push_back(Serial([&st](QCtx&) {
-        double total = 0;
-        for (double s : st.scalars) total += s;
-        st.out = {1, total / 7.0};
-      }));
+      ph.push_back(
+          Serial([&st](QCtx&) { st.out = {1, Sum(st.scalars) / 7.0}; }));
       break;
     }
 
     // --------------------------------------------------------------- Q18
     case 18: {
-      ph.push_back(Par(L.rows(), [&st, &L](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* okey = L.I64("l_orderkey");
-        const auto* qty = L.I64("l_quantity");
+      ph.push_back(Par(L.rows, [&st, &L](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* okey = L.l_orderkey;
+        const auto* qty = L.l_quantity;
         ChargeScan(q, {okey, qty}, lo, hi);
         ChargeScratch(q, hi - lo);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           local.Upsert(*q.env, static_cast<uint64_t>(okey[i]))->v[0] +=
               static_cast<double>(qty[i]);
@@ -967,37 +930,32 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
       }));
       ph.push_back(MergeLocals(st));
       ph.push_back(Serial([&st, &O](QCtx& q) {
-        const auto* total = O.F64("o_totalprice");
-        std::vector<std::pair<double, uint64_t>> rows;
-        st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          if (a->v[0] > 300.0) {
-            q.env->Read(&total[key - 1], 8);
-            rows.emplace_back(total[key - 1], key);
-          }
+        const auto* total = O.o_totalprice;
+        Ranked top = TopN(st, q, 100, [&](uint64_t key, AggVal* a) -> Value {
+          if (a->v[0] <= 300.0) return std::nullopt;
+          q.env->Read(&total[key - 1], 8);
+          return total[key - 1];
         });
-        ChargeSort(q, rows.data(), rows.size(), 16);
-        std::sort(rows.rbegin(), rows.rend());
         double digest = 0;
-        uint64_t n = std::min<uint64_t>(rows.size(), 100);
-        for (uint64_t i = 0; i < n; ++i) digest += rows[i].first;
-        st.out = {n, digest};
+        for (const auto& [price, okey] : top) digest += price;
+        st.out = {top.size(), digest};
       }));
       break;
     }
 
     // --------------------------------------------------------------- Q19
     case 19: {
-      ph.push_back(Par(L.rows(), [&st, &L, &P](QCtx& q, uint64_t lo,
-                                               uint64_t hi) {
-        const auto* part = L.I64("l_partkey");
-        const auto* qty = L.I64("l_quantity");
-        const auto* mode = L.I64("l_shipmode");
-        const auto* instruct = L.I64("l_shipinstruct");
-        const auto* price = L.F64("l_extendedprice");
-        const auto* disc = L.F64("l_discount");
-        const auto* brand = P.I64("p_brand");
-        const auto* cont = P.I64("p_container");
-        const auto* size = P.I64("p_size");
+      ph.push_back(Par(L.rows, [&st, &L, &P](QCtx& q, uint64_t lo,
+                                             uint64_t hi) {
+        const auto* part = L.l_partkey;
+        const auto* qty = L.l_quantity;
+        const auto* mode = L.l_shipmode;
+        const auto* instruct = L.l_shipinstruct;
+        const auto* price = L.l_extendedprice;
+        const auto* disc = L.l_discount;
+        const auto* brand = P.p_brand;
+        const auto* cont = P.p_container;
+        const auto* size = P.p_size;
         ChargeScan(q, {part, qty, mode, instruct, price, disc}, lo, hi);
         double sum = 0;
         for (uint64_t i = lo; i < hi; ++i) {
@@ -1017,24 +975,19 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
                     qty[i] >= 20 && qty[i] <= 30 && size[p] <= 15;
           if (m1 || m2 || m3) sum += price[i] * (1 - disc[i]);
         }
-        st.scalars[static_cast<size_t>(q.env->worker_index)] += sum;
+        Scalar(st.scalars, q) += sum;
       }));
-      ph.push_back(Serial([&st](QCtx&) {
-        double total = 0;
-        for (double s : st.scalars) total += s;
-        st.out = {1, total};
-      }));
+      ph.push_back(Serial([&st](QCtx&) { st.out = {1, Sum(st.scalars)}; }));
       break;
     }
 
     // --------------------------------------------------------------- Q20
     case 20: {
       const int64_t y94 = Date(1994, 1, 1), y95 = Date(1995, 1, 1);
-      ph.push_back(MakeHt(st, &QueryState::ht1, P.rows() / 64));
-      ph.push_back(Par(P.rows(), [&st, &P](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* color = P.I64("p_color");
-        const auto* key = P.I64("p_partkey");
+      ph.push_back(MakeHt(st, &QueryState::ht1, P.rows / 64));
+      ph.push_back(Par(P.rows, [&st, &P](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* color = P.p_color;
+        const auto* key = P.p_partkey;
         ChargeScan(q, {color, key}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           if (color[i] == kColorForest) {
@@ -1042,14 +995,14 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(Par(L.rows(), [&st, &L, y94, y95](QCtx& q, uint64_t lo,
-                                                     uint64_t hi) {
-        const auto* part = L.I64("l_partkey");
-        const auto* supp = L.I64("l_suppkey");
-        const auto* qty = L.I64("l_quantity");
-        const auto* ship = L.I64("l_shipdate");
+      ph.push_back(Par(L.rows, [&st, &L, y94, y95](QCtx& q, uint64_t lo,
+                                                   uint64_t hi) {
+        const auto* part = L.l_partkey;
+        const auto* supp = L.l_suppkey;
+        const auto* qty = L.l_quantity;
+        const auto* ship = L.l_shipdate;
         ChargeScan(q, {part, supp, qty, ship}, lo, hi);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (ship[i] < y94 || ship[i] >= y95) continue;
           if (st.ht1->Find(*q.env, static_cast<uint64_t>(part[i])) ==
@@ -1061,13 +1014,12 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
         }
       }));
       ph.push_back(MergeLocals(st));
-      ph.push_back(Par(PS.rows(), [&st, &PS](QCtx& q, uint64_t lo,
-                                             uint64_t hi) {
-        const auto* pk = PS.I64("ps_partkey");
-        const auto* sk = PS.I64("ps_suppkey");
-        const auto* avail = PS.I64("ps_availqty");
+      ph.push_back(Par(PS.rows, [&st, &PS](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* pk = PS.ps_partkey;
+        const auto* sk = PS.ps_suppkey;
+        const auto* avail = PS.ps_availqty;
         ChargeScan(q, {pk, sk, avail}, lo, hi);
-        auto& local2 = Local2(st, q);
+        auto& local2 = Local(st.locals2, q);
         for (uint64_t i = lo; i < hi; ++i) {
           uint64_t key = (static_cast<uint64_t>(pk[i]) << 20) |
                          static_cast<uint64_t>(sk[i]);
@@ -1078,36 +1030,31 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
           }
         }
       }));
-      ph.push_back(MergeLocals(st, &QueryState::locals2,
+      ph.push_back(MergeLocals(st, AddFields, &QueryState::locals2,
                                &QueryState::global2));
       ph.push_back(Serial([&st, &S](QCtx& q) {
-        const auto* snat = S.I64("s_nationkey");
-        double digest = 0;
-        uint64_t rows = 0;
-        st.global2.ForEach(*q.env, [&](uint64_t supp, AggVal*) {
+        const auto* snat = S.s_nationkey;
+        st.out = Fold(q, st.global2, [&](uint64_t supp, AggVal*) -> Value {
           q.env->Read(&snat[supp - 1], 8);
-          if (snat[supp - 1] == kNationCanada) {
-            digest += static_cast<double>(supp);
-            ++rows;
-          }
+          if (snat[supp - 1] != kNationCanada) return std::nullopt;
+          return static_cast<double>(supp);
         });
-        st.out = {rows, digest};
       }));
       break;
     }
 
     // --------------------------------------------------------------- Q21
     case 21: {
-      ph.push_back(Par(L.rows(), [&st, &L, &S](QCtx& q, uint64_t lo,
-                                               uint64_t hi) {
-        const auto* okey = L.I64("l_orderkey");
-        const auto* supp = L.I64("l_suppkey");
-        const auto* commit = L.I64("l_commitdate");
-        const auto* receipt = L.I64("l_receiptdate");
-        const auto* snat = S.I64("s_nationkey");
+      ph.push_back(Par(L.rows, [&st, &L, &S](QCtx& q, uint64_t lo,
+                                             uint64_t hi) {
+        const auto* okey = L.l_orderkey;
+        const auto* supp = L.l_suppkey;
+        const auto* commit = L.l_commitdate;
+        const auto* receipt = L.l_receiptdate;
+        const auto* snat = S.s_nationkey;
         ChargeScan(q, {okey, supp, commit, receipt}, lo, hi);
         ChargeScratch(q, hi - lo);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           AggVal* a = local.Upsert(*q.env, static_cast<uint64_t>(okey[i]));
           // v[0]: first supplier seen; c[0]: multi-supplier flag bits.
@@ -1130,7 +1077,7 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
       }));
       ph.push_back(MergeLocals(st));
       ph.push_back(Serial([&st, &O](QCtx& q) {
-        const auto* status = O.I64("o_orderstatus");
+        const auto* status = O.o_orderstatus;
         LocalAgg<AggVal> per_supp;
         per_supp.Init(*q.env, 256);
         st.global.ForEach(*q.env, [&](uint64_t okey, AggVal* a) {
@@ -1144,13 +1091,9 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
                             static_cast<uint64_t>(a->v[1]))->c[0] += 1;
           }
         });
-        double digest = 0;
-        uint64_t rows = 0;
-        per_supp.ForEach(*q.env, [&](uint64_t supp, AggVal* a) {
-          digest += static_cast<double>(supp % 997 + a->c[0]);
-          ++rows;
+        st.out = Fold(q, per_supp, [](uint64_t supp, AggVal* a) {
+          return static_cast<double>(supp % 997 + a->c[0]);
         });
-        st.out = {rows, digest};
       }));
       break;
     }
@@ -1165,10 +1108,10 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
             return false;
         }
       };
-      ph.push_back(Par(C.rows(), [&st, &C, in_set](QCtx& q, uint64_t lo,
-                                                   uint64_t hi) {
-        const auto* code = C.I64("c_cntrycode");
-        const auto* bal = C.F64("c_acctbal");
+      ph.push_back(Par(C.rows, [&st, &C, in_set](QCtx& q, uint64_t lo,
+                                                 uint64_t hi) {
+        const auto* code = C.c_cntrycode;
+        const auto* bal = C.c_acctbal;
         ChargeScan(q, {code, bal}, lo, hi);
         double sum = 0, cnt = 0;
         for (uint64_t i = lo; i < hi; ++i) {
@@ -1177,31 +1120,28 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
             cnt += 1;
           }
         }
-        st.scalars[static_cast<size_t>(q.env->worker_index)] += sum;
-        st.scalars2[static_cast<size_t>(q.env->worker_index)] += cnt;
+        Scalar(st.scalars, q) += sum;
+        Scalar(st.scalars2, q) += cnt;
       }));
-      ph.push_back(MakeHt(st, &QueryState::ht1, C.rows() / 2));
-      ph.push_back(Par(O.rows(), [&st, &O](QCtx& q, uint64_t lo,
-                                           uint64_t hi) {
-        const auto* cust = O.I64("o_custkey");
+      ph.push_back(MakeHt(st, &QueryState::ht1, C.rows / 2));
+      ph.push_back(Par(O.rows, [&st, &O](QCtx& q, uint64_t lo, uint64_t hi) {
+        const auto* cust = O.o_custkey;
         ChargeScan(q, {cust}, lo, hi);
         for (uint64_t i = lo; i < hi; ++i) {
           st.ht1->UpsertSet(*q.env, static_cast<uint64_t>(cust[i]), 1);
         }
       }));
       ph.push_back(Serial([&st](QCtx&) {
-        double sum = 0, cnt = 0;
-        for (double s : st.scalars) sum += s;
-        for (double s : st.scalars2) cnt += s;
+        double sum = Sum(st.scalars), cnt = Sum(st.scalars2);
         st.shared_scalar = cnt > 0 ? sum / cnt : 0.0;
       }));
-      ph.push_back(Par(C.rows(), [&st, &C, in_set](QCtx& q, uint64_t lo,
-                                                   uint64_t hi) {
-        const auto* key = C.I64("c_custkey");
-        const auto* code = C.I64("c_cntrycode");
-        const auto* bal = C.F64("c_acctbal");
+      ph.push_back(Par(C.rows, [&st, &C, in_set](QCtx& q, uint64_t lo,
+                                                 uint64_t hi) {
+        const auto* key = C.c_custkey;
+        const auto* code = C.c_cntrycode;
+        const auto* bal = C.c_acctbal;
         ChargeScan(q, {key, code, bal}, lo, hi);
-        auto& local = Local(st, q);
+        auto& local = Local(st.locals, q);
         for (uint64_t i = lo; i < hi; ++i) {
           if (!in_set(code[i]) || bal[i] <= st.shared_scalar) continue;
           if (st.ht1->Find(*q.env, static_cast<uint64_t>(key[i]))) continue;
@@ -1211,14 +1151,8 @@ QueryPlan BuildTpchPlan(int q_num, QueryState* stp) {
         }
       }));
       ph.push_back(MergeLocals(st));
-      ph.push_back(Serial([&st](QCtx& q) {
-        double digest = 0;
-        uint64_t rows = 0;
-        st.global.ForEach(*q.env, [&](uint64_t key, AggVal* a) {
-          digest += static_cast<double>(key * a->c[0]) + a->v[0];
-          ++rows;
-        });
-        st.out = {rows, digest};
+      ph.push_back(FoldGlobal(st, [](uint64_t key, AggVal* a) {
+        return static_cast<double>(key * a->c[0]) + a->v[0];
       }));
       break;
     }

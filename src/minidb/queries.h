@@ -15,7 +15,7 @@
 
 #include "src/index/hash_table.h"
 #include "src/minidb/exec.h"
-#include "src/minidb/table.h"
+#include "src/minidb/schema.h"
 
 namespace numalab {
 namespace minidb {

@@ -79,11 +79,11 @@ TpchResult RunTpch(const TpchOptions& options) {
 
   SimContext ctx(cfg);
   const HostDb& host = GenerateTpch(options.scale, options.seed);
-  auto db = LoadTpch(host, ctx.allocator(), ctx.memsys());
+  Database db = LoadTpch(host, &ctx);
 
   QueryState cold_state, warm_state;
-  cold_state.Prepare(db.get(), workers);
-  warm_state.Prepare(db.get(), workers);
+  cold_state.Prepare(&db, workers);
+  warm_state.Prepare(&db, workers);
   QueryPlan cold_plan = BuildTpchPlan(options.query, &cold_state);
   QueryPlan warm_plan = BuildTpchPlan(options.query, &warm_state);
   uint64_t warm_start = 0;

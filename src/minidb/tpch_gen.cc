@@ -1,11 +1,11 @@
 #include "src/minidb/tpch_gen.h"
 
-#include <cstring>
 #include <map>
-#include <mutex>
+#include <memory>
 
+#include "src/common/logging.h"
 #include "src/common/rng.h"
-#include "src/workloads/env.h"
+#include "src/workloads/sim_context.h"
 
 namespace numalab {
 namespace minidb {
@@ -41,7 +41,6 @@ const HostDb& GenerateTpch(double scale, uint64_t seed) {
 
   auto db = std::make_unique<HostDb>();
   HostDb& h = *db;
-  h.scale = scale;
   Rng rng(seed);
 
   auto money = [&rng](double lo, double hi) {
@@ -182,111 +181,19 @@ const HostDb& GenerateTpch(double scale, uint64_t seed) {
   return ref;
 }
 
-namespace {
-
-template <typename T>
-void FillColumn(Table* table, const std::string& name,
-                const std::vector<T>& src, alloc::SimAllocator* alloc,
-                mem::MemSystem* memsys) {
-  Column* col;
-  if constexpr (std::is_same_v<T, int64_t>) {
-    col = table->AddInt64(name, alloc);
-    std::memcpy(col->i64(), src.data(), src.size() * sizeof(T));
-  } else {
-    col = table->AddDouble(name, alloc);
-    std::memcpy(col->f64(), src.data(), src.size() * sizeof(T));
+Database LoadTpch(const HostDb& h, workloads::SimContext* ctx) {
+  Database db;
+#define NUMALAB_LOAD_COLUMN(type, name) \
+  t.rows = h.name.size();               \
+  t.name = ctx->CopyInput(h.name);
+#define NUMALAB_LOAD_TABLE(Type, member, COLUMNS) \
+  {                                               \
+    Type& t = db.member;                          \
+    COLUMNS(NUMALAB_LOAD_COLUMN)                  \
   }
-  workloads::PretouchAsNode(memsys, col->raw(), src.size() * sizeof(T),
-                            /*node=*/0);
-}
-
-}  // namespace
-
-std::unique_ptr<Database> LoadTpch(const HostDb& h,
-                                   alloc::SimAllocator* alloc,
-                                   mem::MemSystem* memsys) {
-  auto db = std::make_unique<Database>();
-
-  db->region = std::make_unique<Table>("region", h.r_regionkey.size());
-  FillColumn(db->region.get(), "r_regionkey", h.r_regionkey, alloc, memsys);
-  FillColumn(db->region.get(), "r_name", h.r_name, alloc, memsys);
-
-  db->nation = std::make_unique<Table>("nation", h.n_nationkey.size());
-  FillColumn(db->nation.get(), "n_nationkey", h.n_nationkey, alloc, memsys);
-  FillColumn(db->nation.get(), "n_name", h.n_name, alloc, memsys);
-  FillColumn(db->nation.get(), "n_regionkey", h.n_regionkey, alloc, memsys);
-
-  db->supplier = std::make_unique<Table>("supplier", h.s_suppkey.size());
-  FillColumn(db->supplier.get(), "s_suppkey", h.s_suppkey, alloc, memsys);
-  FillColumn(db->supplier.get(), "s_nationkey", h.s_nationkey, alloc,
-             memsys);
-  FillColumn(db->supplier.get(), "s_acctbal", h.s_acctbal, alloc, memsys);
-  FillColumn(db->supplier.get(), "s_comment_complaints",
-             h.s_comment_complaints, alloc, memsys);
-
-  db->customer = std::make_unique<Table>("customer", h.c_custkey.size());
-  FillColumn(db->customer.get(), "c_custkey", h.c_custkey, alloc, memsys);
-  FillColumn(db->customer.get(), "c_nationkey", h.c_nationkey, alloc,
-             memsys);
-  FillColumn(db->customer.get(), "c_acctbal", h.c_acctbal, alloc, memsys);
-  FillColumn(db->customer.get(), "c_mktsegment", h.c_mktsegment, alloc,
-             memsys);
-  FillColumn(db->customer.get(), "c_cntrycode", h.c_cntrycode, alloc,
-             memsys);
-
-  db->part = std::make_unique<Table>("part", h.p_partkey.size());
-  FillColumn(db->part.get(), "p_partkey", h.p_partkey, alloc, memsys);
-  FillColumn(db->part.get(), "p_brand", h.p_brand, alloc, memsys);
-  FillColumn(db->part.get(), "p_type", h.p_type, alloc, memsys);
-  FillColumn(db->part.get(), "p_size", h.p_size, alloc, memsys);
-  FillColumn(db->part.get(), "p_container", h.p_container, alloc, memsys);
-  FillColumn(db->part.get(), "p_color", h.p_color, alloc, memsys);
-  FillColumn(db->part.get(), "p_retailprice", h.p_retailprice, alloc,
-             memsys);
-
-  db->partsupp = std::make_unique<Table>("partsupp", h.ps_partkey.size());
-  FillColumn(db->partsupp.get(), "ps_partkey", h.ps_partkey, alloc, memsys);
-  FillColumn(db->partsupp.get(), "ps_suppkey", h.ps_suppkey, alloc, memsys);
-  FillColumn(db->partsupp.get(), "ps_availqty", h.ps_availqty, alloc,
-             memsys);
-  FillColumn(db->partsupp.get(), "ps_supplycost", h.ps_supplycost, alloc,
-             memsys);
-
-  db->orders = std::make_unique<Table>("orders", h.o_orderkey.size());
-  FillColumn(db->orders.get(), "o_orderkey", h.o_orderkey, alloc, memsys);
-  FillColumn(db->orders.get(), "o_custkey", h.o_custkey, alloc, memsys);
-  FillColumn(db->orders.get(), "o_orderdate", h.o_orderdate, alloc, memsys);
-  FillColumn(db->orders.get(), "o_orderpriority", h.o_orderpriority, alloc,
-             memsys);
-  FillColumn(db->orders.get(), "o_orderstatus", h.o_orderstatus, alloc,
-             memsys);
-  FillColumn(db->orders.get(), "o_comment_special", h.o_comment_special,
-             alloc, memsys);
-  FillColumn(db->orders.get(), "o_totalprice", h.o_totalprice, alloc,
-             memsys);
-
-  db->lineitem = std::make_unique<Table>("lineitem", h.l_orderkey.size());
-  FillColumn(db->lineitem.get(), "l_orderkey", h.l_orderkey, alloc, memsys);
-  FillColumn(db->lineitem.get(), "l_partkey", h.l_partkey, alloc, memsys);
-  FillColumn(db->lineitem.get(), "l_suppkey", h.l_suppkey, alloc, memsys);
-  FillColumn(db->lineitem.get(), "l_quantity", h.l_quantity, alloc, memsys);
-  FillColumn(db->lineitem.get(), "l_returnflag", h.l_returnflag, alloc,
-             memsys);
-  FillColumn(db->lineitem.get(), "l_linestatus", h.l_linestatus, alloc,
-             memsys);
-  FillColumn(db->lineitem.get(), "l_shipdate", h.l_shipdate, alloc, memsys);
-  FillColumn(db->lineitem.get(), "l_commitdate", h.l_commitdate, alloc,
-             memsys);
-  FillColumn(db->lineitem.get(), "l_receiptdate", h.l_receiptdate, alloc,
-             memsys);
-  FillColumn(db->lineitem.get(), "l_shipmode", h.l_shipmode, alloc, memsys);
-  FillColumn(db->lineitem.get(), "l_shipinstruct", h.l_shipinstruct, alloc,
-             memsys);
-  FillColumn(db->lineitem.get(), "l_extendedprice", h.l_extendedprice,
-             alloc, memsys);
-  FillColumn(db->lineitem.get(), "l_discount", h.l_discount, alloc, memsys);
-  FillColumn(db->lineitem.get(), "l_tax", h.l_tax, alloc, memsys);
-
+  NUMALAB_TPCH_TABLES(NUMALAB_LOAD_TABLE)
+#undef NUMALAB_LOAD_TABLE
+#undef NUMALAB_LOAD_COLUMN
   return db;
 }
 

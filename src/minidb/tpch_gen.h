@@ -25,58 +25,37 @@
 #define NUMALAB_MINIDB_TPCH_GEN_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "src/mem/mem_system.h"
-#include "src/minidb/table.h"
+#include "src/minidb/schema.h"
 
 namespace numalab {
+namespace workloads {
+class SimContext;
+}  // namespace workloads
+
 namespace minidb {
 
 /// Day number (days since 1992-01-01) for a calendar date; supports the
 /// TPC-H range 1992..1998 with its leap years.
 int64_t Date(int year, int month, int day);
 
-/// \brief Host-side (unsimulated) generated dataset.
+/// \brief Host-side (unsimulated) generated dataset: one vector per
+/// schema column (schema.h).
 struct HostDb {
-  double scale = 0.0;
-  // region
-  std::vector<int64_t> r_regionkey, r_name;
-  // nation
-  std::vector<int64_t> n_nationkey, n_name, n_regionkey;
-  // supplier
-  std::vector<int64_t> s_suppkey, s_nationkey, s_comment_complaints;
-  std::vector<double> s_acctbal;
-  // customer
-  std::vector<int64_t> c_custkey, c_nationkey, c_mktsegment, c_cntrycode;
-  std::vector<double> c_acctbal;
-  // part
-  std::vector<int64_t> p_partkey, p_brand, p_type, p_size, p_container,
-      p_color;
-  std::vector<double> p_retailprice;
-  // partsupp
-  std::vector<int64_t> ps_partkey, ps_suppkey, ps_availqty;
-  std::vector<double> ps_supplycost;
-  // orders
-  std::vector<int64_t> o_orderkey, o_custkey, o_orderdate, o_orderpriority,
-      o_orderstatus, o_comment_special;
-  std::vector<double> o_totalprice;
-  // lineitem
-  std::vector<int64_t> l_orderkey, l_partkey, l_suppkey, l_quantity,
-      l_returnflag, l_linestatus, l_shipdate, l_commitdate, l_receiptdate,
-      l_shipmode, l_shipinstruct;
-  std::vector<double> l_extendedprice, l_discount, l_tax;
+#define NUMALAB_HOST_COLUMN(type, name) std::vector<type> name;
+#define NUMALAB_HOST_TABLE(Type, member, COLUMNS) COLUMNS(NUMALAB_HOST_COLUMN)
+  NUMALAB_TPCH_TABLES(NUMALAB_HOST_TABLE)
+#undef NUMALAB_HOST_TABLE
+#undef NUMALAB_HOST_COLUMN
 };
 
 /// Generates (or returns the cached) host dataset for `scale`.
 const HostDb& GenerateTpch(double scale, uint64_t seed = 19920101);
 
-/// Copies the host dataset into simulated memory via `alloc` and pretouches
-/// every column as loaded by node 0.
-std::unique_ptr<Database> LoadTpch(const HostDb& host,
-                                   alloc::SimAllocator* alloc,
-                                   mem::MemSystem* memsys);
+/// Copies the host dataset into the run's simulated memory, column by
+/// column in schema order, each pretouched as loaded by node 0.
+Database LoadTpch(const HostDb& host, workloads::SimContext* ctx);
 
 }  // namespace minidb
 }  // namespace numalab

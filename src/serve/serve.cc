@@ -101,7 +101,7 @@ struct ServeState {
   datagen::JoinTuple* build = nullptr;  // probe-table build side (sim mem)
   uint64_t build_rows = 0;
   ProbeTable* probe_table = nullptr;
-  std::unique_ptr<minidb::Database> db;  // null when the mix has no TPC-H
+  minidb::Database db;  // empty when the mix has no TPC-H
   const minidb::SystemProfile* prof = nullptr;
   storage::StorageEngine* store = nullptr;  // null unless storage.enabled
 
@@ -593,7 +593,7 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
         tenv.num_workers = 1;
         minidb::QCtx qc{&tenv, s.prof};
         minidb::QueryState qs;
-        qs.Prepare(s.db.get(), 1);
+        qs.Prepare(&s.db, 1);
         minidb::QueryPlan plan = minidb::BuildTpchPlan(kTpchQuery, &qs);
         for (const minidb::Phase& phase : plan.phases) {
           if (env.Failed()) break;
@@ -693,7 +693,7 @@ ServeResult RunServing(const workloads::RunConfig& rc,
   // minidb database for the analytic slice of the mix.
   if (sc.mix_tpch > 0) {
     const minidb::HostDb& host = minidb::GenerateTpch(kTpchScale, rc.seed);
-    s.db = minidb::LoadTpch(host, ctx.allocator(), ctx.memsys());
+    s.db = minidb::LoadTpch(host, &ctx);
     s.prof = &minidb::ProfileByName("columnar-vec");
   }
 
