@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
 
     ServeConfig unbatched = sc;
     unbatched.batch_max = 1;
-    unbatched.batch_window_cycles = 0;
 
     ServeResult on = RunServing(rc, sc);
     ServeResult off = RunServing(rc, unbatched);

@@ -45,6 +45,24 @@ struct Mix {
   double point, range, upsert;
 };
 
+/// True iff the run completed every request and saw `crashes` shard crashes.
+bool Clean(const ServeResult& r, uint64_t crashes) {
+  return r.run.status.ok() && r.stats.dropped == 0 &&
+         r.storage.crashes == crashes;
+}
+
+/// `rc` with faultlab taking node 1 offline halfway through the serving
+/// span of `ref`, a no-fault run of the same stream.
+struct Kill {
+  RunConfig cfg;
+  uint64_t cycle;
+};
+Kill KillNode1MidRun(const RunConfig& rc, const ServeResult& ref) {
+  Kill k{rc, ref.stats.first_arrival_cycle + ref.stats.makespan_cycles / 2};
+  k.cfg.faults.offline.push_back({1, k.cycle});
+  return k;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,8 +135,7 @@ int main(int argc, char** argv) {
             mix_checksum = st.table_checksum;
             have_checksum = true;
           }
-          bool ok = r.run.status.ok() && r.stats.dropped == 0 &&
-                    st.crashes == 0 && st.table_checksum == mix_checksum;
+          bool ok = Clean(r, 0) && st.table_checksum == mix_checksum;
           std::printf(
               "%-9s %-11s %-11s %-10s %9.2f %6.1f %7llu %7llu %8llu %5s\n",
               m.name, ShardPlacementName(placement),
@@ -140,16 +157,13 @@ int main(int argc, char** argv) {
   {
     ServeConfig sc_w = with_mix(mixes[2]);
     ServeResult baseline = RunServing(rc, sc_w);
-    bool base_ok = baseline.run.status.ok() &&
-                   baseline.stats.dropped == 0 &&
-                   baseline.storage.crashes == 0;
+    bool base_ok = Clean(baseline, 0);
     if (!base_ok) ++failures;
     uint64_t expect = baseline.storage.table_checksum;
-    uint64_t kill_cycle = baseline.stats.first_arrival_cycle +
-                          baseline.stats.makespan_cycles / 2;
+    Kill kill = KillNode1MidRun(rc, baseline);
     std::printf("no-fault checksum %llu, kill at cycle %llu (%s)\n",
                 static_cast<unsigned long long>(expect),
-                static_cast<unsigned long long>(kill_cycle),
+                static_cast<unsigned long long>(kill.cycle),
                 base_ok ? "OK" : "FAIL");
     std::printf("%-9s %6s %9s %9s %8s %10s %5s\n", "interval", "ckpt",
                 "wal_trunc", "replayed", "redone", "rec_cycles", "ok");
@@ -157,15 +171,12 @@ int main(int argc, char** argv) {
     for (uint64_t interval : {64ULL, 128ULL, 256ULL, 1024ULL}) {
       ServeConfig sc = sc_w;
       sc.storage.checkpoint_interval_records = interval;
-      RunConfig cfg = rc;
-      cfg.faults.offline.push_back({1, kill_cycle});
-      ServeResult r = RunServing(cfg, sc);
+      ServeResult r = RunServing(kill.cfg, sc);
       const numalab::storage::StorageStats& st = r.storage;
       // recovered_checksum is the crash-time table state (the stream keeps
       // mutating after redo); the end-to-end invariant is the *final*
       // checksum matching the no-fault run.
-      bool ok = r.run.status.ok() && r.stats.dropped == 0 &&
-                st.crashes == 1 && st.table_checksum == expect;
+      bool ok = Clean(r, 1) && st.table_checksum == expect;
       replayed.push_back(st.recovery_records_replayed);
       std::printf("%-9llu %6llu %9llu %9llu %8llu %10llu %5s\n",
                   static_cast<unsigned long long>(interval),
@@ -194,16 +205,11 @@ int main(int argc, char** argv) {
     ServeConfig sc = with_mix(mixes[1]);
     sc.storage.checkpoint_interval_records = 2048;  // no ckpt before kill
     ServeResult a = RunServing(rc, sc);
-    bool a_ok = a.run.status.ok() && a.stats.dropped == 0 &&
-                a.storage.crashes == 0;
-    uint64_t kill_cycle =
-        a.stats.first_arrival_cycle + a.stats.makespan_cycles / 2;
-    RunConfig cfg = rc;
-    cfg.faults.offline.push_back({1, kill_cycle});
-    ServeResult b = RunServing(cfg, sc);
+    bool a_ok = Clean(a, 0);
+    Kill kill = KillNode1MidRun(rc, a);
+    ServeResult b = RunServing(kill.cfg, sc);
     const numalab::storage::StorageStats& st = b.storage;
-    bool b_ok = b.run.status.ok() && b.stats.dropped == 0 &&
-                st.crashes == 1 && st.recovery_records_replayed > 0 &&
+    bool b_ok = Clean(b, 1) && st.recovery_records_replayed > 0 &&
                 st.recovery_dirty_frames_lost > 0;
     bool match = st.table_checksum == a.storage.table_checksum;
     std::printf("no-fault run:  checksum %llu, wal %llu records (%s)\n",
@@ -213,7 +219,7 @@ int main(int argc, char** argv) {
     std::printf(
         "crashed run:   kill@%llu, dirty frames lost %llu, replayed %llu "
         "of %llu scanned, redo %llu pages in %llu cycles (%s)\n",
-        static_cast<unsigned long long>(kill_cycle),
+        static_cast<unsigned long long>(kill.cycle),
         static_cast<unsigned long long>(st.recovery_dirty_frames_lost),
         static_cast<unsigned long long>(st.recovery_records_replayed),
         static_cast<unsigned long long>(st.recovery_records_scanned),

@@ -49,6 +49,7 @@ constexpr uint64_t kUpsertCycles = 40;
 constexpr uint64_t kBatchSortCycles = 12;  // per batched request
 constexpr uint64_t kIdlePollCycles = 400;  // empty-queue poll
 constexpr uint64_t kBatchPollCycles = 120; // batch-window poll
+constexpr uint64_t kBatchWindowCycles = 2'000;  // non-full batch wait
 constexpr int kTpchQuery = 6;              // RequestType::kTpch runs Q6
 constexpr double kTpchScale = 0.01;        // minidb dataset scale for Q6
 
@@ -56,7 +57,6 @@ struct Request {
   RequestType type = RequestType::kPointGet;
   uint64_t key = 0;        // point/probe/upsert key; range start; tpch salt
   uint32_t rows = 0;       // kRangeAgg only
-  int target_node = -1;    // set by routing on (each) admission attempt
   int attempts = 0;
   uint64_t arrival = 0;    // first submission cycle
 };
@@ -96,7 +96,7 @@ struct ServeState {
   int nodes = 1;
 
   // Data plane.
-  std::vector<datagen::Record*> parts;  // per-node partition base
+  std::vector<datagen::Record*> parts;  // per-node slab of keys_per_node
   uint64_t keys_per_node = 1;
   datagen::JoinTuple* build = nullptr;  // probe-table build side (sim mem)
   uint64_t build_rows = 0;
@@ -113,7 +113,6 @@ struct ServeState {
   uint64_t arrival_seq = 0;   // event seq reserved for arrival 0
   uint64_t peak_pending_events = 0;  // see ServeResult
   uint64_t outstanding = 0;  // submitted-or-pending requests not yet resolved
-  bool serving_open = false;
 
   // Measurements (host-side bookkeeping; never read by simulated code).
   ServingStats st;
@@ -121,40 +120,65 @@ struct ServeState {
 };
 
 // ---------------------------------------------------------------------------
+// Data layout: the store is split into equal slabs, one per node, so key k
+// lives on node k / keys_per_node at offset k % keys_per_node.
+
+int OwnerNode(const ServeState& s, uint64_t key) {
+  return static_cast<int>(key / s.keys_per_node);
+}
+
+struct SlabRun {
+  const datagen::Record* first;
+  uint64_t rows;
+};
+
+/// Reads the records [key, key + rows) as one span access, clipped at the
+/// end of key's slab (a run never continues into the next node's slab),
+/// and returns the run it read.
+SlabRun ReadSlab(Env& env, const ServeState& s, uint64_t key, uint64_t rows) {
+  uint64_t local = key % s.keys_per_node;
+  SlabRun run = {s.parts[static_cast<size_t>(OwnerNode(s, key))] + local,
+                 std::min(rows, s.keys_per_node - local)};
+  env.ReadSpan(run.first, run.rows * sizeof(datagen::Record),
+               sizeof(datagen::Record));
+  return run;
+}
+
+/// The first node, walking the ring from `home`, that `ok` accepts; -1 when
+/// none does.
+template <typename Pred>
+int FirstNodeFrom(const ServeState& s, int home, Pred ok) {
+  for (int i = 0; i < s.nodes; ++i) {
+    int cand = (home + i) % s.nodes;
+    if (ok(cand)) return cand;
+  }
+  return -1;
+}
+
+// ---------------------------------------------------------------------------
 // Admission control.
 
-/// Routes a request to the node owning its data, falling back per the
-/// active MemPolicy when ownership is ill-defined: kPreferred binds all
-/// traffic to the preferred node, kInterleave has no owner (pages are
-/// round-robined) so requests hash-spread instead.
+/// Routes a point/range request to the node owning its key, falling back
+/// per the active MemPolicy when ownership is ill-defined: kPreferred binds
+/// all traffic to the preferred node, kInterleave has no owner (pages are
+/// round-robined) so requests hash-spread instead. spread_reads hash-spreads
+/// point/range requests under every policy. Probe/upsert targets and TPC-H
+/// queries hash-spread too: the shared table's stripes live everywhere, and
+/// a serial analytic query only needs *a* server, not a particular one.
 int RouteNode(const ServeState& s, const Request& r) {
-  if (s.sc->spread_reads && (r.type == RequestType::kPointGet ||
-                             r.type == RequestType::kRangeAgg)) {
-    return static_cast<int>((index::HashKey(r.key) >> 32) %
-                            static_cast<uint64_t>(s.nodes));
-  }
-  switch (s.ctx->config().policy) {
-    case mem::MemPolicy::kPreferred:
+  bool keyed = r.type == RequestType::kPointGet ||
+               r.type == RequestType::kRangeAgg;
+  mem::MemPolicy policy = s.ctx->config().policy;
+  if (!(keyed && s.sc->spread_reads)) {
+    if (policy == mem::MemPolicy::kPreferred) {
       return s.ctx->config().preferred_node % s.nodes;
-    case mem::MemPolicy::kInterleave:
-      return static_cast<int>((index::HashKey(r.key) >> 32) %
-                              static_cast<uint64_t>(s.nodes));
-    default:
-      break;
+    }
+    if (keyed && policy != mem::MemPolicy::kInterleave) {
+      return OwnerNode(s, r.key);
+    }
   }
-  switch (r.type) {
-    case RequestType::kPointGet:
-    case RequestType::kRangeAgg:
-      return static_cast<int>(
-          std::min<uint64_t>(r.key / s.keys_per_node,
-                             static_cast<uint64_t>(s.nodes) - 1));
-    default:
-      // Probe/upsert targets and TPC-H queries hash-spread: the shared
-      // table's stripes live everywhere, and a serial analytic query only
-      // needs *a* server, not a particular one.
-      return static_cast<int>((index::HashKey(r.key) >> 32) %
-                              static_cast<uint64_t>(s.nodes));
-  }
+  return static_cast<int>((index::HashKey(r.key) >> 32) %
+                          static_cast<uint64_t>(s.nodes));
 }
 
 /// Queue bound for this admission decision. Under faultlab memory pressure
@@ -186,23 +210,14 @@ void SubmitRequest(ServeState& s, uint32_t id, uint64_t now) {
   if (faultlab::FaultLab* fl = s.ctx->faults()) {
     // A withdrawn node still serves its resident data in the memory model,
     // but the serving layer stops *dispatching* to it: reroute to the next
-    // online node, deterministically.
-    int probe = node;
-    bool found = false;
-    for (int i = 0; i < s.nodes; ++i) {
-      int cand = (node + i) % s.nodes;
-      if (fl->NodeOnline(cand, now)) {
-        probe = cand;
-        found = true;
-        break;
-      }
-    }
-    if (found && probe != node) {
+    // online node, deterministically. Nothing online (-1) is a full-system
+    // rejection.
+    int online = FirstNodeFrom(
+        s, node, [&](int n) { return fl->NodeOnline(n, now); });
+    if (online >= 0 && online != node) {
       ++s.st.nodes[static_cast<size_t>(node)].redirected_offline;
-      node = probe;
-    } else if (!found) {
-      node = -1;  // nothing online: treat as a full-system rejection
     }
+    node = online;
   }
 
   NodeQueue* q = node >= 0 ? &s.queues[static_cast<size_t>(node)] : nullptr;
@@ -225,7 +240,6 @@ void SubmitRequest(ServeState& s, uint32_t id, uint64_t now) {
     return;
   }
 
-  r.target_node = node;
   q->slots[q->tail % q->cap] = id;
   ++q->tail;
   ++s.st.admitted;
@@ -407,7 +421,6 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
 
   if (env.worker_index == 0 && !env.Failed()) {
     StartClients(s, env.self->clock);
-    s.serving_open = true;
   }
 
   trace::ScopedSpan serve_span(env.self, "serve");
@@ -420,14 +433,9 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
     // Pick the first non-empty queue, home node first. Scanning queue
     // depths is host-side (the real signal would be a futex/doorbell);
     // the pop itself is charged below.
-    int node = -1;
-    for (int i = 0; i < s.nodes; ++i) {
-      int cand = (home + i) % s.nodes;
-      if (s.queues[static_cast<size_t>(cand)].depth() > 0) {
-        node = cand;
-        break;
-      }
-    }
+    int node = FirstNodeFrom(s, home, [&](int n) {
+      return s.queues[static_cast<size_t>(n)].depth() > 0;
+    });
     if (node < 0) {
       // Nothing to pop until an arrival event or another worker fills a
       // queue, and neither runs before this worker suspends: poll out the
@@ -464,13 +472,14 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
 
     // Dynamic batching: a non-full point batch may wait a bounded window
     // for more coalescible arrivals — trading a little latency for the
-    // amortized dispatch the throughput numbers show.
+    // amortized dispatch the throughput numbers show. (batch_max = 1 is
+    // always full, so the unbatched dispatch never waits.)
     if (s.reqs[batch[0]].type == RequestType::kPointGet &&
-        nbatch < batch_max && sc.batch_window_cycles > 0 && batch_max > 1) {
+        nbatch < batch_max) {
       // The drain above left the queue empty or headed by a non-point
       // request, and only events or other workers change that: poll up to
       // the deadline or the quantum end, whichever comes first.
-      uint64_t deadline = env.self->clock + sc.batch_window_cycles;
+      uint64_t deadline = env.self->clock + kBatchWindowCycles;
       while (nbatch < batch_max && env.self->clock < deadline &&
              s.outstanding > nbatch) {
         env.IdlePoll(kBatchPollCycles, deadline);
@@ -512,18 +521,12 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
       uint64_t i = 0;
       while (i < nbatch) {
         // Coalesce a run of consecutive keys into one span access — the
-        // PR-1 AccessSpan fast path. Keys outside this node's partition
+        // AccessSpan fast path. Keys outside this node's partition
         // (policy-fallback routing) read their owning partition instead.
         uint64_t k0 = s.reqs[batch[i]].key;
         uint64_t j = i + 1;
         while (j < nbatch && s.reqs[batch[j]].key == k0 + (j - i)) ++j;
-        uint64_t owner = std::min<uint64_t>(
-            k0 / s.keys_per_node, static_cast<uint64_t>(s.nodes) - 1);
-        datagen::Record* arr = s.parts[static_cast<size_t>(owner)];
-        uint64_t local = k0 - owner * s.keys_per_node;
-        uint64_t run = std::min(j - i, s.keys_per_node - local);
-        env.ReadSpan(&arr[local], run * sizeof(datagen::Record),
-                     sizeof(datagen::Record));
+        ReadSlab(env, s, k0, j - i);
         env.Compute((j - i) * kPointCycles);
         for (uint64_t x = i; x < j; ++x) {
           OnCompleted(s, env, s.reqs[batch[x]],
@@ -545,18 +548,11 @@ sim::Task ServeWorker(Env& env, ServeState& s) {
           OnCompleted(s, env, r, sum);
           break;
         }
-        uint64_t owner = std::min<uint64_t>(
-            r.key / s.keys_per_node, static_cast<uint64_t>(s.nodes) - 1);
-        datagen::Record* arr = s.parts[static_cast<size_t>(owner)];
-        uint64_t local = r.key - owner * s.keys_per_node;
-        uint64_t rows = std::min<uint64_t>(r.rows,
-                                           s.keys_per_node - local);
-        env.ReadSpan(&arr[local], rows * sizeof(datagen::Record),
-                     sizeof(datagen::Record));
-        env.Compute(rows * kRangePerRowCycles);
+        SlabRun run = ReadSlab(env, s, r.key, r.rows);
+        env.Compute(run.rows * kRangePerRowCycles);
         uint64_t sum = 0;
-        for (uint64_t x = 0; x < rows; ++x) {
-          sum += static_cast<uint64_t>(arr[local + x].val);
+        for (uint64_t x = 0; x < run.rows; ++x) {
+          sum += static_cast<uint64_t>(run.first[x].val);
         }
         OnCompleted(s, env, r, sum);
         break;
@@ -654,27 +650,24 @@ ServeResult RunServing(const workloads::RunConfig& rc,
   s.ctx = &ctx;
   s.nodes = ctx.machine().num_nodes();
   s.st.nodes.resize(static_cast<size_t>(s.nodes));
+  // Equal slabs: every key has an owner slab that holds it.
+  const uint64_t nodes = static_cast<uint64_t>(s.nodes);
+  NUMALAB_CHECK(sc.kv_keys > 0 && sc.kv_keys % nodes == 0);
 
   // --- Data plane. ---
   // Range-partitioned record store, one slab per node, first-touched on its
   // owner so NUMA-aware routing actually buys locality.
-  s.keys_per_node = std::max<uint64_t>(1, sc.kv_keys /
-                                              static_cast<uint64_t>(s.nodes));
+  s.keys_per_node = sc.kv_keys / nodes;
   s.parts.resize(static_cast<size_t>(s.nodes));
   for (int n = 0; n < s.nodes; ++n) {
-    uint64_t count = n == s.nodes - 1
-                         ? sc.kv_keys - s.keys_per_node *
-                                            static_cast<uint64_t>(s.nodes - 1)
-                         : s.keys_per_node;
-    count = std::max<uint64_t>(count, s.keys_per_node);
-    auto* part = ctx.AllocInput<datagen::Record>(count);
+    auto* part = ctx.AllocInput<datagen::Record>(s.keys_per_node);
     uint64_t base = static_cast<uint64_t>(n) * s.keys_per_node;
-    for (uint64_t i = 0; i < count; ++i) {
+    for (uint64_t i = 0; i < s.keys_per_node; ++i) {
       part[i].key = base + i;
       part[i].val = static_cast<int64_t>(PointValue(base + i) >> 32);
     }
     workloads::PretouchAsNode(ctx.memsys(), part,
-                              count * sizeof(datagen::Record), n);
+                              s.keys_per_node * sizeof(datagen::Record), n);
     s.parts[static_cast<size_t>(n)] = part;
   }
 
@@ -713,11 +706,9 @@ ServeResult RunServing(const workloads::RunConfig& rc,
   // the workers through the fallible chain, so faultlab pressure applies.
   std::unique_ptr<storage::StorageEngine> store;
   if (sc.storage.enabled) {
-    storage::StorageConfig scfg = sc.storage;
-    scfg.rows = sc.kv_keys;
     store = std::make_unique<storage::StorageEngine>(
-        scfg, s.nodes, rc.seed + static_cast<uint64_t>(rc.run_index),
-        ctx.faults());
+        sc.storage, sc.kv_keys, s.nodes,
+        rc.seed + static_cast<uint64_t>(rc.run_index), ctx.faults());
     s.store = store.get();
   }
 
@@ -766,7 +757,8 @@ ServeResult RunServing(const workloads::RunConfig& rc,
         {"serving", ServingJson(sc, out.stats)}};
     if (s.store != nullptr) {
       sections.push_back(
-          {"storage", storage::StorageJson(s.store->config(), out.storage)});
+          {"storage", storage::StorageJson(sc.storage, sc.kv_keys,
+                                           out.storage)});
     }
     trace::CollectRun(std::string("serve-") + ArrivalName(sc.arrival), rc,
                       out.run, std::move(sections));

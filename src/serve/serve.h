@@ -74,8 +74,9 @@ struct ServeConfig {
   double mix_upsert = 0.07;
   double mix_tpch = 0.03;
 
-  /// Partitioned record store: kv_keys records range-partitioned over the
-  /// machine's NUMA nodes (node = key / keys_per_node).
+  /// Partitioned record store: kv_keys records split into equal slabs, one
+  /// per NUMA node (node = key / (kv_keys / nodes)). kv_keys must be a
+  /// positive multiple of the node count (RunServing CHECK-fails otherwise).
   uint64_t kv_keys = 1 << 16;
   /// Point-lookup key locality: probability that a client's next point key
   /// continues its scan cursor (key+1) instead of jumping uniformly — the
@@ -107,18 +108,17 @@ struct ServeConfig {
   int max_retries = 3;
   uint64_t retry_backoff_cycles = 60'000;
 
-  /// Dynamic batcher: max point lookups coalesced per dispatch, and the
-  /// extra cycles a non-full batch may wait for more. batch_max = 1 is the
-  /// unbatched reference dispatch.
+  /// Dynamic batcher: max point lookups coalesced per dispatch (a non-full
+  /// batch waits a fixed window for more). batch_max = 1 is the unbatched
+  /// reference dispatch.
   uint64_t batch_max = 16;
-  uint64_t batch_window_cycles = 2'000;
 
   /// WAL-backed storage engine under the serving layer (DESIGN.md §15).
   /// When storage.enabled, point/range/upsert requests run through the
-  /// NUMA-sharded buffer pool + WAL instead of the raw partition slabs /
-  /// probe table; storage.rows is overridden to kv_keys. Default-off is
-  /// zero-cost: the serving stream, stats and stdout are bit-identical to
-  /// a build without the storage engine.
+  /// NUMA-sharded buffer pool + WAL, over a table of kv_keys rows, instead
+  /// of the raw partition slabs / probe table. Default-off is zero-cost:
+  /// the serving stream, stats and stdout are bit-identical to a build
+  /// without the storage engine.
   storage::StorageConfig storage;
 };
 

@@ -30,13 +30,14 @@ static_assert(PageFormatBytes(kSlotsPerPage) <= kPageBytes &&
                   PageFormatBytes(kSlotsPerPage + 1) > kPageBytes,
               "kSlotsPerPage must be the most slots a page holds");
 // Byte offsets within a page of the bitmap word holding `slot`'s presence
-// bit and of `slot`'s (key, value) pair.
+// bit, of `slot`'s (key, value) pair and of its value.
 constexpr uint64_t BitmapWordOffset(uint64_t slot) {
   return 8 + 8 * (slot / 64);
 }
 constexpr uint64_t SlotOffset(uint64_t slot) {
   return 8 + 8 * kBitmapWords + 16 * slot;
 }
+constexpr uint64_t ValueOffset(uint64_t slot) { return SlotOffset(slot) + 8; }
 
 // Simulated I/O device (virtual cycles), charged to the calling worker.
 // Each device op adds a seeded jitter in [0, kIoJitterCycles).
@@ -68,6 +69,30 @@ uint64_t ReadU64(const uint8_t* p) {
 
 void WriteU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
 
+// The slot codec: the only code that reads or writes a page image's header
+// LSN, presence bits and slots (whole-page copies aside).
+uint64_t PageLsn(const uint8_t* img) { return ReadU64(img); }
+
+bool SlotPresent(const uint8_t* img, uint64_t slot) {
+  return (ReadU64(img + BitmapWordOffset(slot)) >> (slot % 64)) & 1ULL;
+}
+
+uint64_t SlotValue(const uint8_t* img, uint64_t slot) {
+  return ReadU64(img + ValueOffset(slot));
+}
+
+/// Stores (key, value) in `slot`, sets its presence bit and stamps the page
+/// with `lsn`. Host-side: callers charge the simulated accesses.
+void ApplySlot(uint8_t* img, uint64_t lsn, uint32_t slot, uint64_t key,
+               uint64_t value) {
+  WriteU64(img, lsn);
+  uint64_t word = ReadU64(img + BitmapWordOffset(slot));
+  word |= 1ULL << (slot % 64);
+  WriteU64(img + BitmapWordOffset(slot), word);
+  WriteU64(img + SlotOffset(slot), key);
+  WriteU64(img + ValueOffset(slot), value);
+}
+
 }  // namespace
 
 const char* ShardPlacementName(ShardPlacement p) {
@@ -78,16 +103,18 @@ const char* ShardPlacementName(ShardPlacement p) {
   return "unknown";
 }
 
-StorageEngine::StorageEngine(const StorageConfig& cfg, int nodes,
-                             uint64_t seed, faultlab::FaultLab* faults)
+StorageEngine::StorageEngine(const StorageConfig& cfg, uint64_t rows,
+                             int nodes, uint64_t seed,
+                             faultlab::FaultLab* faults)
     : cfg_(cfg),
+      rows_(rows),
       nodes_(nodes),
       faults_(faults),
       io_rng_(seed * 0x9e3779b97f4a7c15ULL + 0x5707a9eULL) {
   NUMALAB_CHECK(nodes_ >= 1);
-  NUMALAB_CHECK(cfg_.rows > 0);
+  NUMALAB_CHECK(rows_ > 0);
   NUMALAB_CHECK(cfg_.frames_per_shard >= 1);
-  npages_ = (cfg_.rows + kSlotsPerPage - 1) / kSlotsPerPage;
+  npages_ = (rows_ + kSlotsPerPage - 1) / kSlotsPerPage;
 
   disk_.assign(npages_ * kPageBytes, 0);
   frame_of_page_.assign(npages_, -1);
@@ -101,7 +128,7 @@ StorageEngine::StorageEngine(const StorageConfig& cfg, int nodes,
 
   // Preload: the table starts fully populated, written straight to the disk
   // images (models a pre-existing on-device table; no WAL, no charges).
-  for (uint64_t key = 0; key < cfg_.rows; ++key) {
+  for (uint64_t key = 0; key < rows_; ++key) {
     ApplySlot(DiskImage(key / kSlotsPerPage), /*lsn=*/0,
               static_cast<uint32_t>(key % kSlotsPerPage), key,
               PreloadValue(key));
@@ -132,17 +159,6 @@ uint64_t StorageEngine::ChargeIo(workloads::Env& env, uint64_t base) {
   return cycles;
 }
 
-void StorageEngine::ApplySlot(uint8_t* img, uint64_t lsn, uint32_t slot,
-                              uint64_t key, uint64_t value) const {
-  WriteU64(img, lsn);
-  uint64_t word = ReadU64(img + BitmapWordOffset(slot));
-  word |= 1ULL << (slot % 64);
-  WriteU64(img + BitmapWordOffset(slot), word);
-  uint8_t* s = img + SlotOffset(slot);
-  WriteU64(s, key);
-  WriteU64(s + 8, value);
-}
-
 void StorageEngine::MaybeCrash(workloads::Env& env) {
   if (faults_ == nullptr) return;
   for (int n = 0; n < nodes_; ++n) {
@@ -167,23 +183,17 @@ void StorageEngine::SyncWal(workloads::Env& env) {
   env.LockReleased(&wal_lock_);
 }
 
-void StorageEngine::WalAppend(workloads::Env& env, uint64_t page,
-                              uint32_t slot, uint64_t key, uint64_t value,
-                              uint64_t* lsn_out) {
+uint64_t StorageEngine::WalAppend(workloads::Env& env, uint64_t page,
+                                  uint32_t slot, uint64_t key,
+                                  uint64_t value) {
   env.Lock(&wal_lock_, kWalHoldCycles);
   if (wal_buf_.empty()) buf_open_cycle_ = env.self->clock;
-  WalRecord r;
-  r.lsn = next_lsn_++;
-  r.page = page;
-  r.slot = slot;
-  r.key = key;
-  r.value = value;
-  wal_buf_.push_back(r);
+  uint64_t lsn = next_lsn_++;
+  wal_buf_.push_back({lsn, page, slot, key, value});
   env.Compute(kWalAppendCycles);
   ++st_.wal_records;
   st_.wal_bytes += kWalRecordBytes;
   ++records_since_checkpoint_;
-  *lsn_out = r.lsn;
   // Group commit: flush when the group fills or the oldest buffered record
   // has waited out the virtual-cycle window.
   if (wal_buf_.size() >= kGroupCommitRecords ||
@@ -191,12 +201,13 @@ void StorageEngine::WalAppend(workloads::Env& env, uint64_t page,
     FlushWal(env);
   }
   env.LockReleased(&wal_lock_);
+  return lsn;
 }
 
 void StorageEngine::WriteBack(workloads::Env& env, Shard& sh, Frame& f) {
   // WAL-before-data: the log must be durable through this page's LSN before
   // its image may overwrite the on-device version.
-  if (f.page_lsn > flushed_lsn_) {
+  if (PageLsn(f.data) > flushed_lsn_) {
     SyncWal(env);
   }
   env.ReadSpan(f.data, kPageBytes);
@@ -280,7 +291,6 @@ StorageEngine::Frame* StorageEngine::FetchLocked(workloads::Env& env,
   std::memcpy(victim->data, DiskImage(page), kPageBytes);
   env.WriteSpan(victim->data, kPageBytes);
   victim->page = page;
-  victim->page_lsn = ReadU64(victim->data);
   victim->dirty = false;
   victim->ref = true;
   frame_of_page_[page] =
@@ -288,19 +298,14 @@ StorageEngine::Frame* StorageEngine::FetchLocked(workloads::Env& env,
   return victim;
 }
 
-int StorageEngine::RouteOrFail(workloads::Env& env, uint64_t page) {
-  int si = shard_of(page);
-  if (si < 0) {
-    env.ReportFailure(Status::Unavailable("storage: all shards offline"));
-  }
-  return si;
-}
-
 template <typename F>
 StorageEngine::PageOutcome StorageEngine::WithPage(workloads::Env& env,
                                                    uint64_t page, F&& body) {
-  int si = RouteOrFail(env, page);
-  if (si < 0) return PageOutcome::kNoShard;
+  int si = shard_of(page);
+  if (si < 0) {
+    env.ReportFailure(Status::Unavailable("storage: all shards offline"));
+    return PageOutcome::kNoShard;
+  }
   Shard& sh = shards_[si];
   env.Lock(&sh.lock, kShardHoldCycles);
   Frame* f = FetchLocked(env, si, page);
@@ -311,14 +316,13 @@ StorageEngine::PageOutcome StorageEngine::WithPage(workloads::Env& env,
 
 bool StorageEngine::Upsert(workloads::Env& env, uint64_t key,
                            uint64_t value) {
-  NUMALAB_CHECK(key < cfg_.rows);
+  NUMALAB_CHECK(key < rows_);
   MaybeCrash(env);
   uint64_t page = key / kSlotsPerPage;
   uint32_t slot = static_cast<uint32_t>(key % kSlotsPerPage);
   // Write-ahead rule: the record is logged (group-commit buffered) before
   // the page is touched.
-  uint64_t lsn = 0;
-  WalAppend(env, page, slot, key, value, &lsn);
+  uint64_t lsn = WalAppend(env, page, slot, key, value);
 
   PageOutcome r = WithPage(env, page, [&](Frame& f) {
     ApplySlot(f.data, lsn, slot, key, value);
@@ -326,7 +330,6 @@ bool StorageEngine::Upsert(workloads::Env& env, uint64_t key,
     env.Write(f.data, 8);
     env.Write(f.data + BitmapWordOffset(slot), 8);
     env.Write(f.data + SlotOffset(slot), 16);
-    f.page_lsn = lsn;
     f.dirty = true;
   });
   if (r == PageOutcome::kNoShard) return false;
@@ -336,7 +339,7 @@ bool StorageEngine::Upsert(workloads::Env& env, uint64_t key,
 }
 
 bool StorageEngine::Get(workloads::Env& env, uint64_t key, uint64_t* value) {
-  NUMALAB_CHECK(key < cfg_.rows);
+  NUMALAB_CHECK(key < rows_);
   MaybeCrash(env);
   *value = 0;
   uint64_t page = key / kSlotsPerPage;
@@ -344,11 +347,9 @@ bool StorageEngine::Get(workloads::Env& env, uint64_t key, uint64_t* value) {
   bool found = false;
   PageOutcome r = WithPage(env, page, [&](Frame& f) {
     env.Read(f.data + BitmapWordOffset(slot), 8);
-    uint64_t word = ReadU64(f.data + BitmapWordOffset(slot));
-    if ((word >> (slot % 64)) & 1ULL) {
-      const uint8_t* s = f.data + SlotOffset(slot);
-      env.Read(s, 16);
-      *value = ReadU64(s + 8);
+    if (SlotPresent(f.data, slot)) {
+      env.Read(f.data + SlotOffset(slot), 16);
+      *value = SlotValue(f.data, slot);
       found = true;
     }
   });
@@ -359,9 +360,8 @@ bool StorageEngine::Get(workloads::Env& env, uint64_t key, uint64_t* value) {
 
 uint64_t StorageEngine::ScanSum(workloads::Env& env, uint64_t key,
                                 uint64_t rows) {
-  NUMALAB_CHECK(key < cfg_.rows);
-  uint64_t end = key + rows;
-  if (end > cfg_.rows) end = cfg_.rows;
+  NUMALAB_CHECK(key < rows_);
+  uint64_t end = std::min(key + rows, rows_);
   uint64_t sum = 0;
   uint64_t k = key;
   while (k < end) {
@@ -371,13 +371,9 @@ uint64_t StorageEngine::ScanSum(workloads::Env& env, uint64_t key,
     uint64_t last = std::min(end, (page + 1) * kSlotsPerPage);
     uint32_t count = static_cast<uint32_t>(last - k);
     PageOutcome r = WithPage(env, page, [&](Frame& f) {
-      const uint8_t* base = f.data + SlotOffset(first);
-      env.ReadSpan(base, 16ULL * count, 16);
-      for (uint32_t i = 0; i < count; ++i) {
-        uint64_t word = ReadU64(f.data + BitmapWordOffset(first + i));
-        if ((word >> ((first + i) % 64)) & 1ULL) {
-          sum += ReadU64(base + 16ULL * i + 8);
-        }
+      env.ReadSpan(f.data + SlotOffset(first), 16ULL * count, 16);
+      for (uint32_t slot = first; slot < first + count; ++slot) {
+        if (SlotPresent(f.data, slot)) sum += SlotValue(f.data, slot);
       }
       st_.scan_rows += count;
     });
@@ -455,7 +451,7 @@ void StorageEngine::RecoverAfterCrash(workloads::Env& env, int node) {
     ++st_.recovery_records_scanned;
     if (frame_of_page_[r.page] >= 0) continue;
     uint8_t* img = DiskImage(r.page);
-    if (ReadU64(img) >= r.lsn) continue;
+    if (PageLsn(img) >= r.lsn) continue;
     if (!redone[r.page]) {
       redone[r.page] = true;
       ++st_.recovery_pages_redone;
@@ -483,12 +479,11 @@ uint64_t StorageEngine::Checksum() const {
       img = shards_[si].frames[fi].data;
     }
     uint64_t lo = page * kSlotsPerPage;
-    uint64_t hi = std::min(cfg_.rows, lo + kSlotsPerPage);
+    uint64_t hi = std::min(rows_, lo + kSlotsPerPage);
     for (uint64_t key = lo; key < hi; ++key) {
-      uint32_t slot = static_cast<uint32_t>(key - lo);
-      uint64_t word = ReadU64(img + BitmapWordOffset(slot));
-      if ((word >> (slot % 64)) & 1ULL) {
-        uint64_t value = ReadU64(img + SlotOffset(slot) + 8);
+      uint64_t slot = key - lo;
+      if (SlotPresent(img, slot)) {
+        uint64_t value = SlotValue(img, slot);
         sum += SplitMix64(key * 0x9e3779b97f4a7c15ULL ^ value).Next();
       }
     }
@@ -518,14 +513,15 @@ StorageStats StorageEngine::stats() const {
 
 using trace::Appendf;
 
-std::string StorageJson(const StorageConfig& cfg, const StorageStats& st) {
+std::string StorageJson(const StorageConfig& cfg, uint64_t rows,
+                        const StorageStats& st) {
   std::string out;
   out.reserve(1024);
   Appendf(&out,
           "{\"enabled\":%s,\"rows\":%" PRIu64 ",\"page_bytes\":%" PRIu64
           ",\"frames_per_shard\":%" PRIu64
           ",\"placement\":\"%s\",\"checkpoint_interval\":%" PRIu64,
-          cfg.enabled ? "true" : "false", cfg.rows, kPageBytes,
+          cfg.enabled ? "true" : "false", rows, kPageBytes,
           cfg.frames_per_shard, ShardPlacementName(cfg.placement),
           cfg.checkpoint_interval_records);
   Appendf(&out,

@@ -75,8 +75,6 @@ struct StorageConfig {
   /// False is guaranteed zero-cost (byte-identical serving results).
   bool enabled = false;
 
-  /// Table rows; keys are [0, rows), direct-mapped to (page, slot).
-  uint64_t rows = 1 << 16;
   /// Buffer-pool frames per NUMA-node shard.
   uint64_t frames_per_shard = 24;
   ShardPlacement placement = ShardPlacement::kLocal;
@@ -159,10 +157,12 @@ inline uint64_t PreloadValue(uint64_t key) {
 
 class StorageEngine {
  public:
-  /// `nodes` is the machine's NUMA-node count (one shard each); `seed`
-  /// feeds the I/O jitter Rng; `faults` may be null (no crash injection).
-  StorageEngine(const StorageConfig& cfg, int nodes, uint64_t seed,
-                faultlab::FaultLab* faults);
+  /// The table holds `rows` rows, keys [0, rows) direct-mapped to (page,
+  /// slot); under serving, rows is the store's kv_keys. `nodes` is the
+  /// machine's NUMA-node count (one shard each); `seed` feeds the I/O
+  /// jitter Rng; `faults` may be null (no crash injection).
+  StorageEngine(const StorageConfig& cfg, uint64_t rows, int nodes,
+                uint64_t seed, faultlab::FaultLab* faults);
 
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
@@ -177,7 +177,7 @@ class StorageEngine {
   /// (never happens after the full preload) — *value is 0 then.
   bool Get(workloads::Env& env, uint64_t key, uint64_t* value);
 
-  /// Sums the values of rows [key, min(key+rows, config.rows)) through the
+  /// Sums the values of rows [key, min(key+rows, table rows)) through the
   /// pool, page by page. Returns the sum (wrapping uint64 arithmetic).
   uint64_t ScanSum(workloads::Env& env, uint64_t key, uint64_t rows);
 
@@ -205,7 +205,6 @@ class StorageEngine {
   /// True iff `page` currently has a frame (host-side; tests).
   bool Cached(uint64_t page) const;
 
-  const StorageConfig& config() const { return cfg_; }
   uint64_t pages() const { return npages_; }
   uint64_t rows_per_page() const;
   int shard_of(uint64_t page) const;
@@ -223,7 +222,6 @@ class StorageEngine {
   /// accesses to it are charged through the caller's Env.
   struct Frame {
     uint64_t page = ~0ULL;
-    uint64_t page_lsn = 0;  ///< host mirror of the image's header LSN
     bool dirty = false;
     bool ref = false;  ///< clock second-chance bit
     uint8_t* data = nullptr;
@@ -252,20 +250,19 @@ class StorageEngine {
 
   uint64_t ChargeIo(workloads::Env& env, uint64_t base);
   void MaybeCrash(workloads::Env& env);
-  /// Owning shard of `page`, or -1 after reporting Unavailable when every
-  /// shard is offline.
-  int RouteOrFail(workloads::Env& env, uint64_t page);
   /// The one-page critical section of Upsert/Get/ScanSum: route `page` to
-  /// its shard, take the shard lock, fetch the frame, run body(frame),
-  /// release. The body runs only when a frame was obtained.
+  /// its shard (reporting Unavailable when every shard is offline), take
+  /// the shard lock, fetch the frame, run body(frame), release. The body
+  /// runs only when a frame was obtained.
   template <typename F>
   PageOutcome WithPage(workloads::Env& env, uint64_t page, F&& body);
   /// Group-commit flush; the caller holds wal_lock_.
   void FlushWal(workloads::Env& env);
   /// FlushWal under its own wal_lock_ section.
   void SyncWal(workloads::Env& env);
-  void WalAppend(workloads::Env& env, uint64_t page, uint32_t slot,
-                 uint64_t key, uint64_t value, uint64_t* lsn_out);
+  /// Appends one record (group-commit buffered) and returns its LSN.
+  uint64_t WalAppend(workloads::Env& env, uint64_t page, uint32_t slot,
+                     uint64_t key, uint64_t value);
   void MaybeCheckpoint(workloads::Env& env);
   /// Writes the victim frame's image back to disk (WAL-first rule:
   /// flushes the log through the frame's LSN beforehand).
@@ -273,10 +270,9 @@ class StorageEngine {
   /// Shard-lock-held page fetch; returns null when the shard has no frame
   /// and cannot allocate one.
   Frame* FetchLocked(workloads::Env& env, int shard_idx, uint64_t page);
-  void ApplySlot(uint8_t* img, uint64_t lsn, uint32_t slot, uint64_t key,
-                 uint64_t value) const;
 
   StorageConfig cfg_;
+  uint64_t rows_ = 0;
   int nodes_ = 1;
   faultlab::FaultLab* faults_ = nullptr;  // not owned; may be null
 
@@ -300,10 +296,11 @@ class StorageEngine {
   StorageStats st_;
 };
 
-/// The "storage" JSON object for trace export (schema v4). Deterministic:
-/// integers and %.6g doubles only, fixed key order; the "recovery" object
-/// is present iff st.crashes > 0.
-std::string StorageJson(const StorageConfig& cfg, const StorageStats& st);
+/// The "storage" JSON object for trace export (schema v4) of a table of
+/// `rows` rows. Deterministic: integers and %.6g doubles only, fixed key
+/// order; the "recovery" object is present iff st.crashes > 0.
+std::string StorageJson(const StorageConfig& cfg, uint64_t rows,
+                        const StorageStats& st);
 
 }  // namespace storage
 }  // namespace numalab

@@ -132,7 +132,6 @@ TEST(ServeTest, DynamicBatchingBeatsUnbatchedDispatch) {
 
   ServeConfig unbatched = sc;
   unbatched.batch_max = 1;
-  unbatched.batch_window_cycles = 0;
 
   ServeResult batched = RunServing(SmallRun(), sc);
   ServeResult single = RunServing(SmallRun(), unbatched);
@@ -208,6 +207,14 @@ TEST(ServeDeathTest, HotKeysBeyondTheStoreAbort) {
   EXPECT_DEATH(RunServing(SmallRun(), sc), "hot_keys <= sc.kv_keys");
 }
 
+TEST(ServeDeathTest, UnevenPartitionsAbort) {
+  // Machine A has 8 nodes: 4097 keys would leave key 4096 outside every
+  // equal slab.
+  ServeConfig sc = SmallConfig();
+  sc.kv_keys = (1 << 12) + 1;
+  EXPECT_DEATH(RunServing(SmallRun(), sc), "kv_keys % nodes == 0");
+}
+
 TEST(ServeTest, ServingJsonIsWellFormedAndOrdered) {
   ServeConfig sc = SmallConfig();
   ServeResult r = RunServing(SmallRun(), sc);
@@ -246,12 +253,14 @@ std::string Fingerprint(const ServeResult& r) {
 
 TEST(ServeTest, OpenLoopStreamsMatchParentResults) {
   // Pinned values recorded before open-loop arrivals became a lazily
-  // chained event series and idle/batch-window polls were charged in bulk.
-  // Both are host-side rewrites, so none of these numbers may move. The
-  // small queue_cap makes retries (fresh event seqs) interleave with the
-  // reserved arrival seqs, and a backoff that is a multiple of the arrival
-  // period lands retries on the same cycle as later arrivals, which must
-  // still pop first. Burst arrivals also tie with each other.
+  // chained event series and idle/batch-window polls were charged in bulk,
+  // and (the routing cases) before the partition layout, routing and slab
+  // reads were each written once. All are host-side rewrites, so none of
+  // these numbers may move. The small queue_cap makes retries (fresh event
+  // seqs) interleave with the reserved arrival seqs, and a backoff that is
+  // a multiple of the arrival period lands retries on the same cycle as
+  // later arrivals, which must still pop first. Burst arrivals also tie
+  // with each other.
   ServeConfig base = SmallConfig();
   base.requests = 500;
   base.mean_gap_cycles = 700;
@@ -271,26 +280,82 @@ TEST(ServeTest, OpenLoopStreamsMatchParentResults) {
   stored.storage.enabled = true;
   stored.storage.frames_per_shard = 6;
   stored.mean_gap_cycles = 4'000;
+  ServeConfig unbatched = poisson;
+  unbatched.batch_max = 1;
+
+  RunConfig first_touch = SmallRun();
+  RunConfig interleave = SmallRun();
+  interleave.policy = mem::MemPolicy::kInterleave;
+  RunConfig preferred = SmallRun();
+  preferred.policy = mem::MemPolicy::kPreferred;
+  preferred.preferred_node = 1;
+  // Node 1 goes offline mid-stream: its queued requests still drain, new
+  // ones reroute to node 2.
+  RunConfig offline = SmallRun();
+  offline.faults.offline.push_back({1, 250'000});
+
+  // A small bench_placement: hash-spread reads of a hot range in node 0's
+  // slab on Machine C, with caches ablated and hot-page replication on.
+  ServeConfig skewed = poisson;
+  skewed.mix_point = 0.55;
+  skewed.mix_range = 0.40;
+  skewed.mix_probe = 0.03;
+  skewed.mix_upsert = 0.02;
+  skewed.kv_keys = 1 << 14;
+  skewed.hot_fraction = 0.9;
+  skewed.hot_keys = 1024;
+  skewed.spread_reads = true;
+  skewed.mean_gap_cycles = 2'000;
+  skewed.queue_cap = 500;
+  RunConfig placement = SmallRun();
+  placement.machine = "C";
+  placement.costs.model_caches = false;
+  placement.placement = true;
 
   struct Case {
     const char* name;
+    const RunConfig* rc;
     const ServeConfig* sc;
     const char* want;
   } cases[] = {
-      {"poisson", &poisson,
+      {"poisson", &first_touch, &poisson,
        "500 500 6 6 0 500 4995 12410 15403 25007 374 207 4 364226 "
        "7186229535055109726 462978 1727992 "},
-      {"burst", &burst,
+      {"burst", &first_touch, &burst,
        "500 422 371 293 78 422 9307 35342 70897 129350 276 218 4 220888 "
        "1030722672291735089 319520 1150446 "},
-      {"poisson+storage", &stored,
+      {"poisson+storage", &first_touch, &stored,
        "500 380 381 261 120 380 9458 368880 965894 1049243 303 127 4 2038648 "
        "15286237417337836038 2139049 8437981 "},
+      {"interleave", &interleave, &poisson,
+       "500 500 1 1 0 500 5207 13142 17703 26405 434 122 4 365420 "
+       "7186229535055109726 429781 1710018 "},
+      {"preferred", &preferred, &poisson,
+       "500 482 235 217 18 482 5965 24091 27035 42061 338 227 4 376081 "
+       "493686864927888817 459680 1753004 "},
+      {"offline", &offline, &poisson,
+       "500 500 9 9 0 500 4972 12689 17720 25007 381 196 4 362874 "
+       "7186229535055109726 462340 1729520 "},
+      {"unbatched", &first_touch, &unbatched,
+       "500 500 6 6 0 500 2317 10392 13072 25007 500 0 4 361636 "
+       "7186229535055109726 460388 1722068 "},
+      {"placement", &placement, &skewed,
+       "500 500 0 0 0 500 16055 61633 96245 121900 418 136 17 1059317 "
+       "7093725241235534470 1169724 4655973 "},
   };
   for (const Case& c : cases) {
-    ServeResult r = RunServing(SmallRun(), *c.sc);
+    ServeResult r = RunServing(*c.rc, *c.sc);
     ASSERT_TRUE(r.run.status.ok()) << c.name;
     EXPECT_EQ(Fingerprint(r), c.want) << c.name;
+    if (c.rc == &offline) {
+      // Mid-stream: node 1 admitted requests before it went down and
+      // rerouted them after.
+      EXPECT_GT(r.stats.nodes[1].enqueued, 0u);
+      EXPECT_GT(r.stats.nodes[1].redirected_offline, 0u);
+    }
+    if (c.rc == &placement) {
+      EXPECT_GT(r.run.report.system.pages_replicated, 0u);
+    }
   }
 }
 

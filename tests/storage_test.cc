@@ -33,10 +33,10 @@ RunConfig SmallRun() {
 /// 24 pages (253 slots each) over 8 shards: pages {0, 8, 16} land on
 /// shard 0, so a 2-frame shard must evict. Checkpoints off by default so
 /// the WAL tests control truncation explicitly.
+constexpr uint64_t kRows = 24 * 253;
 StorageConfig SmallConfig() {
   StorageConfig cfg;
   cfg.enabled = true;
-  cfg.rows = 24 * 253;
   cfg.frames_per_shard = 2;
   cfg.checkpoint_interval_records = 0;
   return cfg;
@@ -55,13 +55,15 @@ sim::Task GetSequence(Env& env, StorageEngine* eng,
 TEST(StorageTest, PageGeometryAndPreload) {
   SimContext ctx(SmallRun());
   StorageConfig cfg = SmallConfig();
-  StorageEngine eng(cfg, ctx.machine().num_nodes(), /*seed=*/42, nullptr);
+  StorageEngine eng(cfg, kRows, ctx.machine().num_nodes(), /*seed=*/42,
+                    nullptr);
   EXPECT_EQ(eng.rows_per_page(), 253u);  // 8 + 4*8 + 16*253 <= 4096
   EXPECT_EQ(eng.pages(), 24u);
   EXPECT_EQ(eng.shard_of(0), 0);
   EXPECT_EQ(eng.shard_of(9), 1);
   // The preloaded table digests identically without any simulated access.
-  StorageEngine twin(cfg, ctx.machine().num_nodes(), /*seed=*/7, nullptr);
+  StorageEngine twin(cfg, kRows, ctx.machine().num_nodes(), /*seed=*/7,
+                     nullptr);
   EXPECT_EQ(eng.Checksum(), twin.Checksum());
   EXPECT_NE(eng.Checksum(), 0u);
 }
@@ -74,7 +76,8 @@ TEST(StorageTest, EvictionOrderIsDeterministic) {
     RunConfig rc = SmallRun();
     SimContext ctx(rc);
     StorageConfig cfg = SmallConfig();
-    StorageEngine eng(cfg, ctx.machine().num_nodes(), rc.seed, nullptr);
+    StorageEngine eng(cfg, kRows, ctx.machine().num_nodes(), rc.seed,
+                      nullptr);
     const std::vector<uint64_t> pages = {0, 8, 0, 16, 8, 16};
     ctx.SpawnWorkers(
         [&](Env& env) { return GetSequence(env, &eng, &pages); });
@@ -93,7 +96,7 @@ TEST(StorageTest, EvictionOrderIsDeterministic) {
     EXPECT_EQ(st.hits, 3u);
     EXPECT_EQ(st.misses, 3u);
     EXPECT_EQ(st.evictions, 1u);
-    return StorageJson(cfg, st);
+    return StorageJson(cfg, kRows, st);
   };
   uint64_t cycles_a = 0, cycles_b = 0;
   std::string a = drive(&cycles_a);
@@ -142,7 +145,8 @@ TEST(StorageTest, WalReplayIsIdempotent) {
   SimContext ctx(rc);
   StorageConfig cfg = SmallConfig();
   cfg.frames_per_shard = 4;  // pages 0 and 8 stay cached together
-  StorageEngine eng(cfg, ctx.machine().num_nodes(), rc.seed, nullptr);
+  StorageEngine eng(cfg, kRows, ctx.machine().num_nodes(), rc.seed,
+                    nullptr);
   ctx.SpawnWorkers([&](Env& env) { return ReplayIdempotenceOps(env, &eng); });
   workloads::RunResult result;
   ctx.Finish(&result);
@@ -175,7 +179,8 @@ TEST(StorageTest, CheckpointTruncatesTheLogAndBoundsRedo) {
   SimContext ctx(rc);
   StorageConfig cfg = SmallConfig();
   cfg.checkpoint_interval_records = 8;
-  StorageEngine eng(cfg, ctx.machine().num_nodes(), rc.seed, nullptr);
+  StorageEngine eng(cfg, kRows, ctx.machine().num_nodes(), rc.seed,
+                    nullptr);
   ctx.SpawnWorkers([&](Env& env) { return CheckpointOps(env, &eng); });
   workloads::RunResult result;
   ctx.Finish(&result);
@@ -211,8 +216,8 @@ TEST(StorageServeTest, ServingStreamThroughStorageIsDeterministic) {
   trace::ClearCollectedRuns();
   ASSERT_TRUE(a.run.status.ok()) << a.run.status.ToString();
   EXPECT_EQ(a.run.cycles, b.run.cycles);
-  EXPECT_EQ(StorageJson(sc.storage, a.storage),
-            StorageJson(sc.storage, b.storage));
+  EXPECT_EQ(StorageJson(sc.storage, sc.kv_keys, a.storage),
+            StorageJson(sc.storage, sc.kv_keys, b.storage));
   EXPECT_GT(a.storage.upserts, 0u);
   EXPECT_GT(a.storage.gets, 0u);
   EXPECT_GT(a.storage.scan_rows, 0u);
@@ -234,6 +239,82 @@ TEST(StorageServeTest, ServingStreamThroughStorageIsDeterministic) {
                 0),
             0u)
       << runs[0].sections[1].json;
+}
+
+TEST(StorageServeTest, KilledNodeRunMatchesPinnedJson) {
+  // A small write-heavy stream in which faultlab kills node 1 halfway
+  // through the no-fault run's serving span: pool hits and evictions, WAL
+  // group commits and checkpoints, then one shard crash and its redo. The
+  // exported "storage" section was recorded before the slot codec and the
+  // page-LSN read were each written once; no byte of it may move.
+  RunConfig rc;
+  rc.machine = "A";
+  rc.threads = 4;
+  serve::ServeConfig sc;
+  sc.requests = 300;
+  sc.kv_keys = 1 << 12;
+  sc.probe_build_rows = 1024;
+  sc.mean_gap_cycles = 2'000;
+  sc.mix_point = 0.15;
+  sc.mix_range = 0.05;
+  sc.mix_probe = 0;
+  sc.mix_upsert = 0.80;
+  sc.mix_tpch = 0;
+  sc.queue_cap = 1 << 16;  // no shedding: the checksums must agree
+  sc.max_retries = 50;
+  sc.storage.enabled = true;
+  sc.storage.frames_per_shard = 2;
+  sc.storage.checkpoint_interval_records = 64;
+  serve::ServeResult ref = serve::RunServing(rc, sc);
+  ASSERT_TRUE(ref.run.status.ok()) << ref.run.status.ToString();
+  rc.faults.offline.push_back(
+      {1, ref.stats.first_arrival_cycle + ref.stats.makespan_cycles / 2});
+  trace::SetCollectEnabled(true);
+  serve::ServeResult r = serve::RunServing(rc, sc);
+  trace::SetCollectEnabled(false);
+  std::vector<trace::CollectedRun> runs = trace::CollectedRuns();
+  trace::ClearCollectedRuns();
+  ASSERT_TRUE(r.run.status.ok()) << r.run.status.ToString();
+  EXPECT_EQ(r.stats.dropped, 0u);
+  EXPECT_EQ(r.storage.crashes, 1u);
+  EXPECT_EQ(r.storage.table_checksum, ref.storage.table_checksum);
+  ASSERT_EQ(runs.size(), 1u);
+  ASSERT_EQ(runs[0].sections.size(), 2u);
+  EXPECT_EQ(runs[0].sections[1].json,
+            "{\"enabled\":true,\"rows\":4096,\"page_bytes\":4096,"
+            "\"frames_per_shard\":2,\"placement\":\"local\","
+            "\"checkpoint_interval\":64,\"lookups\":319,\"hits\":291,"
+            "\"misses\":28,\"hit_rate\":0.912226,\"evictions\":12,"
+            "\"writebacks\":30,\"upserts\":238,\"gets\":44,"
+            "\"scan_rows\":4608,\"shards\":[{\"node\":0,\"lookups\":52,"
+            "\"hits\":49,\"misses\":3,\"hit_rate\":0.942308,\"evictions\":1,"
+            "\"writebacks\":5,\"frames\":2,\"alloc_fallbacks\":0},"
+            "{\"node\":1,\"lookups\":17,\"hits\":15,\"misses\":2,"
+            "\"hit_rate\":0.882353,\"evictions\":0,\"writebacks\":2,"
+            "\"frames\":0,\"alloc_fallbacks\":0},{\"node\":2,\"lookups\":55,"
+            "\"hits\":42,\"misses\":13,\"hit_rate\":0.763636,"
+            "\"evictions\":11,\"writebacks\":8,\"frames\":2,"
+            "\"alloc_fallbacks\":0},{\"node\":3,\"lookups\":34,\"hits\":32,"
+            "\"misses\":2,\"hit_rate\":0.941176,\"evictions\":0,"
+            "\"writebacks\":3,\"frames\":2,\"alloc_fallbacks\":0},"
+            "{\"node\":4,\"lookups\":57,\"hits\":55,\"misses\":2,"
+            "\"hit_rate\":0.964912,\"evictions\":0,\"writebacks\":3,"
+            "\"frames\":2,\"alloc_fallbacks\":0},{\"node\":5,\"lookups\":28,"
+            "\"hits\":26,\"misses\":2,\"hit_rate\":0.928571,\"evictions\":0,"
+            "\"writebacks\":3,\"frames\":2,\"alloc_fallbacks\":0},"
+            "{\"node\":6,\"lookups\":29,\"hits\":27,\"misses\":2,"
+            "\"hit_rate\":0.931034,\"evictions\":0,\"writebacks\":3,"
+            "\"frames\":2,\"alloc_fallbacks\":0},{\"node\":7,\"lookups\":47,"
+            "\"hits\":45,\"misses\":2,\"hit_rate\":0.957447,\"evictions\":0,"
+            "\"writebacks\":3,\"frames\":2,\"alloc_fallbacks\":0}],"
+            "\"wal\":{\"records\":238,\"bytes\":9520,\"flushes\":32,"
+            "\"checkpoints\":3,\"checkpoint_pages\":24,"
+            "\"truncated_records\":192},\"io\":{\"reads\":29,\"writes\":31},"
+            "\"crashes\":1,\"recovery\":{\"cycles\":28785,"
+            "\"records_scanned\":12,\"records_replayed\":2,"
+            "\"pages_redone\":1,\"dirty_frames_lost\":1,"
+            "\"checksum\":2613997760712594926},"
+            "\"table_checksum\":5026661905728088582}");
 }
 
 }  // namespace
