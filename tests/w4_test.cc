@@ -47,6 +47,33 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, W4Test,
                                            "skiplist"),
                          [](const auto& info) { return info.param; });
 
+// Pins each index's exact build and join charges on SmallJoin, so an index
+// rewrite that moves one charge fails here, not only in the fig7 golden.
+TEST(W4Pins, ChargesArePinnedPerIndex) {
+  struct Pin {
+    const char* index;
+    uint64_t cycles;
+    uint64_t aux_cycles;
+    uint64_t mem_accesses;
+    uint64_t alloc_calls;
+  };
+  const Pin kPins[] = {
+      {"art", 4'473'745, 2'148'888, 864'183, 8'185},
+      {"masstree", 4'727'176, 3'132'517, 718'419, 873},
+      {"btree", 3'687'785, 2'216'941, 567'371, 431},
+      {"skiplist", 6'971'038, 2'889'914, 1'112'077, 8'049},
+  };
+  for (const Pin& pin : kPins) {
+    RunConfig c = SmallJoin();
+    RunResult r = RunW4IndexJoin(c, pin.index);
+    EXPECT_EQ(r.cycles, pin.cycles) << pin.index;
+    EXPECT_EQ(r.aux_cycles, pin.aux_cycles) << pin.index;
+    EXPECT_EQ(r.checksum, c.probe_rows) << pin.index;
+    EXPECT_EQ(r.report.threads.mem_accesses, pin.mem_accesses) << pin.index;
+    EXPECT_EQ(r.report.threads.alloc_calls, pin.alloc_calls) << pin.index;
+  }
+}
+
 TEST(W4Ordering, ArtAndBtreeAreTheFastIndexes) {
   // The paper's Fig. 7e: ART and B+tree are the two fastest indexes.
   RunConfig c = SmallJoin();

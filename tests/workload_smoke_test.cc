@@ -89,6 +89,35 @@ TEST(W3Smoke, EveryProbeMatches) {
   EXPECT_EQ(r.checksum, c.probe_rows);
 }
 
+// Pins each workload's exact simulated result on SmallConfig, so a rewrite
+// of the workload or hash-table code that moves one charge fails here, not
+// only in the minutes-long bench golden.
+TEST(WorkloadPins, AggregationAndHashJoinArePinned) {
+  struct Pin {
+    const char* workload;
+    RunResult (*run)(const RunConfig&);
+    uint64_t cycles;
+    uint64_t checksum;
+    uint64_t mem_accesses;
+    uint64_t alloc_calls;
+  };
+  const Pin kPins[] = {
+      {"W1", RunW1HolisticAggregation, 999'519, 265'984'549, 206'513, 3'000},
+      {"W2", RunW2DistributiveAggregation, 678'102, 50'000, 202'046, 511},
+      {"W3", RunW3HashJoin, 3'634'059, 80'000, 370'080, 10'048},
+  };
+  for (const Pin& pin : kPins) {
+    RunResult r = pin.run(SmallConfig());
+    EXPECT_EQ(r.cycles, pin.cycles) << pin.workload;
+    EXPECT_EQ(r.aux_cycles, 0u) << pin.workload;
+    EXPECT_EQ(r.checksum, pin.checksum) << pin.workload;
+    EXPECT_EQ(r.report.threads.mem_accesses, pin.mem_accesses)
+        << pin.workload;
+    EXPECT_EQ(r.report.threads.alloc_calls, pin.alloc_calls)
+        << pin.workload;
+  }
+}
+
 TEST(W3Smoke, WorksOnAllMachines) {
   for (const char* m : {"A", "B", "C"}) {
     RunConfig c = SmallConfig();
