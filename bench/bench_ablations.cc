@@ -56,10 +56,10 @@ int main(int argc, char** argv) {
   for (const char* alloc : {"tbbmalloc", "supermalloc"}) {
     auto r1 = RunAllocMicrobench(alloc, "A", 1, 60'000, 42);
     auto r16 = RunAllocMicrobench(alloc, "A", 16, 60'000, 42);
-    std::printf("  %-12s: t16/t1 = %.2f (lock waits: %.1fM cycles)\n", alloc,
-                static_cast<double>(r16.cycles) /
-                    static_cast<double>(r1.cycles),
-                static_cast<double>(r16.lock_wait_cycles) / 1e6);
+    std::printf(
+        "  %-12s: t16/t1 = %.2f (lock waits: %.1fM cycles)\n", alloc,
+        static_cast<double>(r16.cycles) / static_cast<double>(r1.cycles),
+        static_cast<double>(r16.report.threads.lock_wait_cycles) / 1e6);
   }
   return 0;
 }

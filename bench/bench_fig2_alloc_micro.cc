@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     for (const auto& a : allocators) {
       auto r = numalab::workloads::RunAllocMicrobench(a, "A", threads, kOps,
                                                       /*seed=*/42);
-      std::printf("%12.3f", r.memory_overhead);
+      std::printf("%12.3f", r.MemoryOverhead());
       std::fflush(stdout);
     }
     std::printf("\n");

@@ -72,7 +72,8 @@ class Art : public OrderedIndex {
         *value = leaf->value;
         return true;
       }
-      n = FindChild(env, n, KeyByte(key, depth));
+      Node** slot = FindSlot(env, n, KeyByte(key, depth));
+      n = slot != nullptr ? *slot : nullptr;
       ++depth;
     }
     return false;
@@ -90,13 +91,17 @@ class Art : public OrderedIndex {
     return &leaf->head;
   }
 
-  Node* FindChild(workloads::Env& env, Node* n, uint8_t byte) {
+  // The slot holding `byte`'s child, or null when there is none. Charges
+  // the node-type-specific search: a Node4 is read whole, a Node16's keys
+  // are compared in one SIMD step and a Node48 reads its index byte (both
+  // then read the found child pointer), a Node256 reads the slot directly.
+  Node** FindSlot(workloads::Env& env, Node* n, uint8_t byte) {
     switch (n->type) {
       case kNode4: {
         auto* n4 = reinterpret_cast<Node4*>(n);
         env.Read(n4, sizeof(Node4));
         for (int i = 0; i < n->num_children; ++i) {
-          if (n4->keys[i] == byte) return n4->children[i];
+          if (n4->keys[i] == byte) return &n4->children[i];
         }
         return nullptr;
       }
@@ -107,7 +112,7 @@ class Art : public OrderedIndex {
         for (int i = 0; i < n->num_children; ++i) {
           if (n16->keys[i] == byte) {
             env.Read(&n16->children[i], sizeof(Node*));
-            return n16->children[i];
+            return &n16->children[i];
           }
         }
         return nullptr;
@@ -116,13 +121,15 @@ class Art : public OrderedIndex {
         auto* n48 = reinterpret_cast<Node48*>(n);
         env.Read(&n48->child_index[byte], 1);
         if (n48->child_index[byte] == 0) return nullptr;
-        env.Read(&n48->children[n48->child_index[byte] - 1], sizeof(Node*));
-        return n48->children[n48->child_index[byte] - 1];
+        Node** slot = &n48->children[n48->child_index[byte] - 1];
+        env.Read(slot, sizeof(Node*));
+        return slot;
       }
       case kNode256: {
         auto* n256 = reinterpret_cast<Node256*>(n);
         env.Read(&n256->children[byte], sizeof(Node*));
-        return n256->children[byte];
+        return n256->children[byte] != nullptr ? &n256->children[byte]
+                                               : nullptr;
       }
       case kLeaf:
         break;
@@ -227,62 +234,25 @@ class Art : public OrderedIndex {
       uint8_t existing_byte = KeyByte(leaf->key, depth);
       uint8_t new_byte = KeyByte(key, depth);
       *ref = &n4->head;
+      AddChild(env, &n4->head, existing_byte, n);
       if (existing_byte == new_byte) {
-        // Keys still agree on this byte: push the old leaf down one level
-        // and recurse — the split happens where they diverge.
-        AddChild(env, &n4->head, existing_byte, n);
-        Node** slot = ChildSlot(&n4->head, existing_byte);
-        InsertRec(env, slot, key, value, depth + 1);
+        // Keys still agree on this byte: the old leaf is now one level
+        // down; recurse — the split happens where they diverge.
+        InsertRec(env, &n4->children[0], key, value, depth + 1);
       } else {
-        AddChild(env, &n4->head, existing_byte, n);
         AddChild(env, &n4->head, new_byte, NewLeaf(env, key, value));
       }
       return;
     }
 
     uint8_t byte = KeyByte(key, depth);
-    Node* child = FindChild(env, n, byte);
-    if (child == nullptr) {
-      Node* grown = AddChild(env, n, byte, NewLeaf(env, key, value));
-      *ref = grown;
+    Node** slot = FindSlot(env, n, byte);
+    if (slot == nullptr) {
+      *ref = AddChild(env, n, byte, NewLeaf(env, key, value));
       return;
     }
     // Descend via the child slot so splits can replace it in place.
-    Node** slot = ChildSlot(n, byte);
-    NUMALAB_CHECK(slot != nullptr);
     InsertRec(env, slot, key, value, depth + 1);
-  }
-
-  Node** ChildSlot(Node* n, uint8_t byte) {
-    switch (n->type) {
-      case kNode4: {
-        auto* n4 = reinterpret_cast<Node4*>(n);
-        for (int i = 0; i < n->num_children; ++i) {
-          if (n4->keys[i] == byte) return &n4->children[i];
-        }
-        return nullptr;
-      }
-      case kNode16: {
-        auto* n16 = reinterpret_cast<Node16*>(n);
-        for (int i = 0; i < n->num_children; ++i) {
-          if (n16->keys[i] == byte) return &n16->children[i];
-        }
-        return nullptr;
-      }
-      case kNode48: {
-        auto* n48 = reinterpret_cast<Node48*>(n);
-        if (n48->child_index[byte] == 0) return nullptr;
-        return &n48->children[n48->child_index[byte] - 1];
-      }
-      case kNode256: {
-        auto* n256 = reinterpret_cast<Node256*>(n);
-        return n256->children[byte] != nullptr ? &n256->children[byte]
-                                               : nullptr;
-      }
-      case kLeaf:
-        break;
-    }
-    return nullptr;
   }
 };
 

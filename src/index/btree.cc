@@ -5,9 +5,9 @@
 // the "many keys per node" profile the paper finds favorable for Hoard
 // (Fig. 7c).
 
+#include <algorithm>
 #include <cstring>
 
-#include "src/common/logging.h"
 #include "src/index/index.h"
 
 namespace numalab {
@@ -63,17 +63,10 @@ class BTree : public OrderedIndex {
     if (n == nullptr) return false;
     while (!n->leaf) {
       auto* inner = reinterpret_cast<InnerNode*>(n);
-      // Binary search touches ~2 cache lines of keys plus the child slot.
-      env.ReadSpan(n->keys, sizeof(uint64_t) * static_cast<size_t>(n->count));
-      env.Compute(12);
-      int i = UpperBound(n, key);
-      env.Read(&inner->children[i], sizeof(NodeB*));
-      n = inner->children[i];
+      n = inner->children[ChildPos(env, inner, key)];
     }
     auto* leaf = reinterpret_cast<LeafNode*>(n);
-    env.ReadSpan(n->keys, sizeof(uint64_t) * static_cast<size_t>(n->count));
-    env.Compute(12);
-    int i = LowerBound(n, key);
+    int i = KeyPos(env, n, key);
     if (i < n->count && n->keys[i] == key) {
       env.Read(&leaf->values[i], sizeof(uint64_t));
       *value = leaf->values[i];
@@ -99,41 +92,38 @@ class BTree : public OrderedIndex {
     return inner;
   }
 
-  static int LowerBound(const NodeB* n, uint64_t key) {
-    int lo = 0, hi = n->count;
-    while (lo < hi) {
-      int mid = (lo + hi) / 2;
-      if (n->keys[mid] < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+  // A node's binary search touches ~2 cache lines of keys.
+  static void ChargeSearch(workloads::Env& env, const NodeB* n) {
+    env.ReadSpan(n->keys, sizeof(uint64_t) * static_cast<size_t>(n->count));
+    env.Compute(12);
   }
-  static int UpperBound(const NodeB* n, uint64_t key) {
-    int lo = 0, hi = n->count;
-    while (lo < hi) {
-      int mid = (lo + hi) / 2;
-      if (n->keys[mid] <= key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+
+  // Leaf step: charges the search and returns the position of the first
+  // key not less than `key`.
+  static int KeyPos(workloads::Env& env, const NodeB* n, uint64_t key) {
+    ChargeSearch(env, n);
+    return static_cast<int>(
+        std::lower_bound(n->keys, n->keys + n->count, key) - n->keys);
+  }
+
+  // Inner step: charges the search, then reads and returns the slot of the
+  // child whose range holds `key`.
+  static int ChildPos(workloads::Env& env, InnerNode* inner, uint64_t key) {
+    const NodeB* n = &inner->head;
+    ChargeSearch(env, n);
+    int i = static_cast<int>(
+        std::upper_bound(n->keys, n->keys + n->count, key) - n->keys);
+    env.Read(&inner->children[i], sizeof(NodeB*));
+    return i;
   }
 
   // Inserts into the subtree at `n`; on split returns the new right sibling
   // and sets *up_key to the separator the parent must add.
   NodeB* InsertRec(workloads::Env& env, NodeB* n, uint64_t key,
                    uint64_t value, uint64_t* up_key) {
-    env.ReadSpan(n->keys, sizeof(uint64_t) * static_cast<size_t>(n->count));
-    env.Compute(12);
-
     if (n->leaf) {
       auto* leaf = reinterpret_cast<LeafNode*>(n);
-      int i = LowerBound(n, key);
+      int i = KeyPos(env, n, key);
       if (i < n->count && n->keys[i] == key) {
         leaf->values[i] = value;
         env.Write(&leaf->values[i], sizeof(uint64_t));
@@ -168,8 +158,7 @@ class BTree : public OrderedIndex {
     }
 
     auto* inner = reinterpret_cast<InnerNode*>(n);
-    int i = UpperBound(n, key);
-    env.Read(&inner->children[i], sizeof(NodeB*));
+    int i = ChildPos(env, inner, key);
     uint64_t child_up = 0;
     NodeB* sibling = InsertRec(env, inner->children[i], key, value,
                                &child_up);

@@ -80,13 +80,7 @@ class ConcurrentHashTable {
     sim::VirtualLock& stripe = stripes_[b & kStripeMask];
     env.Lock(&stripe, kLockHoldCycles);
 
-    env.Read(&buckets_[b], sizeof(Entry*));
-    Entry* e = buckets_[b];
-    while (e != nullptr) {
-      env.Read(e, sizeof(uint64_t) + sizeof(Entry*));
-      if (e->key == key) break;
-      e = e->next;
-    }
+    Entry* e = WalkChain(env, b, key);
     if (e == nullptr) {
       void* raw = env.TryAlloc(sizeof(Entry));
       if (raw == nullptr) {
@@ -118,15 +112,7 @@ class ConcurrentHashTable {
   /// Lock-free lookup for probe-only phases. Returns nullptr when absent.
   Entry* Find(workloads::Env& env, uint64_t key) const {
     env.Compute(kHashCycles);
-    uint64_t b = HashKey(key) & mask_;
-    env.Read(&buckets_[b], sizeof(Entry*));
-    Entry* e = buckets_[b];
-    while (e != nullptr) {
-      env.Read(e, sizeof(uint64_t) + sizeof(Entry*));
-      if (e->key == key) return e;
-      e = e->next;
-    }
-    return nullptr;
+    return WalkChain(env, HashKey(key) & mask_, key);
   }
 
   /// Visits entries of buckets [first, last) — used to partition the final
@@ -147,6 +133,19 @@ class ConcurrentHashTable {
   static constexpr uint64_t kHashCycles = 6;
   static constexpr uint64_t kLockHoldCycles = 40;
   static constexpr uint64_t kStripeMask = 2047;  // 2048 stripes
+
+  /// Walks bucket b's chain, charging the head pointer and each entry's
+  /// key and link; returns key's entry or nullptr.
+  Entry* WalkChain(workloads::Env& env, uint64_t b, uint64_t key) const {
+    env.Read(&buckets_[b], sizeof(Entry*));
+    Entry* e = buckets_[b];
+    while (e != nullptr) {
+      env.Read(e, sizeof(uint64_t) + sizeof(Entry*));
+      if (e->key == key) return e;
+      e = e->next;
+    }
+    return nullptr;
+  }
 
   static uint64_t RoundUpPow2(uint64_t v) {
     uint64_t p = 1;

@@ -11,7 +11,6 @@
 
 #include <cstring>
 
-#include "src/common/logging.h"
 #include "src/index/index.h"
 
 namespace numalab {
@@ -41,6 +40,9 @@ struct MtBorder {
 
 // Per-visit version handshake (read version, fence, validate).
 constexpr uint64_t kVersionCheckCycles = 9;
+// Key search within a node, on the lookup and the insert path.
+constexpr uint64_t kLookupSearchCycles = 10;
+constexpr uint64_t kInsertSearchCycles = 12;
 
 class Masstree : public OrderedIndex {
  public:
@@ -70,15 +72,10 @@ class Masstree : public OrderedIndex {
     if (n == nullptr) return false;
     while (!n->border) {
       auto* in = reinterpret_cast<MtInterior*>(n);
-      env.Read(n, sizeof(MtNode));
-      env.Compute(kVersionCheckCycles + 10);
-      int i = ChildIndex(n, key);
-      env.Read(&in->children[i], sizeof(MtNode*));
-      n = in->children[i];
+      n = in->children[ChildStep(env, in, key, kLookupSearchCycles)];
     }
     auto* b = reinterpret_cast<MtBorder*>(n);
-    env.Read(n, sizeof(MtNode));
-    env.Compute(kVersionCheckCycles + 10);
+    Visit(env, n, kLookupSearchCycles);
     int slot = FindSlot(n, key);
     if (slot < 0) return false;
     env.Read(&b->values[slot], sizeof(uint64_t));
@@ -110,10 +107,22 @@ class Masstree : public OrderedIndex {
     return n->keys[n->perm[i]];
   }
 
-  // Index of the child to descend into (interior nodes).
-  static int ChildIndex(const MtNode* n, uint64_t key) {
+  // A node visit: read the header, validate the version, search the keys.
+  static void Visit(workloads::Env& env, const MtNode* n,
+                    uint64_t search_cycles) {
+    env.Read(n, sizeof(MtNode));
+    env.Compute(kVersionCheckCycles + search_cycles);
+  }
+
+  // Interior step: visits the node, then reads and returns the index of
+  // the child to descend into.
+  static int ChildStep(workloads::Env& env, MtInterior* in, uint64_t key,
+                       uint64_t search_cycles) {
+    const MtNode* n = &in->head;
+    Visit(env, n, search_cycles);
     int i = 0;
     while (i < n->count && key >= KeyAt(n, i)) ++i;
+    env.Read(&in->children[i], sizeof(MtNode*));
     return i;
   }
 
@@ -125,29 +134,43 @@ class Masstree : public OrderedIndex {
     return -1;
   }
 
-  // Inserts key at ordered position `pos` in border node; physical slot is
-  // append-only (Masstree never shifts keys, only the permutation).
-  void PutInBorder(workloads::Env& env, MtBorder* b, int pos, uint64_t key,
-                   uint64_t value) {
-    MtNode* n = &b->head;
+  // Appends `key` at the next physical slot and splices that slot into the
+  // permutation at ordered position `pos` (Masstree never shifts keys, only
+  // the permutation); charges the header write and returns the slot.
+  static int PermInsert(workloads::Env& env, MtNode* n, int pos,
+                        uint64_t key) {
     int slot = n->count;
     n->keys[slot] = key;
-    b->values[slot] = value;
     std::memmove(&n->perm[pos + 1], &n->perm[pos],
                  static_cast<size_t>(n->count - pos));
     n->perm[pos] = static_cast<uint8_t>(slot);
     ++n->count;
     ++n->version;
     env.Write(n, sizeof(MtNode));
+    return slot;
+  }
+
+  // Refills `n` with sorted[0, count) in order, under the identity
+  // permutation.
+  static void Repack(MtNode* n, const uint64_t* sorted, int count) {
+    for (int i = 0; i < count; ++i) {
+      n->keys[i] = sorted[i];
+      n->perm[i] = static_cast<uint8_t>(i);
+    }
+    n->count = count;
+  }
+
+  void PutInBorder(workloads::Env& env, MtBorder* b, int pos, uint64_t key,
+                   uint64_t value) {
+    int slot = PermInsert(env, &b->head, pos, key);
+    b->values[slot] = value;
     env.Write(&b->values[slot], sizeof(uint64_t));
   }
 
   MtNode* InsertRec(workloads::Env& env, MtNode* n, uint64_t key,
                     uint64_t value, uint64_t* up) {
-    env.Read(n, sizeof(MtNode));
-    env.Compute(kVersionCheckCycles + 12);
-
     if (n->border) {
+      Visit(env, n, kInsertSearchCycles);
       auto* b = reinterpret_cast<MtBorder*>(n);
       int slot = FindSlot(n, key);
       if (slot >= 0) {
@@ -163,25 +186,19 @@ class Masstree : public OrderedIndex {
       }
       // Split: move the upper half (by order) to a new border node.
       auto* right = NewBorder(env);
-      int half = n->count / 2;
-      MtBorder tmp = *b;  // host copy to re-pack from
-      n->count = 0;
-      for (int i = 0; i < kWidth; ++i) n->perm[i] = 0;
-      MtNode* tn = &tmp.head;
-      for (int i = 0; i < half; ++i) {
-        n->keys[i] = tn->keys[tn->perm[i]];
-        b->values[i] = tmp.values[tn->perm[i]];
-        n->perm[i] = static_cast<uint8_t>(i);
+      uint64_t keys[kWidth];
+      uint64_t values[kWidth];
+      for (int i = 0; i < kWidth; ++i) {
+        keys[i] = KeyAt(n, i);
+        values[i] = b->values[n->perm[i]];
       }
-      n->count = half;
-      for (int i = half; i < tn->count; ++i) {
-        int j = i - half;
-        right->head.keys[j] = tn->keys[tn->perm[i]];
-        right->values[j] = tmp.values[tn->perm[i]];
-        right->head.perm[j] = static_cast<uint8_t>(j);
-      }
-      right->head.count = tn->count - half;
-      right->next = tmp.next;
+      int half = kWidth / 2;
+      Repack(n, keys, half);
+      Repack(&right->head, keys + half, kWidth - half);
+      std::memcpy(b->values, values, sizeof(values[0]) * half);
+      std::memcpy(right->values, values + half,
+                  sizeof(values[0]) * (kWidth - half));
+      right->next = b->next;
       b->next = right;
       ++n->version;
       env.Write(n, sizeof(MtBorder));
@@ -194,13 +211,12 @@ class Masstree : public OrderedIndex {
         uint64_t dummy = 0;
         InsertRec(env, &right->head, key, value, &dummy);
       }
-      *up = right->head.keys[right->head.perm[0]];
+      *up = KeyAt(&right->head, 0);
       return &right->head;
     }
 
     auto* in = reinterpret_cast<MtInterior*>(n);
-    int ci = ChildIndex(n, key);
-    env.Read(&in->children[ci], sizeof(MtNode*));
+    int ci = ChildStep(env, in, key, kInsertSearchCycles);
     uint64_t child_up = 0;
     MtNode* sibling = InsertRec(env, in->children[ci], key, value,
                                 &child_up);
@@ -208,58 +224,37 @@ class Masstree : public OrderedIndex {
 
     // Add separator child_up at ordered position ci.
     if (n->count < kWidth) {
-      int slot = n->count;
-      n->keys[slot] = child_up;
-      std::memmove(&n->perm[ci + 1], &n->perm[ci],
-                   static_cast<size_t>(n->count - ci));
-      n->perm[ci] = static_cast<uint8_t>(slot);
       std::memmove(&in->children[ci + 2], &in->children[ci + 1],
                    sizeof(MtNode*) * static_cast<size_t>(n->count - ci));
       in->children[ci + 1] = sibling;
-      ++n->count;
-      ++n->version;
-      env.Write(n, sizeof(MtNode));
+      PermInsert(env, n, ci, child_up);
       return nullptr;
     }
 
-    // Interior split: repack sorted, middle key moves up.
-    MtInterior tmp = *in;
-    MtNode* tn = &tmp.head;
-    uint64_t sorted_keys[kWidth + 1];
-    MtNode* sorted_children[kWidth + 2];
-    for (int i = 0; i < kWidth; ++i) {
-      sorted_keys[i] = tn->keys[tn->perm[i]];
-    }
-    std::memcpy(sorted_children, tmp.children,
-                sizeof(MtNode*) * (kWidth + 1));
-    // Insert (child_up, sibling) at position ci in the sorted arrays.
-    std::memmove(&sorted_keys[ci + 1], &sorted_keys[ci],
-                 sizeof(uint64_t) * static_cast<size_t>(kWidth - ci));
-    sorted_keys[ci] = child_up;
-    std::memmove(&sorted_children[ci + 2], &sorted_children[ci + 1],
-                 sizeof(MtNode*) * static_cast<size_t>(kWidth - ci));
-    sorted_children[ci + 1] = sibling;
+    // Interior split: repack sorted with (child_up, sibling) inserted at
+    // position ci; the middle key moves up.
+    uint64_t keys[kWidth + 1];
+    MtNode* children[kWidth + 2];
+    for (int i = 0; i < ci; ++i) keys[i] = KeyAt(n, i);
+    keys[ci] = child_up;
+    for (int i = ci; i < kWidth; ++i) keys[i + 1] = KeyAt(n, i);
+    std::memcpy(children, in->children,
+                sizeof(MtNode*) * static_cast<size_t>(ci + 1));
+    children[ci + 1] = sibling;
+    std::memcpy(&children[ci + 2], &in->children[ci + 1],
+                sizeof(MtNode*) * static_cast<size_t>(kWidth - ci));
 
     int total = kWidth + 1;
     int half = total / 2;
-    *up = sorted_keys[half];
-
-    n->count = half;
-    for (int i = 0; i < half; ++i) {
-      n->keys[i] = sorted_keys[i];
-      n->perm[i] = static_cast<uint8_t>(i);
-    }
-    std::memcpy(in->children, sorted_children,
+    *up = keys[half];
+    Repack(n, keys, half);
+    std::memcpy(in->children, children,
                 sizeof(MtNode*) * static_cast<size_t>(half + 1));
     ++n->version;
 
     auto* right = NewInterior(env);
-    right->head.count = total - half - 1;
-    for (int i = 0; i < right->head.count; ++i) {
-      right->head.keys[i] = sorted_keys[half + 1 + i];
-      right->head.perm[i] = static_cast<uint8_t>(i);
-    }
-    std::memcpy(right->children, &sorted_children[half + 1],
+    Repack(&right->head, keys + half + 1, total - half - 1);
+    std::memcpy(right->children, &children[half + 1],
                 sizeof(MtNode*) * static_cast<size_t>(right->head.count + 1));
     env.Write(n, sizeof(MtInterior));
     env.Write(right, sizeof(MtInterior));

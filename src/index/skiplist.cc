@@ -34,17 +34,7 @@ class SkipList : public OrderedIndex {
       head_ = NewNode(env, 0, 0, kMaxLevel);
     }
     SkipNode* update[kMaxLevel];
-    SkipNode* x = head_;
-    env.Read(x, sizeof(SkipNode));
-    for (int lvl = level_ - 1; lvl >= 0; --lvl) {
-      while (x->next[lvl] != nullptr && x->next[lvl]->key < key) {
-        x = x->next[lvl];
-        env.Read(x, sizeof(SkipNode));
-      }
-      update[lvl] = x;
-    }
-    SkipNode* candidate = x->next[0];
-    if (candidate != nullptr) env.Read(candidate, sizeof(SkipNode));
+    SkipNode* candidate = Descend(env, key, update);
     if (candidate != nullptr && candidate->key == key) {
       candidate->value = value;
       env.Write(&candidate->value, sizeof(uint64_t));
@@ -67,18 +57,9 @@ class SkipList : public OrderedIndex {
 
   bool Lookup(workloads::Env& env, uint64_t key, uint64_t* value) override {
     if (head_ == nullptr) return false;
-    SkipNode* x = head_;
-    env.Read(x, sizeof(SkipNode));
-    for (int lvl = level_ - 1; lvl >= 0; --lvl) {
-      while (x->next[lvl] != nullptr && x->next[lvl]->key < key) {
-        x = x->next[lvl];
-        env.Read(x, sizeof(SkipNode));
-      }
-    }
-    SkipNode* c = x->next[0];
-    if (c == nullptr) return false;
-    env.Read(c, sizeof(SkipNode));
-    if (c->key != key) return false;
+    SkipNode* update[kMaxLevel];
+    SkipNode* c = Descend(env, key, update);
+    if (c == nullptr || c->key != key) return false;
     *value = c->value;
     return true;
   }
@@ -92,6 +73,24 @@ class SkipList : public OrderedIndex {
     n->level = level;
     for (int i = 0; i < level; ++i) n->next[i] = nullptr;
     return n;
+  }
+
+  // Walks the towers from the head down, reading every node it steps on.
+  // Sets update[lvl] to the last node before `key` on each level and
+  // returns (and reads) the first node at or after `key`, or null.
+  SkipNode* Descend(workloads::Env& env, uint64_t key, SkipNode** update) {
+    SkipNode* x = head_;
+    env.Read(x, sizeof(SkipNode));
+    for (int lvl = level_ - 1; lvl >= 0; --lvl) {
+      while (x->next[lvl] != nullptr && x->next[lvl]->key < key) {
+        x = x->next[lvl];
+        env.Read(x, sizeof(SkipNode));
+      }
+      update[lvl] = x;
+    }
+    SkipNode* candidate = x->next[0];
+    if (candidate != nullptr) env.Read(candidate, sizeof(SkipNode));
+    return candidate;
   }
 
   int RandomLevel() {

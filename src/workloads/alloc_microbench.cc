@@ -74,9 +74,9 @@ sim::Task MicroWorker(Env& env, MicroShared& shared) {
 
 }  // namespace
 
-MicrobenchResult RunAllocMicrobench(const std::string& allocator,
-                                    const std::string& machine, int threads,
-                                    uint64_t ops_per_thread, uint64_t seed) {
+RunResult RunAllocMicrobench(const std::string& allocator,
+                             const std::string& machine, int threads,
+                             uint64_t ops_per_thread, uint64_t seed) {
   RunConfig cfg;
   cfg.machine = machine;
   cfg.threads = threads;
@@ -97,14 +97,7 @@ MicrobenchResult RunAllocMicrobench(const std::string& allocator,
   RunResult r;
   ctx.Finish(&r);
   trace::CollectRun("alloc-micro-" + allocator, cfg, r);
-
-  MicrobenchResult out;
-  out.cycles = r.cycles;
-  out.requested_peak = r.requested_peak;
-  out.resident_peak = r.resident_peak;
-  out.memory_overhead = r.MemoryOverhead();
-  out.lock_wait_cycles = r.report.threads.lock_wait_cycles;
-  return out;
+  return r;
 }
 
 }  // namespace workloads

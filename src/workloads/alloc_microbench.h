@@ -1,11 +1,12 @@
 // The memory-allocator microbenchmark of Section III-A8 (Fig. 2).
 //
 // Each thread performs `ops_per_thread` operations against the configured
-// allocator: with probability 1/2 allocate a block (size drawn from a
-// distribution inversely proportional to the size class) and write it;
-// otherwise read and free a random live block. The two paper metrics are
-// returned: wall (virtual) time, and memory overhead = resident peak /
-// requested peak.
+// allocator: allocate a block (size drawn from a distribution inversely
+// proportional to the size class) and write it, or read and free a random
+// live block. A thread allocates with probability 0.75 until it holds 90%
+// of its 16,384-block live cap, then with probability 0.45. The two paper
+// metrics are RunResult::cycles (wall virtual time) and
+// RunResult::MemoryOverhead() (resident peak / requested peak).
 
 #ifndef NUMALAB_WORKLOADS_ALLOC_MICROBENCH_H_
 #define NUMALAB_WORKLOADS_ALLOC_MICROBENCH_H_
@@ -18,18 +19,10 @@
 namespace numalab {
 namespace workloads {
 
-struct MicrobenchResult {
-  uint64_t cycles = 0;
-  double memory_overhead = 0.0;   ///< resident peak / requested peak
-  uint64_t requested_peak = 0;
-  uint64_t resident_peak = 0;
-  uint64_t lock_wait_cycles = 0;
-};
-
 /// Runs the microbenchmark on `machine` with `threads` threads.
-MicrobenchResult RunAllocMicrobench(const std::string& allocator,
-                                    const std::string& machine, int threads,
-                                    uint64_t ops_per_thread, uint64_t seed);
+RunResult RunAllocMicrobench(const std::string& allocator,
+                             const std::string& machine, int threads,
+                             uint64_t ops_per_thread, uint64_t seed);
 
 }  // namespace workloads
 }  // namespace numalab

@@ -42,7 +42,6 @@ class SimContext {
   sim::Engine* engine() { return &engine_; }
   mem::MemSystem* memsys() { return memsys_.get(); }
   alloc::SimAllocator* allocator() { return allocator_.get(); }
-  osmodel::ThreadScheduler* scheduler() { return &sched_; }
   sim::SimBarrier* barrier() { return &barrier_; }
   /// Non-null iff this run has race detection attached (config.race_detect
   /// or the process-wide --race-detect mode).
@@ -53,8 +52,6 @@ class SimContext {
   /// Non-null iff a fault plan (config.faults or the process-wide
   /// --faultlab mode) is active for this run.
   faultlab::FaultLab* faults() { return faults_.get(); }
-  /// Run-wide status the workers' Envs report failures into.
-  Status* run_status() { return &run_status_; }
 
   /// An Env bound to this run's engine, memory system, allocator and run
   /// status, with no thread (`self` is null) and worker 0 of 1: what setup

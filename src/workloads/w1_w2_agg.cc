@@ -8,7 +8,6 @@
 
 #include <algorithm>
 
-#include "src/common/logging.h"
 #include "src/datagen/datagen.h"
 #include "src/index/hash_table.h"
 #include "src/trace/export.h"
@@ -23,7 +22,7 @@ namespace {
 struct AggShared {
   const datagen::Record* input = nullptr;
   uint64_t n = 0;
-  SimContext* ctx = nullptr;
+  sim::SimBarrier* built = nullptr;  // all workers finished the build
   std::vector<uint64_t> checksums;  // per worker
 };
 
@@ -35,85 +34,50 @@ static_assert(sizeof(GroupVec) == 16, "W1 entries must stay 32 bytes");
 // First capacity of a group's value array.
 constexpr uint32_t kGroupFirstCap = 8;
 
-using W1Table = index::ConcurrentHashTable<GroupVec>;
-using W2Table = index::ConcurrentHashTable<uint64_t>;
-
-sim::Task W1Worker(Env& env, AggShared& shared, W1Table& table) {
+/// One aggregation worker. `update(env, entry, record)` folds a record into
+/// its group's entry; `aggregate(env, entry)` returns the group's share of
+/// the checksum.
+template <typename V, typename Update, typename Aggregate>
+sim::Task AggWorker(Env& env, AggShared& shared,
+                    index::ConcurrentHashTable<V>& table, Update update,
+                    Aggregate aggregate) {
+  using Entry = typename index::ConcurrentHashTable<V>::Entry;
   trace::ScopedSpan worker_span(env.self, "worker");
   auto [lo, hi] = WorkerSlice(shared.n, env.num_workers, env.worker_index);
 
-  // Phase 1: build the shared table, appending every value to its group.
-  // The append mutates the shared entry, so it runs inside the stripe's
-  // critical section (UpsertWith), not after it. On a reported failure
-  // (injected OOM) the worker stops producing but still arrives at the
-  // barrier so the run winds down instead of deadlocking.
+  // Phase 1: build the shared table. The update mutates the shared entry,
+  // so it runs inside the stripe's critical section (UpsertWith), not after
+  // it. On a reported failure (injected OOM) the worker stops producing but
+  // still arrives at the barrier so the run winds down instead of
+  // deadlocking.
   {
     trace::ScopedSpan build_span(env.self, "build");
     for (uint64_t i = lo; i < hi && !env.Failed(); ++i) {
       env.Read(&shared.input[i], sizeof(datagen::Record));
-      table.UpsertWith(env, shared.input[i].key, [&](W1Table::Entry* entry) {
-        entry->value.Append(env, &shared.input[i].val, 1, kGroupFirstCap);
-      });
+      table.UpsertWith(env, shared.input[i].key,
+                       [&](Entry* e) { update(env, e, shared.input[i]); });
       co_await env.Checkpoint();
     }
-    co_await shared.ctx->barrier()->Arrive();
+    co_await shared.built->Arrive();
   }
 
-  // Phase 2: compute MEDIAN per group; groups partitioned by bucket range.
-  trace::ScopedSpan agg_span(env.self, "aggregate");
-  auto [blo, bhi] =
-      WorkerSlice(table.nbuckets(), env.num_workers, env.worker_index);
-  uint64_t checksum = 0;
-  uint64_t visited = 0;
-  if (!env.Failed()) {
-    table.ForEachInBuckets(env, blo, bhi, [&](W1Table::Entry* e) {
-      GroupVec& v = e->value;
-      if (v.size == 0) return;
-      env.ReadSpan(v.data, v.size * sizeof(int64_t));
-      // nth_element is O(n) with a non-trivial constant.
-      env.Compute(static_cast<uint64_t>(v.size) * 6);
-      size_t mid = (v.size - 1) / 2;
-      std::nth_element(v.data, v.data + mid, v.data + v.size);
-      checksum += static_cast<uint64_t>(v.data[mid]);
-      ++visited;
-    });
-  }
-  // ForEachInBuckets runs synchronously; yield once afterwards.
-  co_await env.Checkpoint();
-  shared.checksums[static_cast<size_t>(env.worker_index)] = checksum;
-}
-
-sim::Task W2Worker(Env& env, AggShared& shared, W2Table& table) {
-  trace::ScopedSpan worker_span(env.self, "worker");
-  auto [lo, hi] = WorkerSlice(shared.n, env.num_workers, env.worker_index);
-
-  {
-    trace::ScopedSpan build_span(env.self, "build");
-    for (uint64_t i = lo; i < hi && !env.Failed(); ++i) {
-      env.Read(&shared.input[i], sizeof(datagen::Record));
-      table.UpsertWith(env, shared.input[i].key, [&](W2Table::Entry* entry) {
-        ++entry->value;
-        env.Write(&entry->value, sizeof(uint64_t));
-      });
-      co_await env.Checkpoint();
-    }
-    co_await shared.ctx->barrier()->Arrive();
-  }
-
+  // Phase 2: aggregate per group; groups partitioned by bucket range.
   trace::ScopedSpan agg_span(env.self, "aggregate");
   auto [blo, bhi] =
       WorkerSlice(table.nbuckets(), env.num_workers, env.worker_index);
   uint64_t checksum = 0;
   if (!env.Failed()) {
     table.ForEachInBuckets(env, blo, bhi,
-                           [&](W2Table::Entry* e) { checksum += e->value; });
+                           [&](Entry* e) { checksum += aggregate(env, e); });
   }
+  // ForEachInBuckets runs synchronously; yield once afterwards.
   co_await env.Checkpoint();
   shared.checksums[static_cast<size_t>(env.worker_index)] = checksum;
 }
 
-template <typename Table, typename WorkerFn>
-RunResult RunAggregation(const RunConfig& config, WorkerFn&& worker) {
+template <typename V, typename Update, typename Aggregate>
+RunResult RunAggregation(const RunConfig& config, const char* name,
+                         Update update, Aggregate aggregate) {
   SimContext ctx(config);
 
   std::vector<datagen::Record> host_input = datagen::MakeAggregationInput(
@@ -121,41 +85,58 @@ RunResult RunAggregation(const RunConfig& config, WorkerFn&& worker) {
 
   const datagen::Record* input = ctx.CopyInput(host_input);
   Env setup = ctx.MakeEnv();
-  Table table(setup, config.cardinality * 2);
+  index::ConcurrentHashTable<V> table(setup, config.cardinality * 2);
 
   AggShared shared;
   shared.input = input;
   shared.n = host_input.size();
-  shared.ctx = &ctx;
+  shared.built = ctx.barrier();
   shared.checksums.assign(static_cast<size_t>(config.threads), 0);
 
-  ctx.SpawnWorkers(
-      [&](Env& env) { return worker(env, shared, table); });
+  ctx.SpawnWorkers([&](Env& env) {
+    return AggWorker(env, shared, table, update, aggregate);
+  });
 
   RunResult result;
   ctx.Finish(&result);
   for (uint64_t c : shared.checksums) result.checksum += c;
+  trace::CollectRun(name, config, result);
   return result;
 }
 
 }  // namespace
 
 RunResult RunW1HolisticAggregation(const RunConfig& config) {
-  RunResult r = RunAggregation<W1Table>(
-      config, [](Env& env, AggShared& shared, W1Table& table) {
-        return W1Worker(env, shared, table);
+  using Entry = index::ConcurrentHashTable<GroupVec>::Entry;
+  return RunAggregation<GroupVec>(
+      config, "W1",
+      // Append every value to its group.
+      [](Env& env, Entry* e, const datagen::Record& r) {
+        e->value.Append(env, &r.val, 1, kGroupFirstCap);
+      },
+      // MEDIAN of the group.
+      [](Env& env, Entry* e) -> uint64_t {
+        GroupVec& v = e->value;
+        if (v.size == 0) return 0;
+        env.ReadSpan(v.data, v.size * sizeof(int64_t));
+        // nth_element is O(n) with a non-trivial constant.
+        env.Compute(static_cast<uint64_t>(v.size) * 6);
+        size_t mid = (v.size - 1) / 2;
+        std::nth_element(v.data, v.data + mid, v.data + v.size);
+        return static_cast<uint64_t>(v.data[mid]);
       });
-  trace::CollectRun("W1", config, r);
-  return r;
 }
 
 RunResult RunW2DistributiveAggregation(const RunConfig& config) {
-  RunResult r = RunAggregation<W2Table>(
-      config, [](Env& env, AggShared& shared, W2Table& table) {
-        return W2Worker(env, shared, table);
-      });
-  trace::CollectRun("W2", config, r);
-  return r;
+  using Entry = index::ConcurrentHashTable<uint64_t>::Entry;
+  return RunAggregation<uint64_t>(
+      config, "W2",
+      // COUNT the record.
+      [](Env& env, Entry* e, const datagen::Record&) {
+        ++e->value;
+        env.Write(&e->value, sizeof(uint64_t));
+      },
+      [](Env&, Entry* e) { return e->value; });
 }
 
 }  // namespace workloads

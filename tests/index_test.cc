@@ -20,11 +20,7 @@ using workloads::SimContext;
 
 class IndexTest : public ::testing::TestWithParam<const char*> {
  protected:
-  IndexTest() : ctx_(MakeConfig()) {
-    env_.engine = ctx_.engine();
-    env_.mem = ctx_.memsys();
-    env_.alloc = ctx_.allocator();
-  }
+  IndexTest() : ctx_(MakeConfig()) {}
 
   static RunConfig MakeConfig() {
     RunConfig c;
@@ -52,7 +48,6 @@ class IndexTest : public ::testing::TestWithParam<const char*> {
   }
 
   SimContext ctx_;
-  Env env_;
 };
 
 TEST_P(IndexTest, InsertLookupRoundTrip) {

@@ -40,7 +40,8 @@ TEST(AllocMicrobench, ChargesArePinnedPerAllocator) {
   for (const Pin& pin : kPins) {
     auto r = RunAllocMicrobench(pin.allocator, "A", 4, 24'000, 42);
     EXPECT_EQ(r.cycles, pin.cycles) << pin.allocator;
-    EXPECT_EQ(r.lock_wait_cycles, pin.lock_wait_cycles) << pin.allocator;
+    EXPECT_EQ(r.report.threads.lock_wait_cycles, pin.lock_wait_cycles)
+        << pin.allocator;
     EXPECT_EQ(r.resident_peak, pin.resident_peak) << pin.allocator;
   }
 }
@@ -62,18 +63,18 @@ TEST(AllocMicrobench, McmallocOverheadGrowsWithThreads) {
   // Fig. 2b: adaptive batching makes slack proportional to thread count.
   auto m1 = RunAllocMicrobench("mcmalloc", "A", 1, 30'000, 42);
   auto m16 = RunAllocMicrobench("mcmalloc", "A", 16, 30'000, 42);
-  EXPECT_GT(m16.memory_overhead, 2.0 * m1.memory_overhead);
+  EXPECT_GT(m16.MemoryOverhead(), 2.0 * m1.MemoryOverhead());
   // While a sane allocator's overhead stays in a narrow band.
   auto p1 = RunAllocMicrobench("ptmalloc", "A", 1, 30'000, 42);
   auto p16 = RunAllocMicrobench("ptmalloc", "A", 16, 30'000, 42);
-  EXPECT_LT(p16.memory_overhead, 2.0 * p1.memory_overhead);
+  EXPECT_LT(p16.MemoryOverhead(), 2.0 * p1.MemoryOverhead());
 }
 
 TEST(AllocMicrobench, OverheadIsAboveOne) {
   for (const char* a : {"ptmalloc", "jemalloc", "tbbmalloc"}) {
     auto r = RunAllocMicrobench(a, "A", 2, 20'000, 7);
-    EXPECT_GT(r.memory_overhead, 1.0) << a;
-    EXPECT_LT(r.memory_overhead, 3.0) << a;
+    EXPECT_GT(r.MemoryOverhead(), 1.0) << a;
+    EXPECT_LT(r.MemoryOverhead(), 3.0) << a;
   }
 }
 
