@@ -46,6 +46,8 @@ Environment knobs:
                          failed cell, so a crashed bench can never yield a
                          schema-valid "complete" merge
                          (scripts/validate_bench_json.py rejects it).
+                         Exports a previous run left in <dir> are removed
+                         before any cell starts.
                          Export is pure bookkeeping: stdout stays
                          byte-identical to a run without it (notices go to
                          stderr).
@@ -196,6 +198,9 @@ def main(argv):
             note(f"cannot create {json_dir}: {e.strerror}")
             sys.exit(1)
         note(f"structured export enabled; merged document: {json_dir}/BENCH_results.json")
+        # A reused directory holds the previous run's exports; a bench that
+        # exits 0 without writing must read as no-export, not merge those.
+        remove_exports(json_dir, roster)
     build_dir = env("BUILD_DIR") or "build"
     bench_root = f"{build_dir}/bench" if build_dir.startswith("/") else f"./{build_dir}/bench"
 
@@ -205,9 +210,8 @@ def main(argv):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
         runner.stop()
-        for name in roster + ["BENCH_results"] if json_dir else []:
-            with suppress(FileNotFoundError):
-                os.remove(f"{json_dir}/{name}.json")
+        if json_dir:
+            remove_exports(json_dir, roster)
         # os.write: the main thread may be inside a buffered stderr write.
         os.write(2, f"run_benches.sh: interrupted ({signal.Signals(signum).name});"
                     " killed in-flight cells\n".encode())
@@ -263,6 +267,14 @@ def main(argv):
     if failed:
         note(f"{len(failed)} bench(es) failed: {' '.join(failed)}")
     return status
+
+
+def remove_exports(json_dir, roster):
+    """Removes every <bench>.json and BENCH_results.json a run over `roster`
+    could write into json_dir."""
+    for name in roster + ["BENCH_results"]:
+        with suppress(FileNotFoundError):
+            os.remove(f"{json_dir}/{name}.json")
 
 
 def merge_exports(json_dir, roster, results):

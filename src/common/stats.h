@@ -5,6 +5,8 @@
 #define NUMALAB_COMMON_STATS_H_
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +27,31 @@ inline uint64_t NearestRank(double p, uint64_t n) {
 /// statistic at NearestRank(p, size). 0 for an empty sequence.
 inline uint64_t PercentileSorted(const std::vector<uint64_t>& xs, double p) {
   return xs.empty() ? 0 : xs[NearestRank(p, xs.size())];
+}
+
+/// The percentiles PercentileSorted would return at each of `ps` over `xs`
+/// once sorted, found without the sort. `ps` must be ascending, so the
+/// NearestRank indices are too: one std::nth_element per distinct index,
+/// each over the part of xs right of the previous one (every value there
+/// is at least every value left of it). Reorders xs; all 0 when it is
+/// empty.
+template <size_t N>
+std::array<uint64_t, N> PercentilesBySelection(
+    std::vector<uint64_t>* xs, const std::array<double, N>& ps) {
+  std::array<uint64_t, N> out{};
+  if (xs->empty()) return out;
+  auto begin = xs->begin();
+  uint64_t lo = 0;  // xs[0, lo) hold their sorted positions' values
+  for (size_t i = 0; i < N; ++i) {
+    uint64_t k = NearestRank(ps[i], xs->size());
+    if (k >= lo) {
+      std::nth_element(begin + static_cast<std::ptrdiff_t>(lo),
+                       begin + static_cast<std::ptrdiff_t>(k), xs->end());
+      lo = k + 1;
+    }
+    out[i] = (*xs)[k];
+  }
+  return out;
 }
 
 /// \brief Fixed-bucket latency histogram with log2 buckets.

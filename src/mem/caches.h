@@ -23,34 +23,41 @@ namespace numalab {
 namespace mem {
 
 /// \brief A direct-mapped tag array: the private caches, the LLCs and both
-/// TLB levels are each one. `tag` is a line or page number.
+/// TLB levels are each one. `tag` is a line or page number of a
+/// slab-relative address, at most kMaxTag (MemSystem static_asserts that
+/// the slab's line count fits), so a slot stores it in 32 bits: half the
+/// host footprint of a 64-bit slot, and the same hit/miss answers.
 class TagArray {
  public:
+  static constexpr uint64_t kMaxTag = uint64_t{UINT32_MAX} - 1;
+
   explicit TagArray(size_t entries) {
     tags_.assign(std::max<size_t>(entries, 1), kEmpty);
     mod_ = FastMod32(static_cast<uint32_t>(tags_.size()));
   }
 
-  bool Probe(uint64_t tag) const { return tags_[Slot(tag)] == tag; }
+  bool Probe(uint64_t tag) const { return tags_[Slot(tag)] == Stored(tag); }
 
-  void Insert(uint64_t tag) { tags_[Slot(tag)] = tag; }
+  void Insert(uint64_t tag) { tags_[Slot(tag)] = Stored(tag); }
 
   /// Drops `tag` if present.
   void Invalidate(uint64_t tag) {
     size_t s = Slot(tag);
-    if (tags_[s] == tag) tags_[s] = kEmpty;
+    if (tags_[s] == Stored(tag)) tags_[s] = kEmpty;
   }
 
   void Flush() { std::fill(tags_.begin(), tags_.end(), kEmpty); }
 
  private:
-  static constexpr uint64_t kEmpty = ~0ULL;
+  // Above kMaxTag, so no tag reads as empty.
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  static uint32_t Stored(uint64_t tag) { return static_cast<uint32_t>(tag); }
   size_t Slot(uint64_t tag) const {
     // Fibonacci hash spreads sequential tags across the array; the hash
     // fits 32 bits, so FastMod32 gives the same slot as `% size` would.
     return mod_.Mod((tag * 0x9e3779b97f4a7c15ULL) >> 32);
   }
-  std::vector<uint64_t> tags_;
+  std::vector<uint32_t> tags_;
   FastMod32 mod_;
 };
 

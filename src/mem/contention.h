@@ -41,13 +41,26 @@ class ResourceQueue {
 
   /// Books `bytes` of demand at time `now`; returns the queueing delay to
   /// charge (0 when the resource was idle last epoch).
+  ///
+  /// The delay is a pure function of (bytes, bytes_prev_, max_delay) —
+  /// bytes_per_cycle_ never changes — so the last one is memoized: within
+  /// an epoch every DRAM line asks with the same inputs and skips the
+  /// three divisions. The memo starts at (0, 0, 0) -> 0, which is exact
+  /// (min(anything, 0) == 0).
   uint64_t Reserve(uint64_t now, uint64_t bytes, uint64_t max_delay) {
     Roll(now);
     bytes_cur_ += bytes;
-    double service = static_cast<double>(bytes) / bytes_per_cycle_;
-    double rho = Utilization();
-    double delay = service * rho / (1.0 - rho);
-    return std::min(static_cast<uint64_t>(delay), max_delay);
+    if (bytes != memo_bytes_ || bytes_prev_ != memo_prev_ ||
+        max_delay != memo_max_) {
+      memo_bytes_ = bytes;
+      memo_prev_ = bytes_prev_;
+      memo_max_ = max_delay;
+      double service = static_cast<double>(bytes) / bytes_per_cycle_;
+      double rho = Utilization();
+      double delay = service * rho / (1.0 - rho);
+      memo_delay_ = std::min(static_cast<uint64_t>(delay), max_delay);
+    }
+    return memo_delay_;
   }
 
   /// Books demand without computing a delay. Bit-equivalent to a sequence
@@ -85,6 +98,11 @@ class ResourceQueue {
   uint64_t cur_epoch_ = 0;
   uint64_t bytes_cur_ = 0;
   uint64_t bytes_prev_ = 0;
+  // Reserve's last (bytes, bytes_prev_, max_delay) and its delay.
+  uint64_t memo_bytes_ = 0;
+  uint64_t memo_prev_ = 0;
+  uint64_t memo_max_ = 0;
+  uint64_t memo_delay_ = 0;
 };
 
 /// \brief All bandwidth resources of one machine.

@@ -51,8 +51,18 @@ MemSystem::MemSystem(const topology::Machine* machine, sim::Engine* engine,
       contention_(*machine),
       os_(std::make_unique<SimOS>(machine, engine, &contention_, sys)),
       caches_(*machine) {
+  // Line tags are slab-relative line numbers; TagArray stores 32 bits.
+  static_assert(SimOS::kSlabBytes / kCacheLineBytes <= TagArray::kMaxTag,
+                "the slab's line numbers must fit a 32-bit tag");
   tlbs_.reserve(static_cast<size_t>(machine->num_cores()));
   for (int c = 0; c < machine->num_cores(); ++c) tlbs_.emplace_back(*machine);
+  hw_views_.reserve(static_cast<size_t>(machine->num_hw_threads()));
+  for (int hw = 0; hw < machine->num_hw_threads(); ++hw) {
+    int core = machine->CoreOfHwThread(hw);
+    int node = machine->NodeOfHwThread(hw);
+    hw_views_.push_back({node, &tlbs_[static_cast<size_t>(core)],
+                         &caches_.Private(core), &caches_.Llc(node)});
+  }
   for (int s = 0; s < machine->num_nodes(); ++s) {
     for (int d = 0; d < machine->num_nodes(); ++d) {
       lat_table_[static_cast<size_t>(s)][static_cast<size_t>(d)] =
@@ -312,8 +322,8 @@ void MemSystem::AccessScalar(sim::VThread* vt, const void* addr_p,
   // All hashing below uses slab-relative addresses so runs replay
   // identically regardless of where the host placed the slab.
   uint64_t rel = os_->ToSimAddr(addr);
-  int core = machine_->CoreOfHwThread(vt->hw_thread);
-  int my_node = machine_->NodeOfHwThread(vt->hw_thread);
+  const HwThreadView& hw = View(vt);
+  const int my_node = hw.node;
 
   ++vt->counters.mem_accesses;
   vt->Charge(kBaseAccessCycles);
@@ -324,7 +334,7 @@ void MemSystem::AccessScalar(sim::VThread* vt, const void* addr_p,
   size_t page_idx = 0;
   bool have_page = false;
   if (costs_.model_tlb) {
-    Tlb& tlb = tlbs_[static_cast<size_t>(core)];
+    Tlb& tlb = *hw.tlb;
     if (tlb.Lookup(rel)) {
       ++vt->counters.tlb_hits;
     } else {
@@ -343,17 +353,15 @@ void MemSystem::AccessScalar(sim::VThread* vt, const void* addr_p,
   uint64_t last_line = (rel + bytes - 1) / kCacheLineBytes;
   for (uint64_t line = first_line; line <= last_line; ++line) {
     if (costs_.model_caches) {
-      TagArray& priv = caches_.Private(core);
-      if (priv.Probe(line)) {
+      if (hw.priv->Probe(line)) {
         ++vt->counters.private_hits;
         vt->Charge(kPrivateHitCycles);
         continue;
       }
-      TagArray& llc = caches_.Llc(my_node);
-      if (llc.Probe(line)) {
+      if (hw.llc->Probe(line)) {
         ++vt->counters.llc_hits;
         vt->Charge(kLlcHitCycles);
-        priv.Insert(line);
+        hw.priv->Insert(line);
         continue;
       }
     }
@@ -405,8 +413,8 @@ void MemSystem::AccessScalar(sim::VThread* vt, const void* addr_p,
     }
 
     if (costs_.model_caches) {
-      caches_.Llc(my_node).Insert(line);
-      caches_.Private(core).Insert(line);
+      hw.llc->Insert(line);
+      hw.priv->Insert(line);
     }
   }
 }
@@ -438,9 +446,9 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
   // matters to placement (replica routing + read/write sampling).
   const uint64_t rel0 = os_->ToSimAddr(addr);
   const uint64_t slab = addr - rel0;
-  const int core = machine_->CoreOfHwThread(vt->hw_thread);
-  const int my_node = machine_->NodeOfHwThread(vt->hw_thread);
-  Tlb& tlb = tlbs_[static_cast<size_t>(core)];
+  const HwThreadView& hw = View(vt);
+  const int my_node = hw.node;
+  Tlb& tlb = *hw.tlb;
 
   // Within-span memos (all conservatively droppable; dropping one only
   // falls back to the exact slow operation it elides).
@@ -539,19 +547,17 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
           vt->Charge(kPrivateHitCycles);
           continue;
         }
-        TagArray& priv = caches_.Private(core);
-        if (priv.Probe(line)) {
+        if (hw.priv->Probe(line)) {
           ++vt->counters.private_hits;
           vt->Charge(kPrivateHitCycles);
           line_valid = true;
           memo_line = line;
           continue;
         }
-        TagArray& llc = caches_.Llc(my_node);
-        if (llc.Probe(line)) {
+        if (hw.llc->Probe(line)) {
           ++vt->counters.llc_hits;
           vt->Charge(kLlcHitCycles);
-          priv.Insert(line);
+          hw.priv->Insert(line);
           line_valid = true;
           memo_line = line;
           continue;
@@ -644,8 +650,8 @@ void MemSystem::SpanFast(sim::VThread* vt, uint64_t addr, uint64_t bytes,
       }
 
       if (costs_.model_caches) {
-        caches_.Llc(my_node).Insert(line);
-        caches_.Private(core).Insert(line);
+        hw.llc->Insert(line);
+        hw.priv->Insert(line);
         line_valid = true;
         memo_line = line;
       }
@@ -667,15 +673,11 @@ void MemSystem::AccessSpan(sim::VThread* vt, const void* addr, uint64_t bytes,
                     bytes, write, vt->clock);
   }
   // A single access of under three lines (the per-record common case) is
-  // cheaper through the scalar path: the batched engine's memo setup only
-  // pays for itself once a span covers several cache lines. Both paths
-  // charge identically (see span_parity_test), so this is purely a
-  // host-speed dispatch. The single-element case is a tail call, not one
-  // trip of the loop below: every Access lands here.
+  // cheaper through the scalar path. Both paths charge identically (see
+  // span_parity_test), so this is purely a host-speed dispatch; Access
+  // makes the same call inline when no race detector is attached.
   uint64_t base = reinterpret_cast<uint64_t>(addr);
-  uint64_t lines =
-      (base + bytes - 1) / kCacheLineBytes - base / kCacheLineBytes;
-  if (stride == bytes && (scalar_reference_ || lines < 3)) {
+  if (stride == bytes && (scalar_reference_ || UnderThreeLines(base, bytes))) {
     AccessScalar(vt, addr, bytes, write);
     return;
   }

@@ -6,8 +6,8 @@
 // page binding and AutoNUMA hinting-fault sampling happen on this path, just
 // as they do in the kernel's fault handlers.
 //
-// Every charge enters through AccessSpan (Access is a span of one
-// element), which picks one of two implementations of that contract:
+// Every charge follows AccessSpan's contract (Access is a span of one
+// element), and AccessSpan picks one of two implementations of it:
 //  - the scalar reference path (AccessScalar): one TLB probe, one cache
 //    probe chain and one contention charge per logical access / cache line,
 //    exactly as documented above; it takes single accesses of under three
@@ -20,6 +20,21 @@
 // ThreadCounters, same virtual clocks, same cache/TLB/contention state —
 // which tests/span_parity_test.cc enforces. SetScalarReference(true)
 // routes everything through the reference path for those tests.
+//
+// The per-access host path rests on shortcuts that change no simulated
+// number (DESIGN.md section 4, "Per-access host path"):
+//  - Access calls AccessScalar itself for the case AccessSpan would send
+//    there (no race detector, under three lines): one out-of-line call;
+//  - each hardware thread's node, TLB, private cache and LLC are resolved
+//    once at construction (HwThreadView), since the topology is fixed;
+//  - Tlb skips its 2M probe while no 2M entry was inserted since the last
+//    Flush (empty slots cannot hit);
+//  - FastMod32 masks power-of-two sizes (x & (d-1) == x % d);
+//  - TagArray stores 32-bit tags (every slab line number fits, asserted
+//    at compile time in MemSystem's constructor);
+//  - ResourceQueue::Reserve memoizes its delay on its three inputs
+//    (bytes, previous-epoch bytes, max_delay);
+//  - VThread::Scaled skips the double round trip at scale 1 below 2^53.
 
 #ifndef NUMALAB_MEM_MEM_SYSTEM_H_
 #define NUMALAB_MEM_MEM_SYSTEM_H_
@@ -49,6 +64,9 @@ class MemSystem {
  public:
   MemSystem(const topology::Machine* machine, sim::Engine* engine,
             CostModel costs, perf::SystemCounters* sys);
+  // The per-hw-thread views point into this object's own members.
+  MemSystem(const MemSystem&) = delete;
+  MemSystem& operator=(const MemSystem&) = delete;
 
   SimOS* os() { return os_.get(); }
 
@@ -67,8 +85,15 @@ class MemSystem {
   void ArmAutoNumaWave() { ++wave_epoch_; }
 
   /// Charges one logical access of `bytes` at `addr` by the current thread:
-  /// a span of one element.
+  /// a span of one element. With no race detector attached, an access of
+  /// under three lines goes straight to AccessScalar — the call AccessSpan
+  /// would make for it — so the common case is one out-of-line call.
   void Access(sim::VThread* vt, const void* addr, uint64_t bytes, bool write) {
+    if (race_ == nullptr && bytes != 0 &&
+        UnderThreeLines(reinterpret_cast<uint64_t>(addr), bytes)) {
+      AccessScalar(vt, addr, bytes, write);
+      return;
+    }
     AccessSpan(vt, addr, bytes, /*stride=*/bytes, write);
   }
 
@@ -135,10 +160,30 @@ class MemSystem {
   std::string DescribeSimAddr(uint64_t sim_addr) const;
 
  private:
+  /// What the access path needs of the hardware thread a VThread runs on,
+  /// resolved once at construction: its node (no division per access) and
+  /// its core's TLB and caches (no vector indirection).
+  struct HwThreadView {
+    int node;
+    Tlb* tlb;
+    TagArray* priv;  ///< the core's private cache
+    TagArray* llc;   ///< the node's LLC
+  };
+  const HwThreadView& View(const sim::VThread* vt) const {
+    return hw_views_[static_cast<size_t>(vt->hw_thread)];
+  }
+
   /// Grows both per-thread AutoNUMA state vectors (node_traffic_ and
   /// fault_stride_) to cover `vthread_id`. Every consumer of that state
   /// must go through here, so neither vector is ever indexed short.
   void EnsureThreadState(int vthread_id);
+
+  /// A single access of `bytes` > 0 at `base` spans under three cache
+  /// lines: the size AccessSpan sends to AccessScalar, where the batched
+  /// engine's memo setup would not pay for itself.
+  static bool UnderThreeLines(uint64_t base, uint64_t bytes) {
+    return (base + bytes - 1) / kCacheLineBytes - base / kCacheLineBytes < 3;
+  }
 
   void AccessScalar(sim::VThread* vt, const void* addr, uint64_t bytes,
                     bool write);
@@ -176,6 +221,7 @@ class MemSystem {
   std::unique_ptr<SimOS> os_;
   CacheModel caches_;
   std::vector<Tlb> tlbs_;  // one per physical core
+  std::vector<HwThreadView> hw_views_;  // one per hardware thread
   bool autonuma_ = false;
   bool scalar_reference_ = false;
   bool placement_ = false;

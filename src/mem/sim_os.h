@@ -160,8 +160,11 @@ class SimOS {
   /// memos when an AutoNUMA sample changes it.
   uint64_t mutation_generation() const { return mutation_gen_; }
 
+  /// Size of the virtual reservation every simulated address lies in, so
+  /// ToSimAddr of any mapped address is below it.
+  static constexpr uint64_t kSlabBytes = 48ULL << 30;
+
  private:
-  static constexpr uint64_t kSlabBytes = 48ULL << 30;  // virtual reservation
   static constexpr uint64_t kSlotBytes = kHugePageBytes;
 
   int ChooseBindNode(int accessor_node);

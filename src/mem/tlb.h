@@ -27,9 +27,12 @@ class Tlb {
         tags_2m_(Entries(m.tlb_2m())),
         has_2m_(m.tlb_2m().l1_entries + m.tlb_2m().l2_entries > 0) {}
 
-  /// Probes both structures; true on hit.
+  /// Probes both structures; true on hit. The 2M probe is skipped while
+  /// no 2M entry was inserted since the last Flush: an array of empty
+  /// slots cannot hit, so the answer is the same (the common case with
+  /// THP off, where nothing is huge).
   bool Lookup(uint64_t addr) const {
-    if (has_2m_ && tags_2m_.Probe(addr / kHugePageBytes)) return true;
+    if (any_2m_ && tags_2m_.Probe(addr / kHugePageBytes)) return true;
     return tags_4k_.Probe(addr / kSmallPageBytes);
   }
 
@@ -37,6 +40,7 @@ class Tlb {
   void Insert(uint64_t addr, bool huge) {
     if (huge && has_2m_) {
       tags_2m_.Insert(addr / kHugePageBytes);
+      any_2m_ = true;
     } else {
       tags_4k_.Insert(addr / kSmallPageBytes);
     }
@@ -52,6 +56,7 @@ class Tlb {
   void Flush() {
     tags_4k_.Flush();
     tags_2m_.Flush();
+    any_2m_ = false;
   }
 
  private:
@@ -62,6 +67,9 @@ class Tlb {
   TagArray tags_4k_;  // tags are virtual page numbers
   TagArray tags_2m_;
   bool has_2m_;
+  /// A 2M entry may be present: set by a 2M Insert, cleared by Flush.
+  /// Invalidate leaves it set, which only costs a probe that misses.
+  bool any_2m_ = false;
 };
 
 }  // namespace mem

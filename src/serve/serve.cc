@@ -12,6 +12,7 @@
 #include "src/serve/serve.h"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
@@ -725,25 +726,26 @@ ServeResult RunServing(const workloads::RunConfig& rc,
 
   // --- Post-run reduction. ---
   ServingStats& st = s.st;
-  // One sort per type; the all-types order is their linear merge.
-  std::vector<uint64_t> all, merged;
+  // Order statistics by selection, not sorting: the same values a sort
+  // would put at each NearestRank index.
+  constexpr std::array<double, 3> kPercentiles = {50, 95, 99};
+  std::vector<uint64_t> all;
+  all.reserve(st.completed);
   for (int t = 0; t < kNumRequestTypes; ++t) {
     std::vector<uint64_t>& lat = s.lat[t];
-    std::sort(lat.begin(), lat.end());
+    all.insert(all.end(), lat.begin(), lat.end());
     TypeStats& ts = st.types[t];
     ts.completed = lat.size();
-    ts.p50 = PercentileSorted(lat, 50);
-    ts.p95 = PercentileSorted(lat, 95);
-    ts.p99 = PercentileSorted(lat, 99);
-    merged.resize(all.size() + lat.size());
-    std::merge(all.begin(), all.end(), lat.begin(), lat.end(),
-               merged.begin());
-    all.swap(merged);
+    auto p = PercentilesBySelection(&lat, kPercentiles);
+    ts.p50 = p[0];
+    ts.p95 = p[1];
+    ts.p99 = p[2];
   }
-  st.p50 = PercentileSorted(all, 50);
-  st.p95 = PercentileSorted(all, 95);
-  st.p99 = PercentileSorted(all, 99);
-  st.max = all.empty() ? 0 : all.back();
+  auto p = PercentilesBySelection(&all, kPercentiles);
+  st.p50 = p[0];
+  st.p95 = p[1];
+  st.p99 = p[2];
+  st.max = all.empty() ? 0 : *std::max_element(all.begin(), all.end());
   st.makespan_cycles =
       st.last_completion_cycle > st.first_arrival_cycle
           ? st.last_completion_cycle - st.first_arrival_cycle

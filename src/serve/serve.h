@@ -160,7 +160,8 @@ struct ServingStats {
   /// numbers are computed over.
   uint64_t makespan_cycles = 0;
 
-  /// Sojourn percentiles over all completed requests (exact sort).
+  /// Sojourn percentiles over all completed requests (exact order
+  /// statistics, by selection).
   uint64_t p50 = 0, p95 = 0, p99 = 0, max = 0;
   TypeStats types[kNumRequestTypes];
   std::vector<NodeStats> nodes;  ///< indexed by NUMA node

@@ -114,8 +114,11 @@ struct VThread : PooledNew {
   Engine* engine = nullptr;
 
   /// Clock advance of one Charge(cycles): `cycles` inflated by the
-  /// oversubscription factor, truncated once per call.
+  /// oversubscription factor, truncated once per call. At scale 1 the
+  /// double round trip is the identity for every cycles < 2^53 (exactly
+  /// representable), so that common case skips it.
   uint64_t Scaled(uint64_t cycles) const {
+    if (cycle_scale == 1.0 && cycles < (uint64_t{1} << 53)) return cycles;
     return static_cast<uint64_t>(static_cast<double>(cycles) * cycle_scale);
   }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
+#include "src/common/rng.h"
 #include "src/mem/contention.h"
 
 namespace numalab {
@@ -65,6 +69,82 @@ TEST(ContentionModel, InjectAddsBackgroundLoad) {
   cm.Inject(2, 0, 1 << 20);  // a huge-page migration's worth of copying
   uint64_t d = cm.Charge(m, 2, 2, 1 << 16, 64, 4000);
   EXPECT_GT(d, 0u);
+}
+
+// Reserve memoizes its delay on (bytes, previous-epoch bytes, max_delay).
+// A reference that recomputes every delay from scratch (the epoch
+// accounting written out again, no memo) must agree on every call across
+// epoch rolls, idle gaps, stale accesses from a lagging clock, Book calls
+// and interleaved Inject-style reservations (max_delay 0).
+class FreshQueue {
+ public:
+  explicit FreshQueue(double bpc) : bpc_(bpc) {}
+  uint64_t Reserve(uint64_t now, uint64_t bytes, uint64_t max_delay) {
+    Book(now, bytes);
+    double capacity = bpc_ * static_cast<double>(ResourceQueue::kEpochCycles);
+    double rho = std::min(static_cast<double>(prev_) / capacity, 0.97);
+    double delay = static_cast<double>(bytes) / bpc_ * rho / (1.0 - rho);
+    return std::min(static_cast<uint64_t>(delay), max_delay);
+  }
+  void Book(uint64_t now, uint64_t bytes) {
+    uint64_t epoch = now / ResourceQueue::kEpochCycles;
+    if (epoch == epoch_ + 1) {
+      prev_ = cur_;
+      cur_ = 0;
+      epoch_ = epoch;
+    } else if (epoch > epoch_) {
+      prev_ = 0;
+      cur_ = 0;
+      epoch_ = epoch;
+    }
+    cur_ += bytes;
+  }
+
+ private:
+  double bpc_;
+  uint64_t epoch_ = 0, cur_ = 0, prev_ = 0;
+};
+
+TEST(ResourceQueue, MemoizedDelayEqualsFreshComputation) {
+  for (double bpc : {0.5, 2.0, 7.3}) {
+    ResourceQueue q(bpc);
+    FreshQueue ref(bpc);
+    Rng rng(17);
+    uint64_t now = 0, nonzero = 0, distinct_epochs_with_delay = 0;
+    uint64_t last_epoch_with_delay = ~0ULL;
+    const uint64_t kBytes[] = {64, 64, 64, 64, 128, 4096, 0};
+    const uint64_t kMax[] = {4000, 4000, 4000, 20000, 123, 0};
+    for (int i = 0; i < 200000; ++i) {
+      uint64_t r = rng.Uniform(1000);
+      uint64_t at = now;
+      if (r < 2) {
+        now += 3 * ResourceQueue::kEpochCycles;  // idle gap
+      } else if (r < 12 && now >= ResourceQueue::kEpochCycles) {
+        at = now - ResourceQueue::kEpochCycles;  // lagging thread: stale
+      } else {
+        now += rng.Uniform(40);
+      }
+      uint64_t bytes = kBytes[rng.Uniform(7)];
+      uint64_t max_delay = kMax[rng.Uniform(6)];
+      if (rng.Uniform(50) == 0) {
+        q.Book(at, bytes * 8);
+        ref.Book(at, bytes * 8);
+        continue;
+      }
+      uint64_t got = q.Reserve(at, bytes, max_delay);
+      ASSERT_EQ(got, ref.Reserve(at, bytes, max_delay))
+          << "bpc " << bpc << " op " << i;
+      if (got != 0) {
+        ++nonzero;
+        uint64_t e = at / ResourceQueue::kEpochCycles;
+        if (e != last_epoch_with_delay) ++distinct_epochs_with_delay;
+        last_epoch_with_delay = e;
+      }
+    }
+    // The sequence must exercise many different utilizations.
+    EXPECT_GT(nonzero, 1000u) << bpc;
+    EXPECT_GT(distinct_epochs_with_delay, 10u) << bpc;
+  }
 }
 
 }  // namespace

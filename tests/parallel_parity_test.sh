@@ -34,6 +34,9 @@
 #      with SIGINT ignored.)
 #   9. A malformed BENCH_TIMEOUT_SECS (abc, -5) is refused with exit 2
 #      before any cell runs, not reported as a timeout of every bench.
+#  10. Stale export: in a reused JSON_OUT_DIR, a bench that exits 0 and
+#      writes nothing is a no-export failure (nonzero exit), even though
+#      the previous run's <bench>.json is still there when it starts.
 #
 # Usage: parallel_parity_test.sh
 # Registered as the `parallel_parity` ctest.
@@ -297,6 +300,23 @@ for bad in abc -5; do
     fail "BENCH_TIMEOUT_SECS=$bad not refused (rc=$rc, stderr: $(cat "$tmp/badtimeout.stderr"))"
   fi
 done
+
+# --- 10. a reused JSON_OUT_DIR does not merge a previous run's export ------
+mkdir -p "$tmp/stale"
+printf '{"stale":"previous run"}' > "$tmp/stale/bench_a.json"
+cp "$fake/bench/bench_ok" "$fake/bench/bench_a"
+env BUILD_DIR="$fake" BENCHES="bench_a" JOBS=1 JSON_OUT_DIR="$tmp/stale" \
+    ./run_benches.sh > /dev/null 2> "$tmp/stale.stderr"
+rc=$?
+if [[ $rc -ne 0 ]] && grep -q '"bench":"bench_a","kind":"no-export"' \
+    "$tmp/stale/BENCH_results.json"; then
+  pass "stale export in a reused JSON_OUT_DIR is a no-export failure"
+else
+  fail "stale export merged (rc=$rc, merged: $(cat "$tmp/stale/BENCH_results.json"))"
+fi
+if grep -q '"stale"' "$tmp/stale/BENCH_results.json"; then
+  fail "merged document holds the previous run's export"
+fi
 
 if [[ $fails -gt 0 ]]; then
   echo "parallel_parity_test: $fails check(s) failed" >&2

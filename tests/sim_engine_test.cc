@@ -338,6 +338,28 @@ TEST(Engine, DeterministicInterleaving) {
   EXPECT_EQ(run(), run());
 }
 
+// Scaled skips the double round trip at scale 1 for cycles below 2^53. It
+// must equal the double formula everywhere: at other scales, and at scale 1
+// from 2^53 up, where the conversion to double rounds.
+TEST(VThread, ScaledEqualsDoubleFormula) {
+  auto formula = [](uint64_t cycles, double scale) {
+    return static_cast<uint64_t>(static_cast<double>(cycles) * scale);
+  };
+  const uint64_t k53 = uint64_t{1} << 53;
+  const uint64_t cycles[] = {0, 1, 3, 7, 1000, 123456789, k53 - 1, k53,
+                             k53 + 1, k53 + 3, (uint64_t{1} << 60) + 1,
+                             ~uint64_t{0} >> 1};
+  VThread vt;
+  for (double scale : {1.0, 1.5, 2.0, 1.0000001, 0.999999, 3.25}) {
+    vt.cycle_scale = scale;
+    for (uint64_t c : cycles) {
+      EXPECT_EQ(vt.Scaled(c), formula(c, scale)) << c << " x " << scale;
+    }
+  }
+  vt.cycle_scale = 1.0;
+  EXPECT_EQ(vt.Scaled(k53 + 1), k53);  // the rounding the shortcut must keep
+}
+
 }  // namespace
 }  // namespace sim
 }  // namespace numalab

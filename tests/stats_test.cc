@@ -6,10 +6,13 @@
 #include "src/common/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/common/rng.h"
 
 namespace numalab {
 namespace {
@@ -57,6 +60,25 @@ TEST(PercentileTest, NanPTreatedAsZero) {
   std::vector<uint64_t> xs = {10, 20, 30};
   EXPECT_EQ(PercentileSorted(xs, std::numeric_limits<double>::quiet_NaN()),
             10u);
+}
+
+// The serving reduction reads its percentiles by selection; they must be
+// the order statistics a full sort gives, at every size (duplicates, the
+// p95/p99 indices coinciding on small inputs, empty).
+TEST(PercentileTest, SelectionMatchesSortedOrderStatistics) {
+  Rng rng(7);
+  constexpr std::array<double, 4> kPs = {0, 50, 95, 99};
+  for (uint64_t n = 0; n < 300; ++n) {
+    std::vector<uint64_t> xs(n);
+    for (uint64_t& x : xs) x = rng.Uniform(n / 4 + 1);  // many duplicates
+    std::vector<uint64_t> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    auto got = PercentilesBySelection(&xs, kPs);
+    for (size_t i = 0; i < kPs.size(); ++i) {
+      EXPECT_EQ(got[i], PercentileSorted(sorted, kPs[i]))
+          << "n=" << n << " p=" << kPs[i];
+    }
+  }
 }
 
 TEST(HistogramTest, BucketGeometry) {
